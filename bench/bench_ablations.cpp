@@ -53,11 +53,11 @@ ablationInterleaving(ThreadPool &pool, bool tiny,
             config.interleave = false;
             config.metricsScope =
                 "a1.s" + std::to_string(stress) + ".off";
-            const auto off = core::runSystem(config, plan);
+            const auto off = core::RunRequest(config).run(plan);
             config.interleave = true;
             config.metricsScope =
                 "a1.s" + std::to_string(stress) + ".on";
-            const auto on = core::runSystem(config, plan);
+            const auto on = core::RunRequest(config).run(plan);
             return Row{"Plan 1 + " + std::to_string(stress) + " NGram",
                        formatSeconds(off.avgIterationLatency),
                        formatSeconds(on.avgIterationLatency),
@@ -93,11 +93,11 @@ ablationPredictor(ThreadPool &pool, obs::MetricRegistry *metrics)
             config.metrics = metrics;
             config.metricsScope =
                 "a2.p" + std::to_string(plan_id) + ".oracle";
-            const auto oracle = core::runSystem(config, plan);
+            const auto oracle = core::RunRequest(config).run(plan);
             config.predictor = &predictor;
             config.metricsScope =
                 "a2.p" + std::to_string(plan_id) + ".ml";
-            const auto predicted = core::runSystem(config, plan);
+            const auto predicted = core::RunRequest(config).run(plan);
             return Row{"Plan " + std::to_string(plan_id),
                        formatRate(oracle.throughput),
                        formatRate(predicted.throughput),
@@ -135,11 +135,11 @@ ablationHybrid(ThreadPool &pool, bool tiny,
             config.metrics = metrics;
             config.metricsScope =
                 "a3.s" + std::to_string(stress) + ".rap";
-            const auto rap = core::runSystem(config, plan);
+            const auto rap = core::RunRequest(config).run(plan);
             config.system = core::System::HybridRap;
             config.metricsScope =
                 "a3.s" + std::to_string(stress) + ".hybrid";
-            const auto hybrid = core::runSystem(config, plan);
+            const auto hybrid = core::RunRequest(config).run(plan);
             return Row{std::to_string(stress),
                        formatSeconds(rap.predictedExposed),
                        formatSeconds(hybrid.predictedExposed),

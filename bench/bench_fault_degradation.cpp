@@ -83,7 +83,7 @@ main(int argc, char **argv)
     auto healthy_config = baseConfig();
     healthy_config.metrics = metrics;
     healthy_config.metricsScope = "healthy";
-    const auto healthy = core::runSystem(healthy_config, plan);
+    const auto healthy = core::RunRequest(healthy_config).run(plan);
     const Seconds iter_latency = healthy.avgIterationLatency;
     const Seconds fault_at =
         crash_at_ms >= 0 ? crash_at_ms / 1000.0
@@ -141,12 +141,12 @@ main(int argc, char **argv)
             config.replanOnDrift = false;
             config.metricsScope =
                 "f" + std::to_string(i) + ".stale";
-            const auto stale = core::runSystem(config, plan);
+            const auto stale = core::RunRequest(config).run(plan);
             config.replanOnDrift = true;
             config.replanMapping = true;
             config.metricsScope =
                 "f" + std::to_string(i) + ".replanned";
-            const auto replanned = core::runSystem(config, plan);
+            const auto replanned = core::RunRequest(config).run(plan);
 
             const Seconds lost = stale.makespan - healthy.makespan;
             const Seconds won = stale.makespan - replanned.makespan;

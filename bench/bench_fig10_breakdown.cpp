@@ -56,7 +56,7 @@ main(int argc, char **argv)
             config.metrics = metrics;
             config.metricsScope = "p" + std::to_string(plan_id) + "." +
                                   core::systemId(system);
-            tput[system] = core::runSystem(config, plan).throughput;
+            tput[system] = core::RunRequest(config).run(plan).throughput;
         }
         const double seq = tput[core::System::SequentialGpu];
         const double ideal = tput[core::System::Ideal];

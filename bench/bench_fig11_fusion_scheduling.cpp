@@ -64,7 +64,7 @@ main(int argc, char **argv)
             config.metrics = metrics;
             config.metricsScope = "n" + std::to_string(count) + "." +
                                   core::systemId(system);
-            const auto report = core::runSystem(config, plan);
+            const auto report = core::RunRequest(config).run(plan);
             latency_ms[system].push_back(report.avgIterationLatency *
                                          1e3);
             reports[system].push_back(report);

@@ -63,7 +63,7 @@ main(int argc, char **argv)
     ideal_config.gpuCount = gpus;
     ideal_config.metrics = metrics;
     ideal_config.metricsScope = "ideal";
-    const auto ideal = core::runSystem(ideal_config, plan);
+    const auto ideal = core::RunRequest(ideal_config).run(plan);
 
     std::cout << "=== Figure 12: exposed latency under different "
                  "graph mappings (skewed plan, 8x A100) ===\n";
@@ -116,7 +116,7 @@ main(int argc, char **argv)
             run_config.metrics = metrics;
             run_config.metricsScope =
                 core::mappingStrategyName(strategy);
-            const auto report = core::runSystem(run_config, plan);
+            const auto report = core::RunRequest(run_config).run(plan);
             const Seconds overhead =
                 report.avgIterationLatency - ideal.avgIterationLatency;
 

@@ -64,7 +64,7 @@ main(int argc, char **argv)
             config.iterations = 30;
             config.warmup = 8;
         }
-        reports.push_back(core::runSystem(config, plan));
+        reports.push_back(core::RunRequest(config).run(plan));
     }
     ideal_tput = reports.back().throughput;
     for (const auto &report : reports) {

@@ -44,13 +44,13 @@ main()
     config.batchPerGpu = 4096;
 
     config.system = core::System::Ideal;
-    const auto ideal = core::runSystem(config, plan);
+    const auto ideal = core::RunRequest(config).run(plan);
 
     config.system = core::System::Rap;
-    const auto rap = core::runSystem(config, plan);
+    const auto rap = core::RunRequest(config).run(plan);
 
     config.system = core::System::SequentialGpu;
-    const auto sequential = core::runSystem(config, plan);
+    const auto sequential = core::RunRequest(config).run(plan);
 
     AsciiTable table({"system", "iter latency", "throughput",
                       "vs ideal"});

@@ -2,10 +2,12 @@
  * @file
  * End-to-end online DLRM training pipelines (paper §4, §8).
  *
- * OnlineTrainer assembles the full system — input preprocessing,
+ * A run assembles the full system — input preprocessing,
  * hybrid-parallel training, and the co-running machinery — on the
  * simulated node and measures end-to-end training throughput. Every
- * system the paper evaluates is available:
+ * system goes through one harness and differs only in how inputs
+ * reach each iteration; core::RunRequest::run (core/run_request.hpp)
+ * is the entry point. Every system the paper evaluates is available:
  *
  *  - Ideal: standalone training, inputs always ready (upper bound);
  *  - Rap: joint mapping + horizontal fusion + resource-aware
@@ -237,8 +239,8 @@ struct SystemConfig
     /**
      * Check the configuration shape: GPU/iteration counts, subset and
      * envelope sizes, envelope shares, thresholds, worker counts.
-     * Returns every problem found; runSystem / planOffline refuse
-     * (RAP_FATAL) configurations with a non-ok() result.
+     * Returns every problem found; RunRequest::run / planOffline
+     * refuse (RAP_FATAL) configurations with a non-ok() result.
      */
     ValidationResult validate() const;
 };
@@ -360,35 +362,12 @@ struct OfflinePlan
  * when @p pool is non-null they run on its workers. Results are
  * reduced in GPU order, so the returned plan is bit-identical for any
  * thread count. Only GPU-preprocessing systems have an offline phase
- * (not Ideal / TorchArrowCpu).
+ * (not Ideal / TorchArrowCpu). Fatal, with the rendered error list,
+ * when @p config fails SystemConfig::validate.
  */
 OfflinePlan planOffline(const SystemConfig &config,
                         const preproc::PreprocPlan &plan,
                         ThreadPool *pool = nullptr);
-
-/**
- * Assembles and runs one configured system over one plan.
- */
-class OnlineTrainer
-{
-  public:
-    OnlineTrainer(SystemConfig config, const preproc::PreprocPlan &plan);
-
-    /** Execute the simulation and return the measured report. */
-    RunReport run();
-
-  private:
-    RunReport runIdeal();
-    RunReport runTorchArrow();
-    RunReport runGpuSystem();
-
-    SystemConfig config_;
-    const preproc::PreprocPlan &plan_;
-};
-
-/** Convenience: construct and run in one call. */
-RunReport runSystem(const SystemConfig &config,
-                    const preproc::PreprocPlan &plan);
 
 } // namespace rap::core
 

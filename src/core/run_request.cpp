@@ -158,10 +158,4 @@ RunRequest::build() const
     return config_;
 }
 
-RunReport
-RunRequest::run(const preproc::PreprocPlan &plan) const
-{
-    return runSystem(build(), plan);
-}
-
 } // namespace rap::core

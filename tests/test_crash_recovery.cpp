@@ -15,6 +15,7 @@
 #include <cstdint>
 
 #include "core/pipeline.hpp"
+#include "core/run_request.hpp"
 #include "obs/metrics.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault.hpp"
@@ -134,7 +135,7 @@ TEST(CrashRecovery, ComposedReportAccountsTheCrashes)
     const auto plan = preproc::makePlan(0);
     auto config = crashConfig(core::CheckpointMode::FixedInterval);
     config.checkpoint.interval = 500;
-    const auto report = core::runSystem(config, plan);
+    const auto report = core::RunRequest(config).run(plan);
 
     EXPECT_GE(report.recoveries, 1);
     EXPECT_GT(report.lostWork, 0.0);
@@ -142,7 +143,7 @@ TEST(CrashRecovery, ComposedReportAccountsTheCrashes)
 
     auto healthy = config;
     healthy.faults.reset();
-    const auto baseline = core::runSystem(healthy, plan);
+    const auto baseline = core::RunRequest(healthy).run(plan);
     EXPECT_EQ(baseline.recoveries, 0);
     EXPECT_DOUBLE_EQ(baseline.lostWork, 0.0);
     EXPECT_GT(report.makespan, baseline.makespan)
@@ -153,11 +154,14 @@ TEST(CrashRecovery, YoungDalyBeatsNoneAndNaiveFixedInterval)
 {
     const auto plan = preproc::makePlan(0);
     const auto none =
-        core::runSystem(crashConfig(core::CheckpointMode::None), plan);
-    const auto fixed = core::runSystem(
-        crashConfig(core::CheckpointMode::FixedInterval), plan);
-    const auto yd = core::runSystem(
-        crashConfig(core::CheckpointMode::YoungDaly), plan);
+        core::RunRequest(crashConfig(core::CheckpointMode::None))
+            .run(plan);
+    const auto fixed =
+        core::RunRequest(crashConfig(core::CheckpointMode::FixedInterval))
+            .run(plan);
+    const auto yd =
+        core::RunRequest(crashConfig(core::CheckpointMode::YoungDaly))
+            .run(plan);
 
     // The acceptance claim: under the same seeded crash trace the
     // Young-Daly interval strictly beats both never checkpointing
@@ -176,7 +180,7 @@ TEST(CrashRecovery, CountersAndRecoverySpansReachTheRegistry)
     auto config = crashConfig(core::CheckpointMode::YoungDaly);
     obs::MetricRegistry registry;
     config.metrics = &registry;
-    const auto report = core::runSystem(config, plan);
+    const auto report = core::RunRequest(config).run(plan);
     ASSERT_GE(report.recoveries, 1);
 
     std::uint64_t checkpoints = 0;
@@ -202,9 +206,9 @@ TEST(CrashRecovery, ReportIsIdenticalAcrossPlanningThreads)
     const auto plan = preproc::makePlan(0);
     auto config = crashConfig(core::CheckpointMode::YoungDaly);
     config.planningThreads = 1;
-    const auto serial = core::runSystem(config, plan);
+    const auto serial = core::RunRequest(config).run(plan);
     config.planningThreads = 4;
-    const auto parallel = core::runSystem(config, plan);
+    const auto parallel = core::RunRequest(config).run(plan);
 
     EXPECT_EQ(serial.makespan, parallel.makespan);
     EXPECT_EQ(serial.lostWork, parallel.lostWork);

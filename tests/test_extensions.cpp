@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
+#include "core/run_request.hpp"
 
 namespace rap::core {
 namespace {
@@ -34,9 +35,9 @@ TEST(HybridRap, MatchesRapWhenNothingOverflows)
     config.iterations = 10;
     config.warmup = 2;
     config.system = System::Rap;
-    const auto rap = runSystem(config, plan);
+    const auto rap = RunRequest(config).run(plan);
     config.system = System::HybridRap;
-    const auto hybrid = runSystem(config, plan);
+    const auto hybrid = RunRequest(config).run(plan);
     EXPECT_NEAR(hybrid.throughput, rap.throughput,
                 0.01 * rap.throughput);
 }
@@ -50,9 +51,9 @@ TEST(HybridRap, ReducesExposureUnderOverload)
     config.iterations = 10;
     config.warmup = 2;
     config.system = System::Rap;
-    const auto rap = runSystem(config, plan);
+    const auto rap = RunRequest(config).run(plan);
     config.system = System::HybridRap;
-    const auto hybrid = runSystem(config, plan);
+    const auto hybrid = RunRequest(config).run(plan);
     ASSERT_GT(rap.predictedExposed, 0.0);
     EXPECT_LT(hybrid.predictedExposed, rap.predictedExposed);
     EXPECT_GE(hybrid.throughput, 0.99 * rap.throughput);
@@ -67,11 +68,11 @@ TEST(FusionOnly, RunsAndStretchesTraining)
     config.iterations = 10;
     config.warmup = 2;
     config.system = System::Ideal;
-    const auto ideal = runSystem(config, plan);
+    const auto ideal = RunRequest(config).run(plan);
     config.system = System::HorizontalFusionOnly;
-    const auto fusion = runSystem(config, plan);
+    const auto fusion = RunRequest(config).run(plan);
     config.system = System::Rap;
-    const auto rap = runSystem(config, plan);
+    const auto rap = RunRequest(config).run(plan);
     // Naive fair-share co-running of oversized fused kernels
     // stretches the trainer; RAP's scheduling avoids that.
     EXPECT_GT(fusion.avgIterationLatency,
@@ -90,9 +91,9 @@ TEST(ForcedMapping, OverridesSystemDefault)
     config.warmup = 2;
 
     config.forcedMapping = MappingStrategy::DataParallel;
-    const auto dp = runSystem(config, plan);
+    const auto dp = RunRequest(config).run(plan);
     config.forcedMapping = MappingStrategy::DataLocality;
-    const auto dl = runSystem(config, plan);
+    const auto dl = RunRequest(config).run(plan);
     // DP ships outputs to table owners; DL ships nothing.
     EXPECT_GT(dp.p2pBytes, 0.0);
     EXPECT_DOUBLE_EQ(dl.p2pBytes, 0.0);
@@ -108,9 +109,9 @@ TEST(Interleaving, HelpsUnderHeavyLoad)
     config.iterations = 10;
     config.warmup = 2;
     config.interleave = false;
-    const auto off = runSystem(config, plan);
+    const auto off = RunRequest(config).run(plan);
     config.interleave = true;
-    const auto on = runSystem(config, plan);
+    const auto on = RunRequest(config).run(plan);
     EXPECT_LT(on.avgIterationLatency,
               0.95 * off.avgIterationLatency);
 }

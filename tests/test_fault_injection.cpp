@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
+#include "core/run_request.hpp"
 #include "sim/cluster.hpp"
 #include "sim/fault.hpp"
 
@@ -232,7 +233,7 @@ TEST(OnlineReplanning, RecoversMakespanUnderSmDegradation)
     config.iterations = 36;
     config.warmup = 3;
 
-    const auto healthy = core::runSystem(config, plan);
+    const auto healthy = core::RunRequest(config).run(plan);
     EXPECT_EQ(healthy.replans, 0);
     EXPECT_GT(healthy.makespan, 0.0);
 
@@ -242,12 +243,12 @@ TEST(OnlineReplanning, RecoversMakespanUnderSmDegradation)
     config.faults = faults;
 
     config.replanOnDrift = false;
-    const auto stale = core::runSystem(config, plan);
+    const auto stale = core::RunRequest(config).run(plan);
     EXPECT_EQ(stale.replans, 0);
     EXPECT_GT(stale.makespan, healthy.makespan);
 
     config.replanOnDrift = true;
-    const auto replanned = core::runSystem(config, plan);
+    const auto replanned = core::RunRequest(config).run(plan);
     EXPECT_GE(replanned.replans, 1);
     EXPECT_LT(replanned.makespan, stale.makespan)
         << "replanning must strictly beat the stale schedule";
@@ -263,12 +264,12 @@ TEST(OnlineReplanning, HealthyRunNeverTriggers)
     config.iterations = 14;
     config.warmup = 3;
     config.replanOnDrift = true;
-    const auto report = core::runSystem(config, plan);
+    const auto report = core::RunRequest(config).run(plan);
     EXPECT_EQ(report.replans, 0);
 
     // And the monitor keeps the no-fault timeline untouched.
     config.replanOnDrift = false;
-    const auto baseline = core::runSystem(config, plan);
+    const auto baseline = core::RunRequest(config).run(plan);
     EXPECT_DOUBLE_EQ(report.makespan, baseline.makespan);
 }
 
@@ -284,7 +285,7 @@ TEST(OnlineReplanning, FaultStatsReachTheReport)
     faults.events.push_back(sim::FaultEvent::transientKernel(
         -1, 0.0, std::numeric_limits<Seconds>::infinity(), 0.4));
     config.faults = faults;
-    const auto report = core::runSystem(config, plan);
+    const auto report = core::RunRequest(config).run(plan);
     EXPECT_GT(report.kernelRetries, 0u);
     EXPECT_GT(report.retryBackoffSeconds, 0.0);
 }

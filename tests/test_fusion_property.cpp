@@ -98,8 +98,8 @@ TEST(PipelineDeterminism, IdenticalRunsProduceIdenticalReports)
     config.gpuCount = 4;
     config.iterations = 8;
     config.warmup = 2;
-    const auto a = runSystem(config, plan);
-    const auto b = runSystem(config, plan);
+    const auto a = RunRequest(config).run(plan);
+    const auto b = RunRequest(config).run(plan);
     EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
     EXPECT_DOUBLE_EQ(a.avgIterationLatency, b.avgIterationLatency);
     EXPECT_DOUBLE_EQ(a.avgSmUtil, b.avgSmUtil);
@@ -116,8 +116,8 @@ TEST(PipelineDeterminism, BaselinesDeterministicToo)
         config.gpuCount = 2;
         config.iterations = 8;
         config.warmup = 2;
-        const auto a = runSystem(config, plan);
-        const auto b = runSystem(config, plan);
+        const auto a = RunRequest(config).run(plan);
+        const auto b = RunRequest(config).run(plan);
         EXPECT_DOUBLE_EQ(a.throughput, b.throughput)
             << systemName(system);
     }

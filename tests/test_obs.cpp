@@ -259,7 +259,7 @@ TEST(ObsGolden, TinyRunSnapshotMatchesGoldenFile)
     config.warmup = 1;
     config.metrics = &registry;
     config.metricsScope = "golden";
-    core::runSystem(config, preproc::makePlan(0));
+    core::RunRequest(config).run(preproc::makePlan(0));
 
     const std::string snapshot = renderSnapshot(registry);
     const std::string golden_path =

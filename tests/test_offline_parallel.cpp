@@ -98,9 +98,9 @@ TEST(OfflineParallel, RunReportBitIdenticalAcrossThreadCounts)
     config.system = core::System::Rap;
     config.gpuCount = 8;
     config.planningThreads = 1;
-    const auto serial = core::runSystem(config, plan);
+    const auto serial = core::RunRequest(config).run(plan);
     config.planningThreads = 4;
-    const auto threaded = core::runSystem(config, plan);
+    const auto threaded = core::RunRequest(config).run(plan);
     expectSameReport(serial, threaded);
 }
 
@@ -116,9 +116,9 @@ TEST(OfflineParallel, HybridAndRowWiseSystemsStayDeterministic)
         config.rowWiseThreshold =
             system == core::System::Rap ? 100000 : 0;
         config.planningThreads = 1;
-        const auto serial = core::runSystem(config, plan);
+        const auto serial = core::RunRequest(config).run(plan);
         config.planningThreads = 4;
-        const auto threaded = core::runSystem(config, plan);
+        const auto threaded = core::RunRequest(config).run(plan);
         SCOPED_TRACE(core::systemName(system));
         expectSameReport(serial, threaded);
     }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
+#include "core/run_request.hpp"
 #include "sim/cluster.hpp"
 
 namespace rap::core {
@@ -22,7 +23,7 @@ runOn(System system, const preproc::PreprocPlan &plan, int gpus = 2,
     config.batchPerGpu = batch;
     config.iterations = 10;
     config.warmup = 2;
-    return runSystem(config, plan);
+    return RunRequest(config).run(plan);
 }
 
 TEST(Pipeline, SystemNames)
@@ -100,9 +101,9 @@ TEST(Pipeline, TorchArrowSaturatesOnCpu)
     config.iterations = 40;
     config.warmup = 10;
     config.gpuCount = 2;
-    const auto ta2 = runSystem(config, plan);
+    const auto ta2 = RunRequest(config).run(plan);
     config.gpuCount = 8;
-    const auto ta8 = runSystem(config, plan);
+    const auto ta8 = RunRequest(config).run(plan);
     // CPU-bound: 4x the GPUs must not give 4x the throughput.
     EXPECT_LT(ta8.throughput, 2.5 * ta2.throughput);
 }
@@ -162,9 +163,9 @@ TEST(Pipeline, InterleavingFlagSupported)
     config.iterations = 10;
     config.warmup = 2;
     config.interleave = false;
-    const auto without = runSystem(config, plan);
+    const auto without = RunRequest(config).run(plan);
     config.interleave = true;
-    const auto with = runSystem(config, plan);
+    const auto with = RunRequest(config).run(plan);
     // Interleaving may only help (or tie) the iteration interval.
     EXPECT_LE(with.avgIterationLatency,
               without.avgIterationLatency * 1.01);
@@ -214,14 +215,14 @@ TEST(Pipeline, GpuSubsetAndEnvelopeConfigSupported)
     config.warmup = 2;
     config.clusterSpec = sim::subsetSpec(sim::dgxA100Spec(8), 2);
     config.gpuSubset = {3, 5};
-    const auto whole = runSystem(config, plan);
+    const auto whole = RunRequest(config).run(plan);
     EXPECT_GT(whole.throughput, 0.0);
     EXPECT_EQ(whole.gpuCount, 2);
 
     // Halving the capacity envelope on both GPUs can only slow the
     // same job down.
     config.envelopes = {{0.5, 0.5}, {0.5, 0.5}};
-    const auto sliced = runSystem(config, plan);
+    const auto sliced = RunRequest(config).run(plan);
     EXPECT_GT(sliced.throughput, 0.0);
     EXPECT_GT(sliced.makespan, whole.makespan);
     EXPECT_LT(sliced.throughput, whole.throughput);
@@ -233,7 +234,7 @@ TEST(PipelineDeath, BadIterationConfigPanics)
     SystemConfig config;
     config.iterations = 2;
     config.warmup = 2;
-    EXPECT_DEATH(OnlineTrainer(config, plan), "warmup");
+    EXPECT_DEATH(RunRequest(config).run(plan), "warmup");
 }
 
 } // namespace

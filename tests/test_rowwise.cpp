@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hpp"
+#include "core/run_request.hpp"
 
 namespace rap {
 namespace {
@@ -143,9 +144,9 @@ TEST(RowWisePipeline, EndToEndRunsAndStaysNearIdeal)
     config.rowWiseThreshold = plan.schema.sparse(0).hashSize;
 
     config.system = core::System::Ideal;
-    const auto ideal = core::runSystem(config, plan);
+    const auto ideal = core::RunRequest(config).run(plan);
     config.system = core::System::Rap;
-    const auto rap = core::runSystem(config, plan);
+    const auto rap = core::RunRequest(config).run(plan);
     EXPECT_GT(rap.throughput, 0.9 * ideal.throughput);
 }
 
