@@ -22,7 +22,7 @@ using namespace rap;
 
 /**
  * Rebuild the interesting part of the pipeline by hand so we keep the
- * Cluster alive for export (runSystem owns and drops its cluster).
+ * Cluster alive for export (a RunRequest run owns and drops its cluster).
  */
 void
 exportCoRunTimeline(const std::string &path, bool fused)

@@ -1,17 +1,36 @@
 /**
  * @file
- * Shared helpers for the JsonSerializable round-trip convention
- * (documented in core/serial.hpp, which layers the checkable concept
- * on top). They live in common so every module that serializes —
- * obs's metrics snapshot, sim's hardware specs, core and fleet
- * reports, the ctrl catalog — writes the same dialect:
+ * The JsonSerializable round-trip convention shared by every
+ * machine-read artifact in the repo, and the helpers that implement it.
  *
- *  - a leading `schema` version token, stamped by stampSchema and
- *    checked by requireSchema (absent passes for pre-convention
- *    artifacts; a mismatch is fatal);
- *  - optional fields as explicit null, read back with the find()-based
- *    getters so absent and null both mean "never measured"
- *    (std::nullopt) — never a fabricated zero, never a fatal at().
+ * A serializable type provides
+ *
+ *   Json     toJson() const;            // deterministic, exact
+ *   static T fromJson(const Json &);    // fatal on bad shape
+ *
+ * and its top-level object carries a `schema` version token
+ * ("rap.run_report.v1", "rap.fleet_report.v1", "rap.metrics.v1",
+ * "rap.catalog.v1", ...). toJson stamps the token first with
+ * stampSchema; fromJson checks it with requireSchema, which tolerates
+ * an *absent* token — artifacts written before the convention existed
+ * — but rejects a mismatched one, so a v2 payload can never be
+ * silently misread as v1.
+ *
+ * Field conventions:
+ *  - doubles serialize through common/json.hpp's shortest-round-trip
+ *    writer, so fromJson(toJson(x)) == x exactly — resume determinism
+ *    and CI byte-diffs depend on this;
+ *  - 64-bit seeds either carry a 53-bit mask applied at synthesis or
+ *    travel as decimal strings (sim/spec_json.cpp);
+ *  - optional fields serialize as explicit JSON null when absent and
+ *    are read with the find()-based helpers: absent and null both
+ *    mean "never measured" (std::nullopt), which is distinct from a
+ *    measured zero. Reading an optional with at() — fatal on absence
+ *    — is the dialect bug this convention retires.
+ *
+ * The helpers live in common so every module that serializes — obs's
+ * metrics snapshot, sim's hardware specs, core and fleet reports, the
+ * ctrl catalog — writes the same dialect.
  */
 
 #ifndef RAP_COMMON_SERIAL_HPP

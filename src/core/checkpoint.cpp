@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/log.hpp"
-#include "core/serial.hpp"
+#include "common/serial.hpp"
 
 namespace rap::core {
 

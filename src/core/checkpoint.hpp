@@ -71,7 +71,7 @@ struct CheckpointPolicy
  * The fleet scheduler emits a manifest whenever a preemption credits a
  * newly durable fraction and when a checkpointing job finishes
  * (fraction 1.0). Serialized into `rap.catalog.v1` transactions via
- * the JsonSerializable convention (core/serial.hpp).
+ * the JsonSerializable convention (common/serial.hpp).
  */
 struct CheckpointManifest
 {

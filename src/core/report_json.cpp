@@ -1,7 +1,7 @@
 /**
  * @file
  * RunReport serialization: toJson()/fromJson() round-trip exactly
- * under the core/serial.hpp JsonSerializable convention (schema token
+ * under the common/serial.hpp JsonSerializable convention (schema token
  * "rap.run_report.v1") and are the single source of truth for report
  * artifacts (bench output, CI determinism diffs read these, never
  * scraped stdout).
@@ -10,7 +10,7 @@
 #include "core/pipeline.hpp"
 
 #include "common/log.hpp"
-#include "core/serial.hpp"
+#include "common/serial.hpp"
 
 namespace rap::core {
 
@@ -32,7 +32,7 @@ constexpr std::pair<System, const char *> kSystemIds[] = {
 };
 
 // The shared optional-field dialect: absent and null both read back
-// as "never measured" (core/serial.hpp).
+// as "never measured" (common/serial.hpp).
 using serial::getOptionalNumber;
 using serial::setOptionalNumber;
 
@@ -97,35 +97,28 @@ RunReport::toJson() const
 RunReport
 RunReport::fromJson(const Json &json)
 {
+    using serial::getNumber;
     serial::requireSchema(json, kRunReportSchema);
     RunReport report;
     report.system = json.at("system").asString();
-    report.gpuCount = static_cast<int>(json.at("gpuCount").asDouble());
-    report.batchPerGpu =
-        static_cast<std::int64_t>(json.at("batchPerGpu").asDouble());
-    report.avgIterationLatency =
-        json.at("avgIterationLatency").asDouble();
-    report.throughput = json.at("throughput").asDouble();
-    report.avgSmUtil = json.at("avgSmUtil").asDouble();
-    report.avgBwUtil = json.at("avgBwUtil").asDouble();
-    report.avgGpuBusy = json.at("avgGpuBusy").asDouble();
-    report.p2pBytes = json.at("p2pBytes").asDouble();
-    report.preprocKernelsPerIter =
-        json.at("preprocKernelsPerIter").asDouble();
-    report.predictedExposed = json.at("predictedExposed").asDouble();
-    report.preprocLatencyPerIter =
-        json.at("preprocLatencyPerIter").asDouble();
-    report.makespan = json.at("makespan").asDouble();
-    report.replans = static_cast<int>(json.at("replans").asDouble());
-    report.kernelRetries = static_cast<std::uint64_t>(
-        json.at("kernelRetries").asDouble());
-    report.retryBackoffSeconds =
-        json.at("retryBackoffSeconds").asDouble();
-    report.lostWork = json.at("lostWork").asDouble();
-    report.checkpointOverhead =
-        json.at("checkpointOverhead").asDouble();
-    report.recoveries =
-        static_cast<int>(json.at("recoveries").asDouble());
+    report.gpuCount = serial::getInt(json, "gpuCount");
+    report.batchPerGpu = serial::getInt64(json, "batchPerGpu");
+    report.avgIterationLatency = getNumber(json, "avgIterationLatency");
+    report.throughput = getNumber(json, "throughput");
+    report.avgSmUtil = getNumber(json, "avgSmUtil");
+    report.avgBwUtil = getNumber(json, "avgBwUtil");
+    report.avgGpuBusy = getNumber(json, "avgGpuBusy");
+    report.p2pBytes = getNumber(json, "p2pBytes");
+    report.preprocKernelsPerIter = getNumber(json, "preprocKernelsPerIter");
+    report.predictedExposed = getNumber(json, "predictedExposed");
+    report.preprocLatencyPerIter = getNumber(json, "preprocLatencyPerIter");
+    report.makespan = getNumber(json, "makespan");
+    report.replans = serial::getInt(json, "replans");
+    report.kernelRetries = serial::getUint64(json, "kernelRetries");
+    report.retryBackoffSeconds = getNumber(json, "retryBackoffSeconds");
+    report.lostWork = getNumber(json, "lostWork");
+    report.checkpointOverhead = getNumber(json, "checkpointOverhead");
+    report.recoveries = serial::getInt(json, "recoveries");
     // Ingest fields postdate older stored reports; default to zero.
     const auto counter = [&json](const char *key) {
         const Json *value = json.find(key);
@@ -137,10 +130,10 @@ RunReport::fromJson(const Json &json)
     report.ingestDropped = counter("ingestDropped");
     report.ingestSpilled = counter("ingestSpilled");
     report.ingestBatches = counter("ingestBatches");
-    if (const Json *value = json.find("ingestStagingP99"))
-        report.ingestStagingP99 = value->asDouble();
-    if (const Json *value = json.find("ingestLastReadyAt"))
-        report.ingestLastReadyAt = value->asDouble();
+    report.ingestStagingP99 =
+        getOptionalNumber(json, "ingestStagingP99").value_or(0.0);
+    report.ingestLastReadyAt =
+        getOptionalNumber(json, "ingestLastReadyAt").value_or(0.0);
     report.submittedAt = getOptionalNumber(json, "submittedAt");
     report.startedAt = getOptionalNumber(json, "startedAt");
     report.finishedAt = getOptionalNumber(json, "finishedAt");

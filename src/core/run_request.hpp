@@ -11,10 +11,8 @@
  *                      .metrics(&registry, "fig09.b2048");
  *   RunReport report = request.run(plan);   // fatal on invalid config
  *
- * The legacy entry points (runSystem(config, plan), planOffline)
- * remain and now route through the same validation, so existing call
- * sites keep compiling and misconfigurations fail with the full error
- * list either way.
+ * run() is the only way to run a system (core/pipeline.cpp); it
+ * validates once. planOffline validates the same way.
  */
 
 #ifndef RAP_CORE_RUN_REQUEST_HPP

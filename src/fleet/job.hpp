@@ -87,7 +87,7 @@ struct JobSpec
     std::string variantKey() const;
 
     /**
-     * JsonSerializable (core/serial.hpp convention): round-trips
+     * JsonSerializable (common/serial.hpp convention): round-trips
      * exactly — request seeds are masked to 53 bits at synthesis so
      * the double round trip is lossless. Shared by FleetReport
      * artifacts and the durable catalog's job records.

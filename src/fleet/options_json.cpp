@@ -8,7 +8,7 @@
  * pointer, stop knobs) are not.
  */
 
-#include "core/serial.hpp"
+#include "common/serial.hpp"
 #include "fleet/scheduler.hpp"
 
 namespace rap::fleet {

@@ -1,7 +1,7 @@
 /**
  * @file
  * FleetReport serialization: toJson()/fromJson() round-trip exactly
- * under the core/serial.hpp JsonSerializable convention (schema token
+ * under the common/serial.hpp JsonSerializable convention (schema token
  * "rap.fleet_report.v1"). The CI determinism job diffs these
  * artifacts across thread counts, and the resume gate diffs them
  * across kill/recover cycles, so every field — per-job specs,
@@ -16,7 +16,7 @@
 #include "fleet/report.hpp"
 
 #include "common/log.hpp"
-#include "core/serial.hpp"
+#include "common/serial.hpp"
 
 namespace rap::fleet {
 
@@ -24,8 +24,8 @@ namespace {
 
 constexpr const char *kFleetReportSchema = "rap.fleet_report.v1";
 
-using core::serial::getOptionalNumber;
-using core::serial::setOptionalNumber;
+using serial::getOptionalNumber;
+using serial::setOptionalNumber;
 
 Json
 outcomeJson(const JobOutcome &outcome)
@@ -73,10 +73,9 @@ outcomeFromJson(const Json &json)
     outcome.spec = JobSpec::fromJson(json.at("spec"));
     outcome.firstStart = json.at("firstStart").asDouble();
     outcome.finish = json.at("finish").asDouble();
-    outcome.placements = core::serial::getInt(json, "placements");
-    outcome.requeues = core::serial::getInt(json, "requeues");
-    outcome.crashRequeues =
-        core::serial::getInt(json, "crashRequeues");
+    outcome.placements = serial::getInt(json, "placements");
+    outcome.requeues = serial::getInt(json, "requeues");
+    outcome.crashRequeues = serial::getInt(json, "crashRequeues");
     outcome.serviceTime = json.at("serviceTime").asDouble();
     outcome.lostWork = json.at("lostWork").asDouble();
     for (const Json &id : json.at("lastGpus").elements())
@@ -88,12 +87,9 @@ outcomeFromJson(const Json &json)
     const Json *serve_json = json.find("serve");
     if (serve_json != nullptr && !serve_json->isNull()) {
         rap::serve::SloStats stats;
-        stats.requests =
-            core::serial::getUint64(*serve_json, "requests");
-        stats.batches =
-            core::serial::getUint64(*serve_json, "batches");
-        stats.attained =
-            core::serial::getUint64(*serve_json, "attained");
+        stats.requests = serial::getUint64(*serve_json, "requests");
+        stats.batches = serial::getUint64(*serve_json, "batches");
+        stats.attained = serial::getUint64(*serve_json, "attained");
         stats.sloLatency = serve_json->at("sloLatency").asDouble();
         stats.p50 = serve_json->at("p50").asDouble();
         stats.p95 = serve_json->at("p95").asDouble();
@@ -109,7 +105,7 @@ Json
 FleetReport::toJson() const
 {
     Json json = Json::object();
-    core::serial::stampSchema(json, kFleetReportSchema);
+    serial::stampSchema(json, kFleetReportSchema);
     json.set("policy", Json(policyId(policy)));
     json.set("gpuCount", Json(gpuCount));
     Json job_array = Json::array();
@@ -146,18 +142,16 @@ FleetReport::toJson() const
 FleetReport
 FleetReport::fromJson(const Json &json)
 {
-    core::serial::requireSchema(json, kFleetReportSchema);
+    serial::requireSchema(json, kFleetReportSchema);
     FleetReport report;
     report.policy = policyFromId(json.at("policy").asString());
-    report.gpuCount = core::serial::getInt(json, "gpuCount");
+    report.gpuCount = serial::getInt(json, "gpuCount");
     for (const Json &job : json.at("jobs").elements())
         report.jobs.push_back(outcomeFromJson(job));
     report.makespan = json.at("makespan").asDouble();
-    report.requeues = core::serial::getInt(json, "requeues");
-    report.crashRequeues =
-        core::serial::getInt(json, "crashRequeues");
-    report.simulationsRun =
-        core::serial::getInt(json, "simulationsRun");
+    report.requeues = serial::getInt(json, "requeues");
+    report.crashRequeues = serial::getInt(json, "crashRequeues");
+    report.simulationsRun = serial::getInt(json, "simulationsRun");
     report.busyGpuSeconds = json.at("busyGpuSeconds").asDouble();
     // Reports serialized before the flag existed read as not-degraded.
     if (const Json *degraded = json.find("catalogDegraded"))
@@ -173,12 +167,9 @@ FleetReport::fromJson(const Json &json)
     report.gpuOccupancy = json.at("gpuOccupancy").asDouble();
     report.lostWork = json.at("lostWork").asDouble();
     report.goodputSeconds = json.at("goodputSeconds").asDouble();
-    report.serveRequests =
-        core::serial::getUint64(json, "serveRequests");
-    report.serveBatches =
-        core::serial::getUint64(json, "serveBatches");
-    report.serveAttained =
-        core::serial::getUint64(json, "serveAttained");
+    report.serveRequests = serial::getUint64(json, "serveRequests");
+    report.serveBatches = serial::getUint64(json, "serveBatches");
+    report.serveAttained = serial::getUint64(json, "serveAttained");
     // Absent and null both mean "never measured": these columns only
     // exist for traces with inference jobs, and defaulting them to
     // zero would fabricate a measurement.

@@ -176,17 +176,16 @@ resumeFleet(ctrl::Catalog &catalog, ThreadPool *pool)
     const auto &state = catalog.state();
     RAP_ASSERT(state.hasGenesis(),
                "catalog has no genesis record — nothing to resume");
-    FleetOptions options =
-        fleetOptionsFromJson(state.genesis.at("config"));
     std::vector<JobSpec> jobs;
     for (const Json &spec : state.genesis.at("jobs").elements())
         jobs.push_back(JobSpec::fromJson(spec));
-    options.catalog = &catalog;
-    options.metrics = catalog.options().metrics;
-    FleetScheduler scheduler(std::move(jobs), std::move(options), pool);
-    auto report = scheduler.run();
-    report.finalize();
-    return report;
+    // The rebuilt trace and options are input read from disk: they go
+    // through the same validation as a fresh request.
+    FleetRequest request(std::move(jobs));
+    request.options() = fleetOptionsFromJson(state.genesis.at("config"));
+    request.options().metrics = catalog.options().metrics;
+    request.catalog(&catalog);
+    return request.run(pool);
 }
 
 FleetReport
@@ -195,18 +194,6 @@ resumeFleet(const ctrl::CatalogOptions &catalog_options,
 {
     auto catalog = ctrl::Catalog::open(catalog_options);
     return resumeFleet(*catalog, pool);
-}
-
-FleetReport
-runFleet(std::vector<JobSpec> jobs, FleetOptions options,
-         ThreadPool *pool)
-{
-    // Deprecated thin shim kept for pre-redesign call sites: routes
-    // through the same validation as FleetRequest::run, so bad
-    // configurations fail with the full error list either way.
-    FleetRequest request(std::move(jobs));
-    request.options() = std::move(options);
-    return request.run(pool);
 }
 
 } // namespace rap::fleet

@@ -17,10 +17,6 @@
  * non-positive crash MTBF, a negative restart overhead, a stop point
  * without a catalog, a catalog directory *and* an adopted catalog
  * handle — each comes back as a ConfigError naming the field.
- *
- * The legacy entry point (runFleet) remains as a thin shim routed
- * through the same validation, so existing call sites keep compiling
- * and misconfigurations fail with the full error list either way.
  */
 
 #ifndef RAP_FLEET_REQUEST_HPP
@@ -236,7 +232,9 @@ class FleetRequest
  * the job trace and options from the genesis record, re-execute the
  * event loop (byte-verifying the durable frames), and finish the run
  * — committing live past the crash point. The final FleetReport is
- * byte-identical to the uninterrupted run's.
+ * byte-identical to the uninterrupted run's. The rebuilt jobs and
+ * options pass FleetRequest::validate; a genesis record that fails it
+ * is fatal with the rendered error list.
  */
 FleetReport resumeFleet(const ctrl::CatalogOptions &catalog_options,
                         ThreadPool *pool = nullptr);

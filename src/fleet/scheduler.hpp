@@ -204,6 +204,10 @@ class FleetScheduler
     };
 
     Json genesisTransaction() const;
+    /** Simulation memo key of @p spec on @p envelopes. */
+    std::string
+    memoKey(const JobSpec &spec,
+            const std::vector<core::GpuEnvelope> &envelopes) const;
     core::RunReport simulate(const JobSpec &spec,
                              const Placement &placement,
                              int segment_index);
@@ -214,7 +218,6 @@ class FleetScheduler
     void precomputeReferences();
     void applyReservation(const JobSpec &spec,
                           const Placement &placement, int direction);
-    void tryPlaceQueued(Seconds now);
     void accumulateBusy(Seconds until);
 
     std::vector<JobSpec> jobs_;
@@ -246,15 +249,6 @@ class FleetScheduler
     std::vector<int> sealCount_;
     bool stopped_ = false;
 };
-
-/**
- * Deprecated: thin shim over fleet::FleetRequest (fleet/request.hpp),
- * kept so pre-redesign call sites compile. It routes through the same
- * validation, so invalid options fail with the full structured error
- * list. New code should build a FleetRequest.
- */
-FleetReport runFleet(std::vector<JobSpec> jobs, FleetOptions options,
-                     ThreadPool *pool = nullptr);
 
 } // namespace rap::fleet
 

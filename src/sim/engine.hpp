@@ -42,9 +42,9 @@
 #include <string>
 #include <vector>
 
+#include "common/lockfree_queue.hpp"
 #include "common/units.hpp"
 #include "sim/event_pool.hpp"
-#include "sim/lockfree_queue.hpp"
 
 namespace rap::sim {
 

@@ -120,7 +120,7 @@ struct FaultEvent
     bool isFailStop() const;
 
     /**
-     * JsonSerializable (core/serial.hpp convention): exact doubles,
+     * JsonSerializable (common/serial.hpp convention): exact doubles,
      * the infinite `until` window as JSON null.
      */
     Json toJson() const;

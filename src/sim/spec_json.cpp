@@ -1,7 +1,7 @@
 /**
  * @file
  * JSON round-trips for the hardware and fault vocabulary (the
- * core/serial.hpp JsonSerializable convention). These are what lets
+ * common/serial.hpp JsonSerializable convention). These are what lets
  * the durable fleet catalog persist a run's full configuration —
  * node spec and fault schedule included — and rebuild it bit-exactly
  * on resume: every double goes through the shortest-round-trip writer

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -706,6 +707,61 @@ TEST(FleetResume, ResumingAFinishedRunReproducesTheReport)
     resume_options.dir = dir;
     EXPECT_EQ(fleet::resumeFleet(resume_options).toJson().dump(2),
               want);
+}
+
+/**
+ * Commit the genesis record of a valid two-job fleet run, after
+ * @p corrupt edited it, to a fresh catalog at @p dir.
+ */
+void
+commitGenesis(const std::string &dir,
+              const std::function<void(Json &)> &corrupt)
+{
+    fleet::ArrivalTraceOptions trace_options;
+    trace_options.tiny = true;
+    trace_options.jobCount = 2;
+    Json jobs = Json::array();
+    for (const auto &spec : fleet::makeArrivalTrace(trace_options))
+        jobs.push(spec.toJson());
+    Json genesis = Json::object();
+    genesis.set("kind", Json("genesis"));
+    genesis.set("config",
+                fleet::fleetOptionsToJson(fleet::FleetOptions{}));
+    genesis.set("jobs", std::move(jobs));
+    corrupt(genesis);
+    ctrl::CatalogOptions options;
+    options.dir = dir;
+    ctrl::Catalog::open(options)->commit(genesis);
+}
+
+TEST(FleetResumeDeathTest, InvalidGenesisFailsValidationOnResume)
+{
+    // Input read back from disk is checked like a fresh request: the
+    // resume dies with the structured error naming the field, not an
+    // assert deep inside the scheduler.
+    ctrl::CatalogOptions quantum;
+    quantum.dir = freshDir("resume_bad_quantum");
+    commitGenesis(quantum.dir, [](Json &genesis) {
+        Json config = genesis.at("config");
+        config.set("envelopeQuantum", Json(0.0));
+        genesis.set("config", std::move(config));
+    });
+    EXPECT_EXIT(fleet::resumeFleet(quantum), testing::ExitedWithCode(1),
+                "envelopeQuantum: must be in \\(0, 1\\]");
+
+    ctrl::CatalogOptions sparse;
+    sparse.dir = freshDir("resume_sparse_ids");
+    commitGenesis(sparse.dir, [](Json &genesis) {
+        Json jobs = Json::array();
+        for (const Json &spec : genesis.at("jobs").elements()) {
+            Json renumbered = spec;
+            renumbered.set("id", Json(2 * jobs.size() + 1));
+            jobs.push(std::move(renumbered));
+        }
+        genesis.set("jobs", std::move(jobs));
+    });
+    EXPECT_EXIT(fleet::resumeFleet(sparse), testing::ExitedWithCode(1),
+                "jobs\\[0\\]\\.id: job ids must be dense");
 }
 
 } // namespace

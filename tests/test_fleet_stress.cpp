@@ -26,9 +26,7 @@ FleetReport
 runPolicy(const std::vector<JobSpec> &trace, PlacementPolicy policy,
           ThreadPool &pool)
 {
-    FleetOptions options;
-    options.placement.policy = policy;
-    return runFleet(trace, options, &pool);
+    return FleetRequest(trace).policy(policy).run(&pool);
 }
 
 TEST(FleetStress, SharedBeatsExclusiveOnJctAndUtilisation)
@@ -69,16 +67,13 @@ TEST(FleetStress, FaultStormStillFinishesEveryJob)
     const auto healthy =
         runPolicy(trace, PlacementPolicy::RapShared, pool);
 
-    FleetOptions options;
-    options.placement.policy = PlacementPolicy::RapShared;
     const Seconds span = healthy.makespan;
-    options.faults.events.push_back(
-        sim::FaultEvent::smDegrade(0, span * 0.2, 0.6));
-    options.faults.events.push_back(
-        sim::FaultEvent::hbmDegrade(3, span * 0.35, 0.7));
-    options.faults.events.push_back(
-        sim::FaultEvent::smDegrade(5, span * 0.5, 0.5));
-    const auto stormy = runFleet(trace, options, &pool);
+    FleetRequest request(trace);
+    request.policy(PlacementPolicy::RapShared)
+        .addFault(sim::FaultEvent::smDegrade(0, span * 0.2, 0.6))
+        .addFault(sim::FaultEvent::hbmDegrade(3, span * 0.35, 0.7))
+        .addFault(sim::FaultEvent::smDegrade(5, span * 0.5, 0.5));
+    const auto stormy = request.run(&pool);
 
     ASSERT_EQ(stormy.jobs.size(), trace.size());
     for (const auto &job : stormy.jobs) {
@@ -94,7 +89,7 @@ TEST(FleetStress, FaultStormStillFinishesEveryJob)
     EXPECT_GE(stormy.requeues, 1);
 
     // Degraded runs stay deterministic too.
-    const auto again = runFleet(trace, options, &pool);
+    const auto again = request.run(&pool);
     EXPECT_EQ(again.makespan, stormy.makespan);
     EXPECT_EQ(again.requeues, stormy.requeues);
     EXPECT_EQ(again.renderSummary(), stormy.renderSummary());

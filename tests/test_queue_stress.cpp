@@ -1,7 +1,7 @@
 /**
  * @file
  * Concurrency stress tests for the lock-free rings backing cross-zone
- * event handoff (sim/lockfree_queue.hpp) plus single-threaded churn on
+ * event handoff (common/lockfree_queue.hpp) plus single-threaded churn on
  * the event pool. Registered under the `queue-stress` ctest label: the
  * TSan CI job runs the label explicitly so the memory orderings here
  * are race-checked every PR.
@@ -14,8 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/lockfree_queue.hpp"
 #include "sim/event_pool.hpp"
-#include "sim/lockfree_queue.hpp"
 
 namespace rap::sim {
 namespace {
