@@ -3,13 +3,10 @@
  * Shared helpers for the figure/table bench harnesses.
  *
  * Every bench parses its command line through bench::ArgParser, which
- * pre-registers the four flags common to the whole suite:
+ * pre-registers the flags common to the whole suite:
  *
  *   --jobs N / -j N   worker threads for independent sweep points
  *                     (0 = all hardware threads; default 1)
- *   --engine-jobs N   worker threads *inside* each simulation's DES
- *                     engine (0 = all hardware threads; default 1);
- *                     results are byte-identical at any value
  *   --tiny            smaller sweep for CI determinism jobs
  *   --trace PATH      Chrome-trace JSON output path (or prefix)
  *   --metrics PATH    deterministic metrics-snapshot JSON output
@@ -64,10 +61,6 @@ class ArgParser
         jobs_ = &addInt("--jobs", 1,
                         "worker threads for sweep points "
                         "(0 = all hardware threads; alias -j)");
-        engineJobs_ = &addInt(
-            "--engine-jobs", 1,
-            "DES engine worker threads per simulation "
-            "(0 = all hardware threads; results byte-identical)");
         tiny_ = &addFlag("--tiny", "smaller sweep (CI mode)");
         trace_ = &addString("--trace", "",
                             "Chrome-trace JSON output path/prefix");
@@ -187,14 +180,6 @@ class ArgParser
         return *jobs_ <= 0 ? ThreadPool::hardwareThreads() : *jobs_;
     }
 
-    /** @return DES engine worker count (0 ⇒ hardware). */
-    int
-    engineJobs() const
-    {
-        return *engineJobs_ <= 0 ? ThreadPool::hardwareThreads()
-                                 : *engineJobs_;
-    }
-
     bool tiny() const { return *tiny_; }
     const std::string &tracePath() const { return *trace_; }
     const std::string &metricsPath() const { return *metrics_; }
@@ -297,7 +282,6 @@ class ArgParser
     std::vector<std::string> remaining_;
     bool allowUnknown_ = false;
     int *jobs_ = nullptr;
-    int *engineJobs_ = nullptr;
     bool *tiny_ = nullptr;
     std::string *trace_ = nullptr;
     std::string *metrics_ = nullptr;

@@ -86,7 +86,6 @@ runForGpuCount(int gpus, const std::vector<int> &plan_ids,
                 config.system = system;
                 config.gpuCount = gpus;
                 config.batchPerGpu = batch;
-                config.engineJobs = args.engineJobs();
                 config.metrics = metrics;
                 config.metricsScope =
                     cell_scope + "." + core::systemId(system);

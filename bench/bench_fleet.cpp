@@ -87,7 +87,6 @@ runCatalogMode(const bench::ArgParser &args,
             fleet::makeArrivalTrace(traceOptions(args.tiny()));
         fleet::FleetRequest request(trace);
         request.policy(fleet::PlacementPolicy::RapShared)
-            .engineJobs(args.engineJobs())
             .catalogDir(catalog_dir)
             .fsyncOnCommit(fsync)
             .compactEvery(compact_every)
@@ -150,9 +149,7 @@ main(int argc, char **argv)
     auto makeRequest = [&](fleet::PlacementPolicy policy,
                            const std::string &scope) {
         fleet::FleetRequest request(trace);
-        request.policy(policy)
-            .engineJobs(args.engineJobs())
-            .metrics(metrics, scope);
+        request.policy(policy).metrics(metrics, scope);
         if (!trace_prefix.empty() && scope == "shared")
             request.tracePrefix(trace_prefix);
         return request;

@@ -108,7 +108,6 @@ main(int argc, char **argv)
             auto report =
                 fleet::FleetRequest(trace)
                     .policy(arm.policy)
-                    .engineJobs(args.engineJobs())
                     .metrics(metrics,
                              arm.id + ".load" + loadTag(load))
                     .run(&pool);

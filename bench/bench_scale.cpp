@@ -20,10 +20,12 @@
  *
  * Flags beyond the common set (bench_common.hpp):
  *
- *   --report PATH  rap.scale.v1 JSON artifact (per-size stats)
- *   --reps N       repeat each size N times, report the fastest wall
- *                  clock (simulation stats are identical every rep)
- *   --zones N      time zones per cluster (0 = one per device)
+ *   --engine-jobs N  DES worker threads per partitioned cluster
+ *                    (0 = all hardware threads; default 1)
+ *   --report PATH    rap.scale.v1 JSON artifact (per-size stats)
+ *   --reps N         repeat each size N times, report the fastest wall
+ *                    clock (simulation stats are identical every rep)
+ *   --zones N        time zones per cluster (0 = one per device)
  */
 
 #include <atomic>
@@ -36,6 +38,7 @@
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "sim/cluster.hpp"
 #include "sim/kernel.hpp"
@@ -278,9 +281,14 @@ main(int argc, char **argv)
                     "repetitions per size; fastest wall clock wins");
     const int &zones_flag = args.addInt(
         "--zones", 0, "time zones per cluster (0 = one per device)");
+    const int &jobs_flag = args.addInt(
+        "--engine-jobs", 1,
+        "DES worker threads per partitioned cluster "
+        "(0 = all hardware threads; results byte-identical)");
     args.parse(argc, argv);
     const bool tiny = args.tiny();
-    const int engine_jobs = args.engineJobs();
+    const int engine_jobs =
+        jobs_flag <= 0 ? ThreadPool::hardwareThreads() : jobs_flag;
     obs::MetricRegistry registry;
     obs::MetricRegistry *metrics =
         args.metricsPath().empty() ? nullptr : &registry;

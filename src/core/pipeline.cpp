@@ -231,24 +231,6 @@ applyEnvelopes(sim::Cluster &cluster, const SystemConfig &config)
     }
 }
 
-/**
- * Forward the engine-jobs knob to the cluster's DES engine. Training
- * runs keep a single time zone — every iteration is synchronised by
- * all-GPU collectives at sub-lookahead granularity, so a conservative
- * partition would degenerate into one zone per barrier — which makes
- * this a validated no-op today; partitioned simulations (bench_scale's
- * synthetic fleets, via Cluster::partitionZones) consume the worker
- * count for the window bodies.
- */
-void
-applyEngineJobs(sim::Cluster &cluster, const SystemConfig &config)
-{
-    const int jobs = config.engineJobs == 0
-                         ? ThreadPool::hardwareThreads()
-                         : config.engineJobs;
-    cluster.engine().setJobs(jobs);
-}
-
 /** Dump the run's Chrome trace when the config asked for one. */
 void
 maybeWriteTrace(const sim::Cluster &cluster, const SystemConfig &config)
@@ -467,6 +449,10 @@ recordIterationMetrics(const SystemConfig &config,
 constexpr int kPushAhead = 3;
 /** Monitor ticks to wait after a replan before checking drift again. */
 constexpr int kReplanCooldown = 3;
+/** TorchArrow baseline: preprocessing workers per GPU (DESIGN.md §1). */
+constexpr int kTorchArrowWorkersPerGpu = 8;
+/** TorchArrow baseline: CPU cores per worker. */
+constexpr int kCoresPerWorker = 4;
 
 /** What the harness hands an input path once iterations are queued. */
 struct RunContext
@@ -549,7 +535,6 @@ RunSession::run(InputPath &input) const
     const int gpus = config.gpuCount;
     sim::Cluster cluster(spec, config.gpuSubset);
     applyEnvelopes(cluster, config);
-    applyEngineJobs(cluster, config);
     auto &engine = cluster.engine();
 
     // Optional seeded fault scenario: degraded SM/HBM envelopes, slow
@@ -840,8 +825,8 @@ void
 TorchArrowInput::wire(RunContext &run)
 {
     const int n = config_.iterations;
-    const int workers = config_.torchArrowWorkersPerGpu;
-    const int cores = config_.coresPerWorker;
+    const int workers = kTorchArrowWorkersPerGpu;
+    const int cores = kCoresPerWorker;
     const Seconds task_duration =
         batchCoreSeconds_ / static_cast<double>(cores);
     // Worker pipelines: worker w of GPU g preprocesses batches
@@ -954,8 +939,7 @@ GpuInput::GpuInput(const RunSession &session)
       planner_(session), offline_(planner_.plan(pool_.get())),
       offlineNodes_(planner_.fusion().milpNodesExplored()),
       hybridCores_(std::max(
-          1, std::min(config_.torchArrowWorkersPerGpu *
-                          config_.coresPerWorker,
+          1, std::min(kTorchArrowWorkersPerGpu * kCoresPerWorker,
                       session.spec.cpuCores / config_.gpuCount))),
       replanEnabled_(config_.replanOnDrift &&
                      traits_.capacityScheduling &&

@@ -125,10 +125,6 @@ struct SystemConfig
      * chains are duplicated (§7.2).
      */
     std::int64_t rowWiseThreshold = 0;
-    /** TorchArrow baseline: preprocessing workers per GPU. */
-    int torchArrowWorkersPerGpu = 8;
-    /** TorchArrow baseline: CPU cores per worker. */
-    int coresPerWorker = 4;
     /**
      * Host worker threads for the offline planning phase (per-GPU
      * fusion planning, mapping search, co-run scheduling). 1 = serial,
@@ -136,19 +132,6 @@ struct SystemConfig
      * across thread counts (the thread-pool determinism contract).
      */
     int planningThreads = 1;
-    /**
-     * Worker threads for the discrete-event engine's intra-run
-     * parallelism (sim/engine.hpp). 1 = serial, 0 = hardware
-     * concurrency. Simulation results are byte-identical at any
-     * value: the engine's conservative zone partition fixes event
-     * order independently of the worker count. Training runs execute
-     * as a single zone (their collectives synchronise every device at
-     * sub-lookahead granularity), so the knob only changes wall-clock
-     * for partitioned simulations such as bench_scale's synthetic
-     * fleets; it is validated and forwarded everywhere for
-     * uniformity.
-     */
-    int engineJobs = 1;
     /**
      * Optional seeded fault scenario injected into the simulated
      * cluster: degraded SM/HBM capacity, slow interconnect links,

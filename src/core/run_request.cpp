@@ -89,11 +89,6 @@ SystemConfig::validate() const
                         "0 = hardware concurrency, otherwise must be "
                         "positive");
     }
-    if (engineJobs < 0) {
-        result.addError("engineJobs",
-                        "0 = hardware concurrency, otherwise must be "
-                        "positive");
-    }
     if (checkpoint.mode == CheckpointMode::FixedInterval &&
         checkpoint.interval < 1) {
         result.addError("checkpoint.interval",
@@ -119,18 +114,6 @@ SystemConfig::validate() const
         result.addError("inference",
                         "inference serving has no training state to "
                         "checkpoint; disable checkpointing");
-    }
-
-    if (system == System::TorchArrowCpu ||
-        system == System::HybridRap) {
-        if (torchArrowWorkersPerGpu < 1) {
-            result.addError("torchArrowWorkersPerGpu",
-                            "need at least one worker per GPU");
-        }
-        if (coresPerWorker < 1) {
-            result.addError("coresPerWorker",
-                            "need at least one core per worker");
-        }
     }
 
     if (ingest) {

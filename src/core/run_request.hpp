@@ -64,14 +64,6 @@ class RunRequest
         return *this;
     }
 
-    /** DES engine worker threads (1 = serial, 0 = hardware). */
-    RunRequest &
-    engineJobs(int jobs)
-    {
-        config_.engineJobs = jobs;
-        return *this;
-    }
-
     RunRequest &
     envelopes(std::vector<GpuEnvelope> shares)
     {

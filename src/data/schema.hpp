@@ -60,12 +60,6 @@ class Schema
     const FeatureSpec &dense(std::size_t i) const;
     const FeatureSpec &sparse(std::size_t i) const;
 
-    const std::vector<FeatureSpec> &denseFeatures() const { return dense_; }
-    const std::vector<FeatureSpec> &sparseFeatures() const
-    {
-        return sparse_;
-    }
-
     /** @return Sum of all sparse hash sizes (paper Table 2 "Total Hash"). */
     std::int64_t totalHashSize() const;
 

@@ -35,15 +35,6 @@ TrainingDriver::ops(int gpu) const
     return opsPerGpu_[static_cast<std::size_t>(gpu)];
 }
 
-sim::Stream &
-TrainingDriver::trainStream(int gpu)
-{
-    RAP_ASSERT(gpu >= 0 &&
-                   static_cast<std::size_t>(gpu) < streams_.size(),
-               "gpu ordinal out of range");
-    return *streams_[static_cast<std::size_t>(gpu)];
-}
-
 void
 TrainingDriver::setCheckpoint(std::vector<Bytes> bytes_per_gpu,
                               int every_iterations)

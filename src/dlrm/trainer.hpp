@@ -78,9 +78,6 @@ class TrainingDriver
     /** @return Event fired when iteration @p iter ends on @p gpu. */
     sim::SimEventPtr iterEnd(int gpu, int iter) const;
 
-    /** @return The training stream of @p gpu. */
-    sim::Stream &trainStream(int gpu);
-
     int iterationsPushed() const { return iterations_; }
 
     /** @return Observed span of one op (valid after the sim ran). */
@@ -103,12 +100,6 @@ class TrainingDriver
 
     /** @return Checkpoint drain span of (gpu, iter); invalid if none. */
     const OpSpan &checkpointSpan(int gpu, int iter) const;
-
-    /** @return Iterations that had a checkpoint pushed after them. */
-    const std::vector<int> &checkpointIterations() const
-    {
-        return checkpointIters_;
-    }
 
     /**
      * @return Measured per-checkpoint cost: the mean over executed

@@ -262,13 +262,6 @@ makeJobConfig(const JobSpec &spec)
     config.iterations = spec.iterations;
     config.warmup = std::min(3, spec.iterations - 2);
     config.inference = spec.kind == JobKind::Inference;
-    // Inner simulations stay serial (engineJobs 1): they are memoised
-    // on workload/envelope keys that must not depend on execution
-    // machinery, and fleet-level parallelism already comes from the
-    // memo cache plus the planning pool. The DES engine would produce
-    // byte-identical reports at any job count regardless — this keeps
-    // the memo keys' meaning unchanged.
-    config.engineJobs = 1;
     if (spec.checkpointInterval > 0) {
         // The inner simulation measures the drain cost and composes
         // the checkpoint overhead into its makespan; fleet crash

@@ -8,7 +8,6 @@
  * pointer, stop knobs) are not.
  */
 
-#include "common/serial.hpp"
 #include "fleet/scheduler.hpp"
 
 namespace rap::fleet {
@@ -24,7 +23,6 @@ fleetOptionsToJson(const FleetOptions &options)
     json.set("restartOverhead", Json(options.restartOverhead));
     json.set("envelopeQuantum", Json(options.envelopeQuantum));
     json.set("tracePrefix", Json(options.tracePrefix));
-    json.set("engineJobs", Json(options.engineJobs));
     return json;
 }
 
@@ -40,7 +38,6 @@ fleetOptionsFromJson(const Json &json)
     options.restartOverhead = json.at("restartOverhead").asDouble();
     options.envelopeQuantum = json.at("envelopeQuantum").asDouble();
     options.tracePrefix = json.at("tracePrefix").asString();
-    options.engineJobs = serial::getInt(json, "engineJobs");
     return options;
 }
 

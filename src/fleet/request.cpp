@@ -68,10 +68,6 @@ FleetRequest::validate() const
           options_.placement.demandScale <= 1.0)) {
         result.addError("placement.demandScale", "must be in (0, 1]");
     }
-    if (options_.engineJobs < 0) {
-        result.addError("engineJobs",
-                        "must be >= 0 (0 = hardware concurrency)");
-    }
     for (std::size_t e = 0; e < options_.faults.events.size(); ++e) {
         const auto &event = options_.faults.events[e];
         const std::string field =
@@ -182,7 +178,21 @@ resumeFleet(ctrl::Catalog &catalog, ThreadPool *pool)
     // The rebuilt trace and options are input read from disk: they go
     // through the same validation as a fresh request.
     FleetRequest request(std::move(jobs));
-    request.options() = fleetOptionsFromJson(state.genesis.at("config"));
+    const Json &config = state.genesis.at("config");
+    request.options() = fleetOptionsFromJson(config);
+    // A genesis written by a build with other option fields cannot
+    // re-execute byte-identically: name the field that is lost instead
+    // of failing the scheduler's genesis comparison mid-run.
+    const Json rebuilt = fleetOptionsToJson(request.options());
+    for (const auto &[key, value] : config.members()) {
+        const Json *kept = rebuilt.find(key);
+        if (kept == nullptr || kept->dump() != value.dump()) {
+            RAP_FATAL("catalog genesis field config.", key,
+                      " does not round-trip through this build's "
+                      "fleet options; was the catalog written by a "
+                      "different build?");
+        }
+    }
     request.options().metrics = catalog.options().metrics;
     request.catalog(&catalog);
     return request.run(pool);

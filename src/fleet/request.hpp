@@ -132,14 +132,6 @@ class FleetRequest
         return *this;
     }
 
-    /** DES engine worker threads per inner simulation. */
-    FleetRequest &
-    engineJobs(int jobs)
-    {
-        options_.engineJobs = jobs;
-        return *this;
-    }
-
     /** Adopt an already-open catalog (non-owning). */
     FleetRequest &
     catalog(ctrl::Catalog *catalog)

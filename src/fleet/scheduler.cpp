@@ -191,9 +191,6 @@ FleetScheduler::simulate(const JobSpec &spec, const Placement &placement,
     // whether or not the fleet run is instrumented: never hand them
     // the scheduler's registry.
     config.metrics = nullptr;
-    // Safe under memoisation: reports are byte-identical at any
-    // engine job count, so the memo key need not mention it.
-    config.engineJobs = options_.engineJobs;
     config.clusterSpec =
         sim::subsetSpec(options_.node, spec.gpusRequested);
     config.gpuSubset = placement.gpuIds;
@@ -257,7 +254,6 @@ FleetScheduler::precomputeReferences()
     auto referenceRun = [&](std::size_t u) {
         const auto &spec = jobs_[unique_jobs[u]];
         auto config = makeJobConfig(spec);
-        config.engineJobs = options_.engineJobs;
         config.clusterSpec =
             sim::subsetSpec(options_.node, spec.gpusRequested);
         return core::RunRequest(config).run(planCache_.at(planKey(spec)));

@@ -119,14 +119,6 @@ struct FleetOptions
      */
     std::string metricsScope;
     /**
-     * DES engine workers inside each inner job simulation (1 = serial,
-     * 0 = hardware concurrency). Reports are byte-identical at any
-     * value, so memo keys stay valid; the knob only trades wall clock.
-     * Trainer simulations run single-zone today, so this forwards the
-     * configuration without changing scheduling behaviour.
-     */
-    int engineJobs = 1;
-    /**
      * Optional durable catalog (non-owning). When attached, the run
      * commits a genesis transaction (config + job specs) and then one
      * transaction per event frame — admissions, placement decisions

@@ -46,9 +46,6 @@ class Gbdt
     /** @return Predictions for every row of @p data. */
     std::vector<double> predictAll(const MlDataset &data) const;
 
-    bool fitted() const { return fitted_; }
-    std::size_t treeCount() const { return trees_.size(); }
-
   private:
     GbdtParams params_;
     double bias_ = 0.0;

@@ -80,8 +80,7 @@ Cluster::partitionZones(int zone_count, int jobs)
     // per-message latency.
     const Seconds lookahead =
         std::min(spec_.nvlinkLatency, spec_.pcieLatency);
-    engine_.configureZones(zone_count, lookahead);
-    engine_.setJobs(jobs);
+    engine_.configureZones(zone_count, lookahead, jobs);
 }
 
 int

@@ -67,9 +67,6 @@ class Cluster
     /** @return Physical GPU ordinal behind local device @p id. */
     int globalGpuId(int id) const;
 
-    /** @return Physical ordinals of every local device, in order. */
-    const std::vector<int> &globalGpuIds() const { return globalIds_; }
-
     Host &host() { return *host_; }
 
     /**
@@ -88,15 +85,10 @@ class Cluster
      */
     void setCollectiveBandwidthScale(double scale);
 
-    /** @return Current fabric bandwidth scale (1.0 = healthy). */
-    double collectiveBandwidthScale() const
-    {
-        return collectiveBandwidthScale_;
-    }
-
     /**
      * Partition the node's devices into @p zone_count conservative
-     * time zones executed by @p jobs worker threads (sim/engine.hpp).
+     * time zones executed by @p jobs worker threads (sim/engine.hpp);
+     * the only place a cluster takes a DES worker count.
      * The lookahead is the minimum interconnect latency of the spec —
      * the soonest one device can observe another's actions. Must be
      * called before any work is scheduled; zone_count 0 means one

@@ -67,11 +67,12 @@ Engine::Engine()
 Engine::~Engine() = default;
 
 void
-Engine::configureZones(int zone_count, Seconds lookahead)
+Engine::configureZones(int zone_count, Seconds lookahead, int jobs)
 {
     RAP_ASSERT(!running_, "cannot repartition a running engine");
     RAP_ASSERT(zone_count >= 1, "need at least one zone, got ",
                zone_count);
+    RAP_ASSERT(jobs >= 1, "engine jobs must be >= 1, got ", jobs);
     RAP_ASSERT(zone_count == 1 || lookahead > 0.0,
                "multi-zone partitioning needs a positive lookahead "
                "(the minimum cross-zone latency), got ",
@@ -84,12 +85,6 @@ Engine::configureZones(int zone_count, Seconds lookahead)
     for (int z = 0; z < zone_count; ++z)
         zones_.push_back(std::make_unique<Zone>(z));
     lookahead_ = zone_count == 1 ? 0.0 : lookahead;
-}
-
-void
-Engine::setJobs(int jobs)
-{
-    RAP_ASSERT(jobs >= 1, "engine jobs must be >= 1, got ", jobs);
     jobs_ = jobs;
 }
 

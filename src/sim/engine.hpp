@@ -7,8 +7,8 @@
  *
  *  - Single zone (the default): the classic serial DES loop. Every
  *    schedule() lands in one time-ordered queue and run() drains it.
- *    All existing simulations (trainer, fleet, serving) use this
- *    shape and behave exactly as before.
+ *    Trainer, fleet and serving simulations use this shape: their
+ *    all-GPU collectives synchronise every device each iteration.
  *
  *  - Partitioned zones (configureZones): devices are grouped into
  *    time zones that advance in conservatively-synchronised lookahead
@@ -21,9 +21,10 @@
  *    lock-free inboxes and are delivered at the window barrier,
  *    re-sorted by the deterministic key (time, source zone, source
  *    sequence number). Zones touch disjoint state, so the window body
- *    can run on worker threads (setJobs); event order within every
- *    zone — and therefore every simulation result — is byte-identical
- *    at any job count, including 1.
+ *    can run on worker threads; the worker count is given together
+ *    with the partition and exists nowhere else. Event order within
+ *    every zone — and therefore every simulation result — is
+ *    byte-identical at any job count, including 1.
  *
  * Events scheduled for the same instant in the same zone fire in
  * scheduling order, which keeps every simulation fully deterministic.
@@ -98,20 +99,14 @@ class Engine
 
     /**
      * Partition the engine into @p zone_count zones synchronised on
-     * @p lookahead (must be > 0 for more than one zone). Must be
-     * called before anything is scheduled.
+     * @p lookahead (must be > 0 for more than one zone), executed by
+     * @p jobs worker threads (1 = serial; values above the zone count
+     * are clamped). Any job count yields byte-identical simulation
+     * results. Must be called before anything is scheduled.
      */
-    void configureZones(int zone_count, Seconds lookahead);
-
-    /**
-     * Worker threads for multi-zone run() (1 = serial; values above
-     * the zone count are clamped). Any value yields byte-identical
-     * simulation results; single-zone engines ignore it.
-     */
-    void setJobs(int jobs);
+    void configureZones(int zone_count, Seconds lookahead, int jobs = 1);
 
     int zoneCount() const { return static_cast<int>(zones_.size()); }
-    int jobs() const { return jobs_; }
     Seconds lookahead() const { return lookahead_; }
 
     /** @return Zone of the currently-executing event (0 outside). */

@@ -102,13 +102,6 @@ FaultSpec::hasTransientFaults() const
                        });
 }
 
-bool
-FaultSpec::hasFailStop() const
-{
-    return std::any_of(events.begin(), events.end(),
-                       [](const FaultEvent &e) { return e.isFailStop(); });
-}
-
 FaultSpec
 FaultSpec::degradationOnly() const
 {

@@ -138,9 +138,6 @@ struct FaultSpec
     /** @return True when any event is a TransientKernel fault. */
     bool hasTransientFaults() const;
 
-    /** @return True when any event is fail-stop. */
-    bool hasFailStop() const;
-
     /** @return A copy with every fail-stop event removed. */
     FaultSpec degradationOnly() const;
 

@@ -49,7 +49,6 @@ class Host
     void submit(Seconds duration, int cores, std::function<void()> done);
 
     int cores() const { return cores_; }
-    int freeCores() const { return freeCores_; }
 
     /** @return Total CPU core-seconds consumed so far. */
     double coreSecondsUsed() const { return coreSecondsUsed_; }

@@ -54,9 +54,6 @@ class LinkServer
      */
     void setRateScale(double scale);
 
-    /** @return Current bandwidth scale (1.0 = healthy). */
-    double rateScale() const { return rateScale_; }
-
     const std::string &name() const { return name_; }
 
   private:

@@ -66,10 +66,12 @@ TEST(CapacityEstimator, MlpLayersHaveSmallSmLeftover)
                                            f.sharding);
     const auto profile = estimator.profile(0);
     for (const auto &op : profile.ops) {
-        if (op.kind == dlrm::TrainOpKind::TopMlpBackward)
+        if (op.kind == dlrm::TrainOpKind::TopMlpBackward) {
             EXPECT_LT(op.leftover.sm, 0.2);
-        if (op.kind == dlrm::TrainOpKind::EmbeddingLookup)
+        }
+        if (op.kind == dlrm::TrainOpKind::EmbeddingLookup) {
             EXPECT_GT(op.leftover.sm, 0.7);
+        }
     }
 }
 

@@ -91,8 +91,8 @@ TEST_P(AllOpsTest, ByteAccountingPositive)
 
 INSTANTIATE_TEST_SUITE_P(AllOps, AllOpsTest,
                          ::testing::ValuesIn(allOpTypes()),
-                         [](const auto &info) {
-                             return opTypeName(info.param);
+                         [](const auto &param_info) {
+                             return opTypeName(param_info.param);
                          });
 
 TEST(CostModel, NgramHeavierThanNormalisation)

@@ -116,8 +116,9 @@ TEST(CriteoGenerator, DenseValuesPositiveWhenValid)
     CriteoGenerator gen(schema, 4);
     auto batch = gen.generate(256);
     for (std::size_t r = 0; r < 256; ++r) {
-        if (batch.dense(0).isValid(r))
+        if (batch.dense(0).isValid(r)) {
             EXPECT_GT(batch.dense(0).value(r), 0.0f);
+        }
     }
 }
 

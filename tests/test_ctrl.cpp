@@ -764,5 +764,22 @@ TEST(FleetResumeDeathTest, InvalidGenesisFailsValidationOnResume)
                 "jobs\\[0\\]\\.id: job ids must be dense");
 }
 
+TEST(FleetResumeDeathTest, GenesisFieldFromAnotherBuildIsNamed)
+{
+    // A catalog from a build whose options carried a field this build
+    // no longer has (an earlier build recorded a DES worker count
+    // here): the resume names the field that does not round-trip
+    // rather than asserting on the genesis bytes.
+    ctrl::CatalogOptions legacy;
+    legacy.dir = freshDir("resume_legacy_field");
+    commitGenesis(legacy.dir, [](Json &genesis) {
+        Json config = genesis.at("config");
+        config.set("retiredKnob", Json(1));
+        genesis.set("config", std::move(config));
+    });
+    EXPECT_EXIT(fleet::resumeFleet(legacy), testing::ExitedWithCode(1),
+                "config\\.retiredKnob does not round-trip");
+}
+
 } // namespace
 } // namespace rap

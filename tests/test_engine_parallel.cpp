@@ -28,8 +28,7 @@ TEST(EngineParallel, HandComputedTwoZoneTimeline)
     // below 1.5 in both zones; the cross-zone send from A lands at
     // 1.6, alone in window 2.
     Engine engine;
-    engine.configureZones(2, 1.0);
-    engine.setJobs(1);
+    engine.configureZones(2, 1.0, 1);
     std::vector<ZoneLog> log(2);
     auto record = [&] {
         log[static_cast<std::size_t>(engine.currentZone())]
@@ -97,8 +96,7 @@ TEST(EngineParallel, FullInboxOverflowsLosslesslyAndInOrder)
     // inbox, exercising the overflow path. Delivery must be complete
     // and ordered by source sequence (send order).
     Engine engine;
-    engine.configureZones(2, 1.0);
-    engine.setJobs(2);
+    engine.configureZones(2, 1.0, 2);
     std::vector<int> arrivals;
     engine.schedule(0.5, 0, [&] {
         for (int i = 0; i < 500; ++i) {
@@ -128,8 +126,7 @@ struct Soup
 
     explicit Soup(int zones, int jobs)
     {
-        engine.configureZones(zones, lookahead);
-        engine.setJobs(jobs);
+        engine.configureZones(zones, lookahead, jobs);
         log.resize(static_cast<std::size_t>(zones));
         for (int z = 0; z < zones; ++z) {
             for (int c = 0; c < 3; ++c) {
@@ -262,17 +259,6 @@ TEST(EngineParallel, ClusterWorkloadIsIdenticalAtAnyJobCount)
         EXPECT_DOUBLE_EQ(parallel.second, serial.second)
             << "jobs=" << jobs;
     }
-}
-
-TEST(EngineParallel, SingleZoneIgnoresJobs)
-{
-    Engine engine;
-    engine.setJobs(8); // no zones: classic serial loop
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        engine.schedule(1.0, [&order, i] { order.push_back(i); });
-    engine.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 } // namespace

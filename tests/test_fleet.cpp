@@ -98,8 +98,9 @@ TEST(FleetJob, ArrivalTraceIsSeededAndOrdered)
         EXPECT_EQ(a[j].batchPerGpu, b[j].batchPerGpu);
         EXPECT_GE(a[j].gpusRequested, 1);
         EXPECT_LE(a[j].gpusRequested, 8);
-        if (j > 0)
+        if (j > 0) {
             EXPECT_GE(a[j].arrival, a[j - 1].arrival);
+        }
     }
 
     auto other_options = tinyTraceOptions(12);
@@ -663,7 +664,6 @@ TEST(FleetRequestValidation, BadKnobsAreRejectedNotClamped)
         .crashFaults(/*mtbf=*/0.0, /*seed=*/1, /*horizon=*/-5.0);
     request.options().placement.headroom = 1.5;
     request.options().placement.demandScale = 0.0;
-    request.options().engineJobs = -2;
 
     const auto result = request.validate();
     ASSERT_FALSE(result.ok());
@@ -673,9 +673,8 @@ TEST(FleetRequestValidation, BadKnobsAreRejectedNotClamped)
     EXPECT_TRUE(hasError(result, "crashFaults.horizon"));
     EXPECT_TRUE(hasError(result, "placement.headroom"));
     EXPECT_TRUE(hasError(result, "placement.demandScale"));
-    EXPECT_TRUE(hasError(result, "engineJobs"));
     // Every problem surfaces at once, one rendered line each.
-    EXPECT_GE(result.errors().size(), 7u);
+    EXPECT_GE(result.errors().size(), 6u);
     EXPECT_NE(result.render().find("restartOverhead: "),
               std::string::npos);
 }

@@ -59,9 +59,10 @@ TEST_P(OpPropertyTest, DenseOpsPreserveRowCountAndFiniteness)
         applyOp(node(type, true, 0), batch);
         ASSERT_EQ(batch.dense(0).size(), batch_.rows());
         for (std::size_t r = 0; r < batch.rows(); ++r) {
-            if (batch.dense(0).isValid(r))
+            if (batch.dense(0).isValid(r)) {
                 EXPECT_TRUE(std::isfinite(batch.dense(0).value(r)))
                     << opTypeName(type) << " row " << r;
+            }
         }
     }
 }

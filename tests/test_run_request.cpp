@@ -162,29 +162,6 @@ TEST(Validate, RejectsNegativePlanningThreads)
     EXPECT_TRUE(config.validate().ok());
 }
 
-TEST(Validate, RejectsBadTorchArrowWorkersForCpuSystems)
-{
-    for (auto system :
-         {System::TorchArrowCpu, System::HybridRap}) {
-        SystemConfig config;
-        config.system = system;
-        config.torchArrowWorkersPerGpu = 0;
-        config.coresPerWorker = 0;
-        const auto result = config.validate();
-        EXPECT_TRUE(hasError(result, "torchArrowWorkersPerGpu"))
-            << systemId(system);
-        EXPECT_TRUE(hasError(result, "coresPerWorker"))
-            << systemId(system);
-    }
-
-    // GPU-preprocessing systems never touch the TorchArrow knobs.
-    SystemConfig config;
-    config.system = System::Rap;
-    config.torchArrowWorkersPerGpu = 0;
-    config.coresPerWorker = 0;
-    EXPECT_TRUE(config.validate().ok());
-}
-
 TEST(Validate, AccumulatesEveryProblemAtOnce)
 {
     SystemConfig config;

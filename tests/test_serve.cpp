@@ -77,8 +77,9 @@ TEST(RequestTrace, SeededAndStrictlyIncreasing)
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_GE(a[i], 0.0);
         EXPECT_LT(a[i], options.duration);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(a[i], a[i - 1]) << "tie at request " << i;
+        }
     }
 
     options.seed ^= 0x1234ULL;

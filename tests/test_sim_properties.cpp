@@ -107,8 +107,9 @@ TEST_P(ContentionPropertyTest, HighPriorityNeverStretchedByLow)
     }
     cluster.run();
     for (const auto &record : cluster.device(0).trace().kernels()) {
-        if (record.stream == "high")
+        if (record.stream == "high") {
             EXPECT_NEAR(record.stretch(), 0.0, 1e-9);
+        }
     }
 }
 
