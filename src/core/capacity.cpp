@@ -7,6 +7,15 @@
 
 namespace rap::core {
 
+namespace {
+
+/** Iterations profiled (first is warmup). */
+constexpr int kProfileIterations = 6;
+/** Capacity discount covering launch overheads and jitter. */
+constexpr double kSafetyFactor = 0.92;
+
+} // namespace
+
 Seconds
 CapacityProfile::totalCapacity() const
 {
@@ -70,15 +79,10 @@ degradeProfile(const CapacityProfile &profile, double sm_capacity,
 
 OverlappingCapacityEstimator::OverlappingCapacityEstimator(
     sim::ClusterSpec cluster_spec, dlrm::DlrmConfig config,
-    dlrm::EmbeddingSharding sharding, CapacityOptions options)
+    dlrm::EmbeddingSharding sharding)
     : clusterSpec_(std::move(cluster_spec)), config_(std::move(config)),
-      sharding_(std::move(sharding)), options_(options)
+      sharding_(std::move(sharding))
 {
-    RAP_ASSERT(options_.profileIterations >= 2,
-               "need at least two profiling iterations");
-    RAP_ASSERT(options_.safetyFactor > 0.0 &&
-                   options_.safetyFactor <= 1.0,
-               "safety factor must be in (0, 1]");
 }
 
 std::vector<CapacityProfile>
@@ -86,7 +90,7 @@ OverlappingCapacityEstimator::profileAll() const
 {
     sim::Cluster cluster(clusterSpec_);
     dlrm::TrainingDriver driver(cluster, config_, sharding_);
-    driver.pushIterations(options_.profileIterations);
+    driver.pushIterations(kProfileIterations);
     cluster.run();
 
     std::vector<CapacityProfile> profiles;
@@ -110,8 +114,7 @@ OverlappingCapacityEstimator::profileAll() const
                     1.0 - ops[k].kernel.demand.sm,
                     1.0 - ops[k].kernel.demand.bw};
             }
-            cap.capacity =
-                cap.duration * options_.safetyFactor;
+            cap.capacity = cap.duration * kSafetyFactor;
             profile.ops.push_back(std::move(cap));
         }
         profile.iterationLatency = driver.avgIterationLatency();

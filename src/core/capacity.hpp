@@ -70,15 +70,6 @@ struct CapacityProfile
 CapacityProfile degradeProfile(const CapacityProfile &profile,
                                double sm_capacity, double bw_capacity);
 
-/** Estimator tuning. */
-struct CapacityOptions
-{
-    /** Iterations profiled (first is warmup). */
-    int profileIterations = 6;
-    /** Capacity discount covering launch overheads and jitter. */
-    double safetyFactor = 0.92;
-};
-
 /**
  * Profiles a DLRM configuration on the simulated cluster and produces
  * per-op capacity profiles for every GPU.
@@ -88,8 +79,7 @@ class OverlappingCapacityEstimator
   public:
     OverlappingCapacityEstimator(sim::ClusterSpec cluster_spec,
                                  dlrm::DlrmConfig config,
-                                 dlrm::EmbeddingSharding sharding,
-                                 CapacityOptions options = {});
+                                 dlrm::EmbeddingSharding sharding);
 
     /** Profile GPU @p gpu (runs a standalone-training simulation). */
     CapacityProfile profile(int gpu) const;
@@ -110,7 +100,6 @@ class OverlappingCapacityEstimator
     sim::ClusterSpec clusterSpec_;
     dlrm::DlrmConfig config_;
     dlrm::EmbeddingSharding sharding_;
-    CapacityOptions options_;
 };
 
 } // namespace rap::core

@@ -94,7 +94,7 @@ HorizontalFusionPlanner::plan(const preproc::PreprocGraph &graph,
     }
 
     auto problem = toProblem(graph);
-    milp::FusionSolver solver(options_.solver);
+    milp::FusionSolver solver;
     const auto solution = solver.solve(problem);
     nodesExplored_.fetch_add(solution.nodesExplored,
                              std::memory_order_relaxed);

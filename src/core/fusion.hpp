@@ -59,7 +59,6 @@ preproc::OpShape combineShapes(
 /** Planner knobs. */
 struct FusionOptions
 {
-    milp::SolverOptions solver;
     /** When false, every node becomes a singleton kernel (ablation). */
     bool enableFusion = true;
 };

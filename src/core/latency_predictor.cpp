@@ -13,6 +13,11 @@ namespace {
 using preproc::OpType;
 using preproc::PredictorCategory;
 
+/** Multiplicative log-normal measurement noise (sigma). */
+constexpr double kMeasurementNoise = 0.035;
+/** Train fraction of the 9:1 split. */
+constexpr double kTrainFraction = 0.9;
+
 /** Representative op types per predictor category for sampling. */
 std::vector<OpType>
 categoryOps(PredictorCategory cat)
@@ -108,15 +113,14 @@ LatencyPredictor::trainOffline(const sim::GpuSpec &spec,
                 preproc::makeOpKernel(type, shape, spec).exclusiveLatency;
             // "Measured" latency: truth with timing jitter.
             const Seconds measured =
-                truth * std::exp(rng.normal(0.0,
-                                            options.measurementNoise));
+                truth * std::exp(rng.normal(0.0, kMeasurementNoise));
             dataset.add(featurize(type, shape), std::log(measured));
         }
 
         auto [train, eval] = ml::trainEvalSplit(
-            dataset, options.trainFraction, options.seed + c);
+            dataset, kTrainFraction, options.seed + c);
 
-        ml::Gbdt model(options.gbdt);
+        ml::Gbdt model;
         model.fit(train);
 
         // Evaluate in linear space (the paper's 10%-gap criterion).

@@ -50,12 +50,7 @@ struct PredictorTrainOptions
 {
     /** Total kernels sampled across all categories (paper: ~11K). */
     std::size_t totalSamples = 11'000;
-    /** Multiplicative log-normal measurement noise (sigma). */
-    double measurementNoise = 0.035;
-    /** Train fraction of the 9:1 split. */
-    double trainFraction = 0.9;
     std::uint64_t seed = 2024;
-    ml::GbdtParams gbdt;
 };
 
 /**

@@ -449,6 +449,8 @@ recordIterationMetrics(const SystemConfig &config,
 constexpr int kPushAhead = 3;
 /** Monitor ticks to wait after a replan before checking drift again. */
 constexpr int kReplanCooldown = 3;
+/** Relative iteration-latency drift that triggers a replan. */
+constexpr double kReplanDriftThreshold = 0.15;
 /** TorchArrow baseline: preprocessing workers per GPU (DESIGN.md §1). */
 constexpr int kTorchArrowWorkersPerGpu = 8;
 /** TorchArrow baseline: CPU cores per worker. */
@@ -609,11 +611,14 @@ RunSession::run(InputPath &input) const
     const Seconds span_start =
         driver.iterationSpan(0, config.warmup).start;
     const Seconds span_end = driver.iterationSpan(0, n - 1).end;
-    if (gated) {
+    if (gated || checkpointing) {
         // Iterations wait on their inputs, so the interval between
         // iteration ends — not the span after the gate fired — is the
         // throughput the trainer sees; an ingest-gated Ideal run is
-        // measured the same way as every other system. Calibration
+        // measured the same way as every other system. Checkpointed
+        // runs use the window too: the GPU whose drain finishes first
+        // waits for the slower one inside the next collective, so its
+        // iteration span would absorb the drain. Calibration
         // checkpoint drains inside the window are subtracted:
         // avgIterationLatency stays the checkpoint-free iteration
         // interval (the recovery composition adds checkpoint cost back
@@ -654,7 +659,7 @@ class OfflinePlanner
     explicit OfflinePlanner(const RunSession &session)
         : session_(session), traits_(traitsFor(session.config.system)),
           fusion_(session.spec.gpu, session.config.predictor,
-                  FusionOptions{session.config.solver, traits_.fusion}),
+                  FusionOptions{traits_.fusion}),
           mapper_(session.plan, session.sharding, session.spec,
                   session.config.batchPerGpu)
     {
@@ -913,8 +918,6 @@ class GpuInput final : public InputPath
 
     const SystemConfig &config_;
     const GpuSystemTraits traits_;
-    /** Offline planning pool, reused by replans (null = serial). */
-    std::unique_ptr<ThreadPool> pool_;
     const OfflinePlanner planner_;
     /** Mapping and schedules are replaced on a replan. */
     OfflinePlan offline_;
@@ -933,10 +936,7 @@ class GpuInput final : public InputPath
 
 GpuInput::GpuInput(const RunSession &session)
     : config_(session.config), traits_(traitsFor(config_.system)),
-      pool_(config_.planningThreads != 1
-                ? std::make_unique<ThreadPool>(config_.planningThreads)
-                : nullptr),
-      planner_(session), offline_(planner_.plan(pool_.get())),
+      planner_(session), offline_(planner_.plan(nullptr)),
       offlineNodes_(planner_.fusion().milpNodesExplored()),
       hybridCores_(std::max(
           1, std::min(kTorchArrowWorkersPerGpu * kCoresPerWorker,
@@ -1234,7 +1234,7 @@ GpuInput::monitorTick(int j)
             config_.metrics->series("train.drift", runLabels(config_))
                 .append(j, drift);
         }
-        if (drift > config_.replanDriftThreshold) {
+        if (drift > kReplanDriftThreshold) {
             replan(observed);
             lastReplanIter_ = j;
         }
@@ -1253,7 +1253,6 @@ GpuInput::replan(const std::vector<Seconds> &observed)
     // Re-derive every GPU's capacity profile from its current
     // (possibly degraded) resource envelopes and reschedule the
     // co-run; with replanMapping the joint mapping search reruns too.
-    // The offline phase's planning pool is reused.
     const auto &profiles = offline_.profiles;
     std::vector<CapacityProfile> degraded(profiles.size());
     for (std::size_t g = 0; g < profiles.size(); ++g) {
@@ -1272,9 +1271,9 @@ GpuInput::replan(const std::vector<Seconds> &observed)
     }
     if (config_.replanMapping) {
         offline_.mapping = planner_.mapper().mapRap(
-            degraded, planner_.fusion(), /*max_moves=*/64, pool_.get());
+            degraded, planner_.fusion(), /*max_moves=*/64);
     }
-    planner_.schedule(offline_.mapping, degraded, pool_.get(),
+    planner_.schedule(offline_.mapping, degraded, nullptr,
                       offline_.schedules);
     refreshMappingCosts();
     // Calibrate the monitor to the new plan so drift re-arms relative

@@ -117,7 +117,6 @@ struct SystemConfig
      * the system's default (the Fig. 12 mapping study).
      */
     std::optional<MappingStrategy> forcedMapping;
-    milp::SolverOptions solver;
     /**
      * Row-wise parallelism: embedding tables with at least this many
      * rows are split across every GPU (0 = disabled). Their input
@@ -125,13 +124,6 @@ struct SystemConfig
      * chains are duplicated (§7.2).
      */
     std::int64_t rowWiseThreshold = 0;
-    /**
-     * Host worker threads for the offline planning phase (per-GPU
-     * fusion planning, mapping search, co-run scheduling). 1 = serial,
-     * 0 = hardware concurrency. Plans and reports are bit-identical
-     * across thread counts (the thread-pool determinism contract).
-     */
-    int planningThreads = 1;
     /**
      * Optional seeded fault scenario injected into the simulated
      * cluster: degraded SM/HBM capacity, slow interconnect links,
@@ -153,16 +145,14 @@ struct SystemConfig
     std::optional<ingest::IngestConfig> ingest;
     /**
      * Online replanning: after warmup, compare each iteration's
-     * observed latency against the cost model's prediction; past
-     * replanDriftThreshold, re-run the co-run scheduler (and, with
+     * observed latency against the cost model's prediction; past a
+     * 15% relative drift, re-run the co-run scheduler (and, with
      * replanMapping, the joint mapping search) on the degraded
-     * resource envelopes using the planning pool, splicing the new
-     * schedule in at the next batch boundary. Applies to RAP variants
-     * with capacity scheduling.
+     * resource envelopes, splicing the new schedule in at the next
+     * batch boundary. Applies to RAP variants with capacity
+     * scheduling.
      */
     bool replanOnDrift = false;
-    /** Relative iteration-latency drift that triggers a replan. */
-    double replanDriftThreshold = 0.15;
     /** Also re-run GraphMapper::mapRap on each replan. */
     bool replanMapping = false;
     /**
@@ -221,7 +211,8 @@ struct SystemConfig
 
     /**
      * Check the configuration shape: GPU/iteration counts, subset and
-     * envelope sizes, envelope shares, thresholds, worker counts.
+     * envelope sizes, envelope shares, the row-wise threshold, the
+     * checkpoint policy, and the ingest and inference combinations.
      * Returns every problem found; RunRequest::run / planOffline
      * refuse (RAP_FATAL) configurations with a non-ok() result.
      */

@@ -76,18 +76,9 @@ SystemConfig::validate() const
                             std::to_string(gpuCount));
     }
 
-    if (replanOnDrift && replanDriftThreshold <= 0.0) {
-        result.addError("replanDriftThreshold",
-                        "drift threshold must be positive");
-    }
     if (rowWiseThreshold < 0) {
         result.addError("rowWiseThreshold",
                         "row-wise threshold cannot be negative");
-    }
-    if (planningThreads < 0) {
-        result.addError("planningThreads",
-                        "0 = hardware concurrency, otherwise must be "
-                        "positive");
     }
     if (checkpoint.mode == CheckpointMode::FixedInterval &&
         checkpoint.interval < 1) {

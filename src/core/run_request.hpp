@@ -58,13 +58,6 @@ class RunRequest
     }
 
     RunRequest &
-    planningThreads(int threads)
-    {
-        config_.planningThreads = threads;
-        return *this;
-    }
-
-    RunRequest &
     envelopes(std::vector<GpuEnvelope> shares)
     {
         config_.envelopes = std::move(shares);
@@ -94,10 +87,9 @@ class RunRequest
     }
 
     RunRequest &
-    replanOnDrift(bool on, double threshold = 0.15)
+    replanOnDrift(bool on)
     {
         config_.replanOnDrift = on;
-        config_.replanDriftThreshold = threshold;
         return *this;
     }
 

@@ -19,9 +19,7 @@ fleetOptionsToJson(const FleetOptions &options)
     json.set("placement", options.placement.toJson());
     json.set("node", options.node.toJson());
     json.set("faults", options.faults.toJson());
-    json.set("requeueOnDegrade", Json(options.requeueOnDegrade));
     json.set("restartOverhead", Json(options.restartOverhead));
-    json.set("envelopeQuantum", Json(options.envelopeQuantum));
     json.set("tracePrefix", Json(options.tracePrefix));
     return json;
 }
@@ -34,9 +32,7 @@ fleetOptionsFromJson(const Json &json)
         PlacementOptions::fromJson(json.at("placement"));
     options.node = sim::ClusterSpec::fromJson(json.at("node"));
     options.faults = sim::FaultSpec::fromJson(json.at("faults"));
-    options.requeueOnDegrade = json.at("requeueOnDegrade").asBool();
     options.restartOverhead = json.at("restartOverhead").asDouble();
-    options.envelopeQuantum = json.at("envelopeQuantum").asDouble();
     options.tracePrefix = json.at("tracePrefix").asString();
     return options;
 }

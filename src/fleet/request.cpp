@@ -47,10 +47,6 @@ FleetRequest::validate() const
             }
         }
     }
-    if (!(options_.envelopeQuantum > 0.0 &&
-          options_.envelopeQuantum <= 1.0)) {
-        result.addError("envelopeQuantum", "must be in (0, 1]");
-    }
     if (!(options_.restartOverhead >= 0.0) ||
         !std::isfinite(options_.restartOverhead)) {
         result.addError("restartOverhead",

@@ -96,23 +96,9 @@ class FleetRequest
     }
 
     FleetRequest &
-    requeueOnDegrade(bool on)
-    {
-        options_.requeueOnDegrade = on;
-        return *this;
-    }
-
-    FleetRequest &
     restartOverhead(Seconds seconds)
     {
         options_.restartOverhead = seconds;
-        return *this;
-    }
-
-    FleetRequest &
-    envelopeQuantum(double quantum)
-    {
-        options_.envelopeQuantum = quantum;
         return *this;
     }
 

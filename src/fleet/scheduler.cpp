@@ -21,6 +21,12 @@ namespace rap::fleet {
 
 namespace {
 
+/**
+ * Envelope shares are floored to this quantum before simulation,
+ * bounding the memo key space (and keeping keys exact).
+ */
+constexpr double kEnvelopeQuantum = 0.05;
+
 /** Scheduler-level instrument labels: policy plus the run scope. */
 obs::Labels
 fleetLabels(const FleetOptions &options)
@@ -137,11 +143,10 @@ FleetScheduler::genesisTransaction() const
 Placement
 FleetScheduler::quantised(Placement placement) const
 {
-    const double quantum = options_.envelopeQuantum;
-    auto snap = [quantum](double share) {
+    auto snap = [](double share) {
         const double floored =
-            std::floor(share / quantum + 1e-9) * quantum;
-        return std::min(1.0, std::max(quantum, floored));
+            std::floor(share / kEnvelopeQuantum + 1e-9) * kEnvelopeQuantum;
+        return std::min(1.0, std::max(kEnvelopeQuantum, floored));
     };
     for (auto &env : placement.envelopes) {
         env.sm = snap(env.sm);
@@ -158,9 +163,9 @@ FleetScheduler::memoKey(const JobSpec &spec,
     // never formatted floats). Physical GPU ids are excluded on
     // purpose — the simulation is identical on any subset of equal
     // size, only trace labels differ.
-    const auto grid = [this](double share) {
+    const auto grid = [](double share) {
         return std::to_string(static_cast<long long>(
-            std::llround(share / options_.envelopeQuantum)));
+            std::llround(share / kEnvelopeQuantum)));
     };
     std::string key = spec.variantKey();
     for (const auto &env : envelopes)
@@ -586,10 +591,6 @@ FleetScheduler::run()
                 op.set("factor", Json(fault.factor));
                 frame_ops.push(std::move(op));
             }
-            // A crash always evicts residents (the device is gone);
-            // degradations only preempt when the policy says so.
-            if (!crash && !options_.requeueOnDegrade)
-                break;
             // Preempt every job resident on an affected GPU —
             // including co-located survivors sharing a crashed
             // device: credit the last *durable* fraction, requeue at

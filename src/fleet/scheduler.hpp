@@ -86,18 +86,11 @@ struct FleetOptions
      * requeue-and-replan path degradations use.
      */
     sim::FaultSpec faults;
-    /** Preempt-and-requeue jobs whose GPUs degrade. */
-    bool requeueOnDegrade = true;
     /**
      * Process-restart latency charged at the head of every segment
      * that resumes a preempted job (crash or degrade requeue).
      */
     Seconds restartOverhead = 0.0;
-    /**
-     * Envelope shares are floored to this quantum before simulation,
-     * bounding the memo key space (and keeping keys exact).
-     */
-    double envelopeQuantum = 0.05;
     /**
      * When non-empty, every placed segment dumps its Chrome trace to
      * `<prefix>.job<id>.seg<n>.json` (disables memoisation so each
@@ -142,10 +135,10 @@ struct FleetOptions
 
 /**
  * The semantic subset of FleetOptions the catalog's genesis record
- * persists (placement policy, node, faults, fault handling, quantum,
- * trace prefix, engine jobs) — everything a resume needs to re-execute
- * the identical run. Runtime attachments (metrics, catalog pointer,
- * stop knobs) stay out: they never influence the report bytes.
+ * persists (placement policy, node, faults, restart overhead, trace
+ * prefix) — everything a resume needs to re-execute the identical
+ * run. Runtime attachments (metrics, catalog pointer, stop knobs)
+ * stay out: they never influence the report bytes.
  */
 Json fleetOptionsToJson(const FleetOptions &options);
 FleetOptions fleetOptionsFromJson(const Json &json);

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/log.hpp"
-#include "common/thread_pool.hpp"
 
 namespace rap::milp {
 
@@ -19,14 +18,6 @@ namespace {
  * join-the-biggest-group bound; ops of singleton types are assigned
  * greedily (a dominance argument), and candidate steps are explored in
  * descending same-type-count order so good incumbents appear early.
- *
- * For the parallel search, a prefix of assignments (the first k ops in
- * topological order) can be replayed onto a fresh instance with
- * applyPrefix(), after which runFrom() explores only that subtree.
- * Subtrees are pruned against their own incumbents only; because an
- * incumbent-pruned subtree can never contain a strictly better
- * assignment, reducing subtree results in frontier order reproduces
- * the serial search's first-improvement tie-breaking exactly.
  */
 class BranchBound
 {
@@ -65,12 +56,6 @@ class BranchBound
         assign_.assign(n, -1);
     }
 
-    FusionSolution
-    run()
-    {
-        return runFrom(0, 0.0);
-    }
-
     /**
      * Start the search with an incumbent of @p bound without an
      * assignment. Seeding with (feasible objective - 0.5) is safe:
@@ -78,9 +63,7 @@ class BranchBound
      * the seed still strictly improves it, and pruning against any
      * incumbent below the optimum never removes the optimum's first
      * attainment — the returned assignment is unchanged, only found
-     * faster. Used to give every parallel subtree the pruning power
-     * the serial search gets from carrying its incumbent across
-     * subtrees.
+     * faster.
      */
     void
     seedIncumbent(double bound)
@@ -88,37 +71,12 @@ class BranchBound
         best_ = bound;
     }
 
-    /**
-     * Replay @p prefix (steps of topo_[0..prefix.size())) onto this
-     * instance and return the objective accumulated by it.
-     */
-    double
-    applyPrefix(const std::vector<int> &prefix)
-    {
-        double objective = 0.0;
-        for (std::size_t k = 0; k < prefix.size(); ++k) {
-            const int op = topo_[k];
-            const auto type = static_cast<std::size_t>(
-                p_.type[static_cast<std::size_t>(op)]);
-            const int s = prefix[k];
-            auto &count = counts_[type][static_cast<std::size_t>(s)];
-            objective += 2.0 * count + 1.0;
-            ++count;
-            maxCount_[type] = std::max(maxCount_[type], count);
-            --remaining_[type];
-            assign_[static_cast<std::size_t>(op)] = s;
-        }
-        return objective;
-    }
-
-    /** Explore the subtree below a replayed prefix of length @p k. */
     FusionSolution
-    runFrom(std::size_t k, double objective)
+    run()
     {
-        dfs(k, objective);
+        dfs(0, 0.0);
         FusionSolution solution;
-        // A seeded search that never beat its seed found nothing;
-        // report that as objective -1 so reductions skip it.
+        // A seeded search that never beat its seed found nothing.
         solution.step = found_ ? bestAssign_ : std::vector<int>{};
         solution.objective = found_ ? best_ : -1.0;
         solution.optimal = !budgetExhausted_;
@@ -126,11 +84,8 @@ class BranchBound
         return solution;
     }
 
-    /**
-     * Candidate steps of the op at topo position @p k, in the exact
-     * order dfs() branches on them (shared with the parallel frontier
-     * expansion so both searches walk the same tree).
-     */
+  private:
+    /** Candidate steps of the op at topo position @p k, in branch order. */
     std::vector<int>
     candidateStepsAt(std::size_t k) const
     {
@@ -170,9 +125,6 @@ class BranchBound
         return steps;
     }
 
-    std::size_t size() const { return p_.size(); }
-
-  private:
     double
     upperBound(double current) const
     {
@@ -249,34 +201,6 @@ class BranchBound
     std::vector<int> bestAssign_;
 };
 
-/**
- * Expand the search tree breadth-first (in dfs branch order) until at
- * least @p target subtree roots exist. Each returned prefix assigns
- * the first `prefix.size()` ops in topological order.
- */
-std::vector<std::vector<int>>
-expandFrontier(const FusionProblem &problem, std::size_t target)
-{
-    std::vector<std::vector<int>> frontier(1);
-    std::size_t depth = 0;
-    while (depth < problem.size() && frontier.size() < target) {
-        std::vector<std::vector<int>> next;
-        for (const auto &prefix : frontier) {
-            BranchBound scratch(problem, 1);
-            scratch.applyPrefix(prefix);
-            for (int s : scratch.candidateStepsAt(depth)) {
-                next.push_back(prefix);
-                next.back().push_back(s);
-            }
-        }
-        if (next.empty())
-            break;
-        frontier = std::move(next);
-        ++depth;
-    }
-    return frontier;
-}
-
 } // namespace
 
 FusionSolver::FusionSolver(SolverOptions options)
@@ -309,51 +233,14 @@ FusionSolution
 FusionSolver::solveExact(const FusionProblem &problem) const
 {
     problem.validate();
-    const int threads = options_.threads <= 0
-                            ? ThreadPool::hardwareThreads()
-                            : options_.threads;
-    // Seed every search with the heuristic incumbent (minus 0.5 so
-    // equally good assignments still strictly improve it). This gives
-    // parallel subtrees the pruning power serial search accumulates by
-    // carrying its incumbent across subtrees, and it cannot change the
-    // returned assignment (see seedIncumbent()).
+    // Seed the search with the heuristic incumbent (minus 0.5 so
+    // equally good assignments still strictly improve it); it prunes
+    // early and cannot change the returned assignment (see
+    // seedIncumbent()).
     const FusionSolution heuristic = solveHeuristic(problem);
-    const double seed = heuristic.objective - 0.5;
-
-    FusionSolution solution;
-    if (threads <= 1 || problem.size() < 2) {
-        BranchBound bnb(problem, options_.maxNodes);
-        bnb.seedIncumbent(seed);
-        solution = bnb.run();
-    } else {
-        // Split the tree at a breadth-first frontier enumerated in dfs
-        // branch order and search the subtrees concurrently, each with
-        // its own incumbent and node budget.
-        const auto frontier = expandFrontier(
-            problem, static_cast<std::size_t>(threads) * 4);
-        ThreadPool pool(threads);
-        const auto results = pool.parallelMap<FusionSolution>(
-            frontier.size(), [&](std::size_t i) {
-                BranchBound bnb(problem, options_.maxNodes);
-                const double objective = bnb.applyPrefix(frontier[i]);
-                bnb.seedIncumbent(seed);
-                return bnb.runFrom(frontier[i].size(), objective);
-            });
-        // Deterministic reduction: taking the first strict improvement
-        // in frontier order reproduces the serial search's
-        // first-attainment tie-break (an incumbent-pruned subtree can
-        // never hold a strictly better assignment).
-        solution.objective = -1.0;
-        solution.optimal = true;
-        for (const auto &r : results) {
-            if (r.objective > solution.objective) {
-                solution.objective = r.objective;
-                solution.step = r.step;
-            }
-            solution.optimal = solution.optimal && r.optimal;
-            solution.nodesExplored += r.nodesExplored;
-        }
-    }
+    BranchBound bnb(problem, options_.maxNodes);
+    bnb.seedIncumbent(heuristic.objective - 0.5);
+    FusionSolution solution = bnb.run();
     if (solution.step.empty() && problem.size() > 0) {
         // Budget exhausted before any assignment beat the seed: the
         // heuristic's assignment is the best known.

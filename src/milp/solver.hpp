@@ -30,16 +30,6 @@ struct SolverOptions
     std::uint64_t maxNodes = 3'000'000;
     /** Local-search sweeps for the heuristic backend. */
     int localSearchRounds = 40;
-    /**
-     * Worker threads for the branch-and-bound backend (1 = serial,
-     * 0 = hardware concurrency). The parallel search splits the tree
-     * at a breadth-first frontier and reduces subtree incumbents in
-     * frontier order, so the returned assignment is bit-identical to
-     * the serial search whenever the node budget is not exhausted
-     * (each subtree carries its own budget, so exhaustion points can
-     * differ between thread counts).
-     */
-    int threads = 1;
 };
 
 /**

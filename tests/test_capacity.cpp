@@ -146,15 +146,5 @@ TEST(CapacityProbe, MoreWorkMonotone)
     EXPECT_GT(prev, 700e-6);
 }
 
-TEST(CapacityEstimatorDeath, BadOptionsPanic)
-{
-    Fixture f;
-    CapacityOptions options;
-    options.profileIterations = 1;
-    EXPECT_DEATH(OverlappingCapacityEstimator(f.clusterSpec, f.config,
-                                              f.sharding, options),
-                 "profiling iterations");
-}
-
 } // namespace
 } // namespace rap::core

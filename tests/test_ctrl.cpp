@@ -739,15 +739,15 @@ TEST(FleetResumeDeathTest, InvalidGenesisFailsValidationOnResume)
     // Input read back from disk is checked like a fresh request: the
     // resume dies with the structured error naming the field, not an
     // assert deep inside the scheduler.
-    ctrl::CatalogOptions quantum;
-    quantum.dir = freshDir("resume_bad_quantum");
-    commitGenesis(quantum.dir, [](Json &genesis) {
+    ctrl::CatalogOptions overhead;
+    overhead.dir = freshDir("resume_bad_overhead");
+    commitGenesis(overhead.dir, [](Json &genesis) {
         Json config = genesis.at("config");
-        config.set("envelopeQuantum", Json(0.0));
+        config.set("restartOverhead", Json(-1.0));
         genesis.set("config", std::move(config));
     });
-    EXPECT_EXIT(fleet::resumeFleet(quantum), testing::ExitedWithCode(1),
-                "envelopeQuantum: must be in \\(0, 1\\]");
+    EXPECT_EXIT(fleet::resumeFleet(overhead), testing::ExitedWithCode(1),
+                "restartOverhead: must be finite and non-negative");
 
     ctrl::CatalogOptions sparse;
     sparse.dir = freshDir("resume_sparse_ids");

@@ -507,13 +507,12 @@ TEST(FleetScheduler, DeviceCrashExcludesGpuAndRequeuesResidents)
     const Seconds crash_time = healthy.jobs[0].firstStart +
                                0.5 * healthy.jobs[0].serviceTime;
 
-    // Crashes preempt even with degradation-requeue turned off —
-    // there is no way to keep running on a dead GPU.
+    // A crash preempts its residents — there is no way to keep
+    // running on a dead GPU.
     obs::MetricRegistry registry;
     const auto report =
         FleetRequest(trace)
             .policy(PlacementPolicy::ExclusiveFirstFit)
-            .requeueOnDegrade(false)
             .addFault(sim::FaultEvent::deviceCrash(gpu, crash_time))
             .metrics(&registry)
             .run();
@@ -650,8 +649,7 @@ TEST(FleetRequestValidation, WellFormedRequestValidates)
 {
     FleetRequest request(makeArrivalTrace(tinyTraceOptions(3)));
     request.policy(PlacementPolicy::RapShared)
-        .restartOverhead(0.05)
-        .envelopeQuantum(0.05);
+        .restartOverhead(0.05);
     const auto result = request.validate();
     EXPECT_TRUE(result.ok()) << result.render();
 }
@@ -660,7 +658,6 @@ TEST(FleetRequestValidation, BadKnobsAreRejectedNotClamped)
 {
     FleetRequest request(makeArrivalTrace(tinyTraceOptions(2)));
     request.restartOverhead(-1.0)
-        .envelopeQuantum(0.0)
         .crashFaults(/*mtbf=*/0.0, /*seed=*/1, /*horizon=*/-5.0);
     request.options().placement.headroom = 1.5;
     request.options().placement.demandScale = 0.0;
@@ -668,13 +665,12 @@ TEST(FleetRequestValidation, BadKnobsAreRejectedNotClamped)
     const auto result = request.validate();
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(hasError(result, "restartOverhead"));
-    EXPECT_TRUE(hasError(result, "envelopeQuantum"));
     EXPECT_TRUE(hasError(result, "crashFaults.mtbf"));
     EXPECT_TRUE(hasError(result, "crashFaults.horizon"));
     EXPECT_TRUE(hasError(result, "placement.headroom"));
     EXPECT_TRUE(hasError(result, "placement.demandScale"));
     // Every problem surfaces at once, one rendered line each.
-    EXPECT_GE(result.errors().size(), 6u);
+    EXPECT_GE(result.errors().size(), 5u);
     EXPECT_NE(result.render().find("restartOverhead: "),
               std::string::npos);
 }

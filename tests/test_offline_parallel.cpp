@@ -4,15 +4,14 @@
  *
  * The thread-pool contract promises that serial and multi-threaded
  * runs of the same configuration are bit-identical. These tests pin
- * that down at every level that went parallel: the branch-and-bound
- * fusion solver, planOffline's mapping + per-GPU schedules, and the
- * end-to-end RunReport. All floating-point comparisons use EXPECT_EQ
- * on purpose — bit-identical, not merely close.
+ * that down for planOffline's mapping and per-GPU schedules, with and
+ * without hybrid offload and row-wise sharding. All floating-point
+ * comparisons use EXPECT_EQ on purpose — bit-identical, not merely
+ * close. Fast enough to run under TSan, which race-checks the pool.
  */
 
 #include <gtest/gtest.h>
 
-#include "common/rng.hpp"
 #include "core/rap.hpp"
 
 namespace rap {
@@ -40,30 +39,36 @@ expectSameSchedule(const core::CoRunSchedule &a,
     }
 }
 
-void
-expectSameReport(const core::RunReport &a, const core::RunReport &b)
+/** One planOffline configuration checked against its serial plan. */
+struct PlanCase
 {
-    EXPECT_EQ(a.system, b.system);
-    EXPECT_EQ(a.gpuCount, b.gpuCount);
-    EXPECT_EQ(a.batchPerGpu, b.batchPerGpu);
-    EXPECT_EQ(a.avgIterationLatency, b.avgIterationLatency);
-    EXPECT_EQ(a.throughput, b.throughput);
-    EXPECT_EQ(a.avgSmUtil, b.avgSmUtil);
-    EXPECT_EQ(a.avgBwUtil, b.avgBwUtil);
-    EXPECT_EQ(a.avgGpuBusy, b.avgGpuBusy);
-    EXPECT_EQ(a.p2pBytes, b.p2pBytes);
-    EXPECT_EQ(a.preprocKernelsPerIter, b.preprocKernelsPerIter);
-    EXPECT_EQ(a.predictedExposed, b.predictedExposed);
-    EXPECT_EQ(a.preprocLatencyPerIter, b.preprocLatencyPerIter);
+    const char *name;
+    core::System system;
+    int gpus;
+    int ngramStress;
+    std::int64_t rowWiseThreshold;
+};
+
+/** Names the case in test listings (gtest prints raw bytes otherwise). */
+void
+PrintTo(const PlanCase &c, std::ostream *os)
+{
+    *os << c.name;
 }
 
-TEST(OfflineParallel, PlanOfflineMatchesSerial)
+class OfflineParallel : public ::testing::TestWithParam<PlanCase>
 {
+};
+
+TEST_P(OfflineParallel, PlanOfflineMatchesSerial)
+{
+    const PlanCase &c = GetParam();
     auto plan = preproc::makePlan(1);
-    preproc::addNgramStress(plan, 3328);
+    preproc::addNgramStress(plan, c.ngramStress);
     core::SystemConfig config;
-    config.system = core::System::Rap;
-    config.gpuCount = 8;
+    config.system = c.system;
+    config.gpuCount = c.gpus;
+    config.rowWiseThreshold = c.rowWiseThreshold;
 
     const auto serial = core::planOffline(config, plan, nullptr);
     ThreadPool pool(4);
@@ -90,82 +95,15 @@ TEST(OfflineParallel, PlanOfflineMatchesSerial)
     }
 }
 
-TEST(OfflineParallel, RunReportBitIdenticalAcrossThreadCounts)
-{
-    auto plan = preproc::makePlan(1);
-    preproc::addNgramStress(plan, 3328);
-    core::SystemConfig config;
-    config.system = core::System::Rap;
-    config.gpuCount = 8;
-    config.planningThreads = 1;
-    const auto serial = core::RunRequest(config).run(plan);
-    config.planningThreads = 4;
-    const auto threaded = core::RunRequest(config).run(plan);
-    expectSameReport(serial, threaded);
-}
-
-TEST(OfflineParallel, HybridAndRowWiseSystemsStayDeterministic)
-{
-    auto plan = preproc::makePlan(1);
-    preproc::addNgramStress(plan, 6656);
-    for (const auto system :
-         {core::System::HybridRap, core::System::Rap}) {
-        core::SystemConfig config;
-        config.system = system;
-        config.gpuCount = 4;
-        config.rowWiseThreshold =
-            system == core::System::Rap ? 100000 : 0;
-        config.planningThreads = 1;
-        const auto serial = core::RunRequest(config).run(plan);
-        config.planningThreads = 4;
-        const auto threaded = core::RunRequest(config).run(plan);
-        SCOPED_TRACE(core::systemName(system));
-        expectSameReport(serial, threaded);
-    }
-}
-
-/** Parallel branch-and-bound equals serial on random small DAGs. */
-class SolverThreadsTest : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-TEST_P(SolverThreadsTest, ExactSolverBitIdentical)
-{
-    Rng rng(GetParam());
-    milp::FusionProblem problem;
-    const int n = static_cast<int>(rng.uniformInt(4, 10));
-    for (int i = 0; i < n; ++i) {
-        problem.type.push_back(static_cast<int>(rng.uniformInt(0, 2)));
-        for (int j = 0; j < i; ++j) {
-            if (rng.bernoulli(0.3 / (1.0 + 0.2 * i)))
-                problem.deps.emplace_back(i, j);
-        }
-    }
-
-    milp::SolverOptions serial_options;
-    serial_options.threads = 1;
-    const auto serial =
-        milp::FusionSolver(serial_options).solveExact(problem);
-    if (!serial.optimal) {
-        // Bit-identity is only promised while the node budget holds
-        // (SolverOptions::threads doc); a budget-exhausted instance
-        // can legitimately diverge.
-        GTEST_SKIP() << "node budget exhausted on this instance";
-    }
-
-    for (int threads : {2, 4, 8}) {
-        milp::SolverOptions options;
-        options.threads = threads;
-        const auto parallel =
-            milp::FusionSolver(options).solveExact(problem);
-        EXPECT_EQ(parallel.step, serial.step) << threads << " threads";
-        EXPECT_EQ(parallel.objective, serial.objective);
-        EXPECT_EQ(parallel.optimal, serial.optimal);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomDags, SolverThreadsTest,
-                         ::testing::Range<std::uint64_t>(1, 26));
+INSTANTIATE_TEST_SUITE_P(
+    Systems, OfflineParallel,
+    ::testing::Values(
+        PlanCase{"Rap8Gpus", core::System::Rap, 8, 3328, 0},
+        PlanCase{"HybridRap4Gpus", core::System::HybridRap, 4, 6656, 0},
+        PlanCase{"RapRowWise4Gpus", core::System::Rap, 4, 6656, 100000}),
+    [](const ::testing::TestParamInfo<PlanCase> &param_info) {
+        return std::string(param_info.param.name);
+    });
 
 } // namespace
 } // namespace rap

@@ -190,6 +190,20 @@ TEST(RunReportsGolden, VariantsExerciseTheirPaths)
     EXPECT_EQ(ckpt.recoveries, 1);
     EXPECT_GT(ckpt.checkpointOverhead, 0.0);
 
+    // Checkpoint drains are charged by the recovery composition, not
+    // by the measured iteration latency: every system's checkpointed
+    // run measures the same steady iteration as its plain run.
+    for (auto system :
+         {System::Ideal, System::Rap, System::TorchArrowCpu}) {
+        const auto id = systemId(system);
+        const auto plain = RunRequest(find(id).config).run(plan);
+        const auto armed =
+            RunRequest(find(id + "+checkpoint").config).run(plan);
+        EXPECT_NEAR(armed.avgIterationLatency, plain.avgIterationLatency,
+                    1e-9 * plain.avgIterationLatency)
+            << id;
+    }
+
     auto stressed = preproc::makePlan(0);
     const auto hybrid_case = find("hybrid_rap+ngram_stress");
     hybrid_case.stress(stressed);

@@ -132,34 +132,11 @@ TEST(Validate, RejectsClusterSpecGpuCountMismatch)
     EXPECT_TRUE(config.validate().ok());
 }
 
-TEST(Validate, RejectsNonPositiveDriftThresholdWhenReplanning)
-{
-    SystemConfig config;
-    config.replanOnDrift = true;
-    config.replanDriftThreshold = 0.0;
-    EXPECT_TRUE(
-        hasError(config.validate(), "replanDriftThreshold"));
-
-    // The threshold is ignored while replanning is off.
-    config.replanOnDrift = false;
-    EXPECT_TRUE(config.validate().ok());
-}
-
 TEST(Validate, RejectsNegativeRowWiseThreshold)
 {
     SystemConfig config;
     config.rowWiseThreshold = -1;
     EXPECT_TRUE(hasError(config.validate(), "rowWiseThreshold"));
-}
-
-TEST(Validate, RejectsNegativePlanningThreads)
-{
-    SystemConfig config;
-    config.planningThreads = -2;
-    EXPECT_TRUE(hasError(config.validate(), "planningThreads"));
-
-    config.planningThreads = 0; // 0 = hardware concurrency
-    EXPECT_TRUE(config.validate().ok());
 }
 
 TEST(Validate, AccumulatesEveryProblemAtOnce)
@@ -168,7 +145,7 @@ TEST(Validate, AccumulatesEveryProblemAtOnce)
     config.gpuCount = 0;
     config.batchPerGpu = -1;
     config.iterations = 0;
-    config.planningThreads = -1;
+    config.rowWiseThreshold = -1;
     const auto result = config.validate();
     EXPECT_FALSE(result.ok());
     EXPECT_GE(result.errors().size(), 4u);
@@ -177,7 +154,7 @@ TEST(Validate, AccumulatesEveryProblemAtOnce)
     EXPECT_NE(rendered.find("gpuCount:"), std::string::npos);
     EXPECT_NE(rendered.find("batchPerGpu:"), std::string::npos);
     EXPECT_NE(rendered.find("iterations:"), std::string::npos);
-    EXPECT_NE(rendered.find("planningThreads:"), std::string::npos);
+    EXPECT_NE(rendered.find("rowWiseThreshold:"), std::string::npos);
 }
 
 TEST(RunRequest, BuilderPlumbsEveryField)
@@ -187,9 +164,8 @@ TEST(RunRequest, BuilderPlumbsEveryField)
                             .gpus(4)
                             .batchPerGpu(2048)
                             .iterations(10, 2)
-                            .planningThreads(3)
                             .gpuSubset({4, 5, 6, 7})
-                            .replanOnDrift(true, 0.2)
+                            .replanOnDrift(true)
                             .tracePath("/tmp/trace.json")
                             .metrics(&registry, "test.scope")
                             .build();
@@ -198,10 +174,8 @@ TEST(RunRequest, BuilderPlumbsEveryField)
     EXPECT_EQ(config.batchPerGpu, 2048);
     EXPECT_EQ(config.iterations, 10);
     EXPECT_EQ(config.warmup, 2);
-    EXPECT_EQ(config.planningThreads, 3);
     EXPECT_EQ(config.gpuSubset, (std::vector<int>{4, 5, 6, 7}));
     EXPECT_TRUE(config.replanOnDrift);
-    EXPECT_EQ(config.replanDriftThreshold, 0.2);
     EXPECT_EQ(config.tracePath, "/tmp/trace.json");
     EXPECT_EQ(config.metrics, &registry);
     EXPECT_EQ(config.metricsScope, "test.scope");
