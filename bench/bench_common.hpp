@@ -10,8 +10,6 @@
  *   --tiny            smaller sweep for CI determinism jobs
  *   --trace PATH      Chrome-trace JSON output path (or prefix)
  *   --metrics PATH    deterministic metrics-snapshot JSON output
- *   --bench-json PATH wall-clock timing JSON for the CI perf gate
- *                     (NOT deterministic — never diff it)
  *
  * plus --help. Unknown flags are an error (exit 1) unless the bench
  * opts into allowUnknown() — the google-benchmark mains do, and hand
@@ -27,7 +25,6 @@
 #define RAP_BENCH_COMMON_HPP
 
 #include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
@@ -66,9 +63,6 @@ class ArgParser
                             "Chrome-trace JSON output path/prefix");
         metrics_ = &addString("--metrics", "",
                               "metrics snapshot JSON output path");
-        benchJson_ = &addString(
-            "--bench-json", "",
-            "wall-clock timing JSON output for the CI perf gate");
     }
 
     /** Register a boolean flag; @return its (false-initial) storage. */
@@ -183,7 +177,6 @@ class ArgParser
     bool tiny() const { return *tiny_; }
     const std::string &tracePath() const { return *trace_; }
     const std::string &metricsPath() const { return *metrics_; }
-    const std::string &benchJsonPath() const { return *benchJson_; }
 
     /**
      * @return argv (program name + unconsumed arguments) for handing
@@ -285,7 +278,6 @@ class ArgParser
     bool *tiny_ = nullptr;
     std::string *trace_ = nullptr;
     std::string *metrics_ = nullptr;
-    std::string *benchJson_ = nullptr;
 };
 
 /**
@@ -300,26 +292,13 @@ maybeWriteMetrics(const ArgParser &args,
         obs::writeSnapshot(registry, args.metricsPath());
 }
 
-/**
- * One wall-clock measurement for the CI perf-regression gate
- * (tools/bench_gate.cpp): a stable name, the elapsed milliseconds,
- * and optional work counters giving the number context.
- */
-struct BenchTiming
-{
-    std::string name;
-    double wallMs = 0.0;
-    /** Work items behind the measurement (events, cells, ...). */
-    std::uint64_t items = 0;
-};
-
-/** Monotonic stopwatch for BenchTiming entries. */
+/** Monotonic stopwatch for the `[wall]` stderr lines. */
 class WallTimer
 {
   public:
     WallTimer() : start_(std::chrono::steady_clock::now()) {}
 
-    /** @return Milliseconds since construction (or the last reset). */
+    /** @return Milliseconds since construction. */
     double
     elapsedMs() const
     {
@@ -327,43 +306,9 @@ class WallTimer
         return std::chrono::duration<double, std::milli>(dt).count();
     }
 
-    void reset() { start_ = std::chrono::steady_clock::now(); }
-
   private:
     std::chrono::steady_clock::time_point start_;
 };
-
-/**
- * Write the `rap.bench.v1` wall-clock artifact when the user passed
- * `--bench-json <path>`; no-op otherwise. Wall-clock values are NOT
- * deterministic: this artifact feeds the perf gate and must never be
- * byte-diffed. Deterministic outputs (stdout, --metrics, --report)
- * deliberately carry no wall-clock content.
- */
-inline void
-maybeWriteBenchJson(const ArgParser &args,
-                    const std::vector<BenchTiming> &timings)
-{
-    if (args.benchJsonPath().empty())
-        return;
-    Json root = Json::object();
-    root.set("schema", "rap.bench.v1");
-    Json list = Json::array();
-    for (const auto &t : timings) {
-        Json entry = Json::object();
-        entry.set("name", t.name);
-        entry.set("wall_ms", t.wallMs);
-        entry.set("items", t.items);
-        if (t.wallMs > 0.0) {
-            entry.set("items_per_sec",
-                      static_cast<double>(t.items) /
-                          (t.wallMs / 1e3));
-        }
-        list.push(std::move(entry));
-    }
-    root.set("benchmarks", std::move(list));
-    writeJsonFile(root, args.benchJsonPath());
-}
 
 } // namespace rap::bench
 

@@ -177,6 +177,5 @@ main(int argc, char **argv)
     std::cerr << "[wall] fig09_sweep " << AsciiTable::num(sweep_ms, 1)
               << " ms (" << cells << " cells)\n";
     bench::maybeWriteMetrics(args, registry);
-    bench::maybeWriteBenchJson(args, {{"fig09_sweep", sweep_ms, cells}});
     return 0;
 }

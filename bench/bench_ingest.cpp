@@ -12,9 +12,9 @@
  * transport threads and must never change a byte (the CI determinism
  * job diffs a `--producers 1` run against `--producers 4`).
  *
- * Wall clock goes to stderr and `--bench-json`, including a
- * sharded-vs-mutex counter A/B microbenchmark that justifies the
- * wait-free metric shards (obs/metrics.hpp) on the ingest hot path.
+ * Wall clock goes to stderr only, including a sharded-vs-mutex counter
+ * A/B microbenchmark that justifies the wait-free metric shards
+ * (obs/metrics.hpp) on the ingest hot path.
  *
  * Flags beyond the common set (bench_common.hpp):
  *
@@ -24,7 +24,6 @@
  *                   affects results)
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <mutex>
@@ -93,11 +92,10 @@ us(double seconds)
 /**
  * A/B microbenchmark behind the wait-free metric refactor: the same
  * increment storm against a sharded obs::Counter and a mutex-guarded
- * counter. Wall clock only — results go to stderr / --bench-json.
+ * counter. Wall clock only — results go to stderr.
  */
 void
-counterShowdown(int threads, std::uint64_t incs_per_thread,
-                std::vector<bench::BenchTiming> &timings)
+counterShowdown(int threads, std::uint64_t incs_per_thread)
 {
     const std::uint64_t total =
         static_cast<std::uint64_t>(threads) * incs_per_thread;
@@ -149,8 +147,6 @@ counterShowdown(int threads, std::uint64_t incs_per_thread,
               << AsciiTable::num(sharded_ms, 1) << " ms, counter_mutex "
               << AsciiTable::num(mutex_ms, 1) << " ms (" << threads
               << " threads x " << incs_per_thread << " incs)\n";
-    timings.push_back({"ingest_counter_sharded", sharded_ms, total});
-    timings.push_back({"ingest_counter_mutex", mutex_ms, total});
 }
 
 } // namespace
@@ -171,10 +167,6 @@ main(int argc, char **argv)
         "--producers", 1,
         "transport threads (0 = one per stream; results "
         "byte-identical at any value)");
-    const int &reps =
-        args.addInt("--reps", 1,
-                    "repetitions per point; fastest wall clock wins "
-                    "(results are identical every rep)");
     args.parse(argc, argv);
     const bool tiny = args.tiny();
     obs::MetricRegistry registry;
@@ -201,7 +193,6 @@ main(int argc, char **argv)
                       "dropped", "spilled", "batches", "p50 us",
                       "p95 us", "p99 us", "maxq", "checksum"});
     std::vector<IngestPoint> points;
-    std::vector<bench::BenchTiming> timings;
     for (const auto profile : profiles) {
         for (const auto policy : policies) {
             const auto config = pointConfig(streams, producers, tiny,
@@ -210,24 +201,10 @@ main(int argc, char **argv)
                                    "." +
                                    ingest::backpressurePolicyId(
                                        policy);
-            IngestPoint point{profile, policy, {}};
-            for (int rep = 0; rep < std::max(1, reps); ++rep) {
-                ingest::IngestPipeline pipeline(config);
-                // Instruments only on rep 0, or counters would
-                // accumulate across repetitions.
-                auto report = pipeline.run(
-                    {}, rep == 0 ? metrics : nullptr,
-                    obs::Labels{{"run", id}});
-                if (rep == 0) {
-                    point.report = std::move(report);
-                } else {
-                    RAP_ASSERT(report.checksum ==
-                                   point.report.checksum,
-                               "rep ", rep, " diverged from rep 0");
-                    point.report.wallMs = std::min(
-                        point.report.wallMs, report.wallMs);
-                }
-            }
+            ingest::IngestPipeline pipeline(config);
+            IngestPoint point{
+                profile, policy,
+                pipeline.run({}, metrics, obs::Labels{{"run", id}})};
             const auto &report = point.report;
             std::cerr << "[wall] ingest_" << id << " "
                       << AsciiTable::num(report.wallMs, 1) << " ms ("
@@ -244,18 +221,15 @@ main(int argc, char **argv)
                           us(report.p99),
                           std::to_string(report.maxQueueDepth),
                           hex(report.checksum)});
-            timings.push_back({"ingest_" + id, report.wallMs,
-                               report.events});
             points.push_back(std::move(point));
         }
     }
     std::cout << table.render() << "\n";
     std::cout << "results are byte-identical at any --producers "
-                 "value; wall clock is on stderr / --bench-json\n";
+                 "value; wall clock is on stderr\n";
 
     counterShowdown(/*threads=*/4,
-                    /*incs_per_thread=*/tiny ? 1u << 18 : 1u << 20,
-                    timings);
+                    /*incs_per_thread=*/tiny ? 1u << 18 : 1u << 20);
 
     if (!report_path.empty()) {
         Json artifact = Json::object();
@@ -274,6 +248,5 @@ main(int argc, char **argv)
         writeJsonFile(artifact, report_path);
     }
     bench::maybeWriteMetrics(args, registry);
-    bench::maybeWriteBenchJson(args, timings);
     return 0;
 }

@@ -1,23 +1,14 @@
 /**
  * @file
- * Bounded lock-free queues shared by the parallel DES engine
- * (sim/engine.hpp) and the streaming ingest front-end (src/ingest).
+ * Bounded lock-free single-producer/single-consumer ring for the
+ * streaming ingest front-end (src/ingest).
  *
- * Two flavours:
- *
- *  - SpscQueue: the classic Lamport single-producer/single-consumer
- *    ring. Wait-free on both sides; one producer thread, one consumer
- *    thread, nothing shared but the two indices.
- *  - MpscQueue: a Vyukov-style bounded multi-producer/single-consumer
- *    ring with per-slot sequence numbers. The engine gives every time
- *    zone one MpscQueue inbox, so Z zones cost O(Z) rings instead of
- *    the O(Z^2) an SPSC grid would need at thousand-GPU scale.
- *
- * Both are fixed-capacity (power of two) and fail the push when full —
- * callers own the overflow policy. Consumers needing a stable order
- * across producers must re-sort on a key carried in T; both current
- * users do (the engine re-sorts inbox messages at window barriers, the
- * ingest stager k-way-merges per-stream rings on the event key).
+ * SpscQueue is the classic Lamport ring: wait-free on both sides; one
+ * producer thread, one consumer thread, nothing shared but the two
+ * indices. It is fixed-capacity (power of two) and fails the push
+ * when full, so the caller owns the overflow policy. The ingest
+ * stager k-way-merges its per-stream rings on the event key, which
+ * gives a stable order across producers.
  */
 
 #ifndef RAP_COMMON_LOCKFREE_QUEUE_HPP
@@ -103,93 +94,6 @@ class SpscQueue
     std::size_t mask_;
     alignas(64) std::atomic<std::size_t> head_{0};
     alignas(64) std::atomic<std::size_t> tail_{0};
-};
-
-/**
- * Bounded multi-producer/single-consumer ring (Vyukov bounded queue).
- *
- * Any number of threads may call tryPush concurrently; exactly one
- * thread may call tryPop. Per-producer FIFO order is preserved; the
- * interleaving across producers is whatever the race produced, so
- * consumers needing a stable order must re-sort on a key carried in T.
- */
-template <typename T>
-class MpscQueue
-{
-  public:
-    /** @param capacity Slot count; must be a power of two. */
-    explicit MpscQueue(std::size_t capacity)
-        : slots_(capacity), mask_(capacity - 1)
-    {
-        RAP_ASSERT(isPowerOfTwo(capacity),
-                   "MPSC capacity must be a power of two, got ",
-                   capacity);
-        for (std::size_t i = 0; i < capacity; ++i)
-            slots_[i].sequence.store(i, std::memory_order_relaxed);
-    }
-
-    MpscQueue(const MpscQueue &) = delete;
-    MpscQueue &operator=(const MpscQueue &) = delete;
-
-    /** @return False when the ring is full (item untouched). */
-    bool
-    tryPush(T &&item)
-    {
-        std::size_t pos = head_.load(std::memory_order_relaxed);
-        for (;;) {
-            Slot &slot = slots_[pos & mask_];
-            const std::size_t seq =
-                slot.sequence.load(std::memory_order_acquire);
-            const std::ptrdiff_t diff =
-                static_cast<std::ptrdiff_t>(seq) -
-                static_cast<std::ptrdiff_t>(pos);
-            if (diff == 0) {
-                if (head_.compare_exchange_weak(
-                        pos, pos + 1, std::memory_order_relaxed))
-                    break;
-            } else if (diff < 0) {
-                return false; // full
-            } else {
-                pos = head_.load(std::memory_order_relaxed);
-            }
-        }
-        Slot &slot = slots_[pos & mask_];
-        slot.value = std::move(item);
-        slot.sequence.store(pos + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** @return False when the ring is empty. */
-    bool
-    tryPop(T &out)
-    {
-        const std::size_t pos = tail_;
-        Slot &slot = slots_[pos & mask_];
-        const std::size_t seq =
-            slot.sequence.load(std::memory_order_acquire);
-        const std::ptrdiff_t diff = static_cast<std::ptrdiff_t>(seq) -
-                                    static_cast<std::ptrdiff_t>(pos + 1);
-        if (diff < 0)
-            return false; // empty (or producer mid-write)
-        out = std::move(slot.value);
-        slot.sequence.store(pos + mask_ + 1, std::memory_order_release);
-        tail_ = pos + 1;
-        return true;
-    }
-
-    std::size_t capacity() const { return mask_ + 1; }
-
-  private:
-    struct Slot
-    {
-        std::atomic<std::size_t> sequence{0};
-        T value{};
-    };
-
-    std::vector<Slot> slots_;
-    std::size_t mask_;
-    alignas(64) std::atomic<std::size_t> head_{0};
-    alignas(64) std::size_t tail_ = 0;
 };
 
 } // namespace rap

@@ -12,8 +12,8 @@
  *  - `producers` is the *transport* knob: how many OS threads carry
  *    the streams into the staging consumer. Any producer count yields
  *    byte-identical batches, metrics, and reports — the same contract
- *    the sweep benches' `--jobs` and bench_scale's `--engine-jobs`
- *    keep, and what CI's determinism job diffs for bench_ingest.
+ *    the sweep benches' `--jobs` keeps, and what CI's determinism job
+ *    diffs for bench_ingest.
  */
 
 #ifndef RAP_INGEST_CONFIG_HPP

@@ -50,8 +50,8 @@ struct IngestReport
     Seconds lastReadyAt = 0.0;
     /** FNV-1a digest over per-batch checksums. */
     std::uint64_t checksum = 0;
-    /** Transport wall clock (stderr/bench-json only — NEVER in the
-     *  deterministic report JSON). */
+    /** Transport wall clock (stderr only — NEVER in the deterministic
+     *  report JSON). */
     double wallMs = 0.0;
 
     /** Deterministic fields only (checksum rendered as hex). */

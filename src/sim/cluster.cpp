@@ -68,31 +68,6 @@ Cluster::device(int id) const
 }
 
 void
-Cluster::partitionZones(int zone_count, int jobs)
-{
-    if (zone_count == 0)
-        zone_count = gpuCount();
-    RAP_ASSERT(zone_count >= 1 && zone_count <= gpuCount(),
-               "zone count must be in [1, ", gpuCount(), "], got ",
-               zone_count);
-    // The conservative lookahead is the soonest one device can make
-    // its actions visible to another: the fastest interconnect's
-    // per-message latency.
-    const Seconds lookahead =
-        std::min(spec_.nvlinkLatency, spec_.pcieLatency);
-    engine_.configureZones(zone_count, lookahead, jobs);
-}
-
-int
-Cluster::deviceZone(int id) const
-{
-    RAP_ASSERT(id >= 0 && id < gpuCount(), "device id out of range: ", id);
-    // Contiguous blocks: device d -> zone d * Z / N, matching the
-    // engine's contiguous worker-to-zone assignment.
-    return id * engine_.zoneCount() / gpuCount();
-}
-
-void
 Cluster::setCollectiveBandwidthScale(double scale)
 {
     RAP_ASSERT(scale > 0.0 && scale <= 1.0,
@@ -123,12 +98,6 @@ Cluster::exportMetrics(obs::MetricRegistry &registry,
     }
     registry.counter("sim.engine.events", base)
         .inc(engine_.eventsExecuted());
-    registry.counter("sim.engine.windows", base)
-        .inc(engine_.windowsExecuted());
-    registry.counter("sim.engine.cross_zone_events", base)
-        .inc(engine_.crossZoneEvents());
-    registry.gauge("sim.engine.zones", base)
-        .max(static_cast<double>(engine_.zoneCount()));
     registry.gauge("sim.engine.max_queue_depth", base)
         .max(static_cast<double>(engine_.maxQueueDepth()));
     registry.gauge("sim.engine.end_time_seconds", base)

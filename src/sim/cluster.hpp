@@ -85,21 +85,6 @@ class Cluster
      */
     void setCollectiveBandwidthScale(double scale);
 
-    /**
-     * Partition the node's devices into @p zone_count conservative
-     * time zones executed by @p jobs worker threads (sim/engine.hpp);
-     * the only place a cluster takes a DES worker count.
-     * The lookahead is the minimum interconnect latency of the spec —
-     * the soonest one device can observe another's actions. Must be
-     * called before any work is scheduled; zone_count 0 means one
-     * zone per device. Simulation results are byte-identical at any
-     * job count; only wall-clock changes.
-     */
-    void partitionZones(int zone_count, int jobs);
-
-    /** @return Time zone executing device @p id's events. */
-    int deviceZone(int id) const;
-
     /** Run the simulation until all queued work drains. */
     void run() { engine_.run(); }
 

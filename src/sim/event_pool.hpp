@@ -14,8 +14,8 @@
  * generation, so a stale handle (the ABA hazard of index recycling)
  * is detected instead of silently aliasing a new event.
  *
- * A pool belongs to exactly one time zone and is only touched by the
- * thread currently executing that zone, so it needs no locks.
+ * A pool belongs to exactly one Engine and is only touched by the
+ * thread running that engine, so it needs no locks.
  */
 
 #ifndef RAP_SIM_EVENT_POOL_HPP

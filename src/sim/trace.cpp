@@ -19,8 +19,6 @@ Trace::addSegment(const UtilSegment &segment)
 void
 Trace::addKernel(KernelRecord record)
 {
-    if (!recordKernels_)
-        return;
     kernels_.push_back(std::move(record));
 }
 

@@ -52,14 +52,6 @@ class Trace
     /** Enable/disable segment recording (kernel records always kept). */
     void setRecordSegments(bool on) { recordSegments_ = on; }
 
-    /**
-     * Enable/disable kernel-record keeping. Thousand-GPU scale runs
-     * (bench_scale) switch records off so memory stays bounded by the
-     * live simulation state; Device's counters (kernels retired,
-     * contention stall) are unaffected.
-     */
-    void setRecordKernels(bool on) { recordKernels_ = on; }
-
     /** Append a utilisation segment (called by Device). */
     void addSegment(const UtilSegment &segment);
 
@@ -88,7 +80,6 @@ class Trace
     std::vector<UtilSegment> segments_;
     std::vector<KernelRecord> kernels_;
     bool recordSegments_ = true;
-    bool recordKernels_ = true;
 };
 
 } // namespace rap::sim

@@ -77,6 +77,17 @@ TEST(EngineDeath, SchedulingInThePastPanics)
     EXPECT_DEATH(engine.schedule(1.0, [] {}), "past");
 }
 
+TEST(EngineDeath, RunIsNotReentrant)
+{
+    Engine run_engine;
+    run_engine.schedule(1.0, [&] { run_engine.run(); });
+    EXPECT_DEATH(run_engine.run(), "not reentrant");
+
+    Engine until_engine;
+    until_engine.schedule(1.0, [&] { until_engine.runUntil(2.0); });
+    EXPECT_DEATH(until_engine.run(), "not reentrant");
+}
+
 TEST(SimEvent, FireReleasesWaiters)
 {
     Engine engine;

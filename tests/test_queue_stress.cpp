@@ -1,7 +1,7 @@
 /**
  * @file
- * Concurrency stress tests for the lock-free rings backing cross-zone
- * event handoff (common/lockfree_queue.hpp) plus single-threaded churn on
+ * Concurrency stress tests for the SPSC ring behind the ingest
+ * front-end (common/lockfree_queue.hpp) plus single-threaded churn on
  * the event pool. Registered under the `queue-stress` ctest label: the
  * TSan CI job runs the label explicitly so the memory orderings here
  * are race-checked every PR.
@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -63,116 +62,6 @@ TEST(SpscQueue, TwoThreadStressKeepsFifoOrder)
     producer.join();
     std::uint64_t tail = 0;
     EXPECT_FALSE(queue.tryPop(tail)); // fully drained
-}
-
-TEST(MpscQueue, SingleThreadedFifoAndBounds)
-{
-    MpscQueue<int> queue(8);
-    EXPECT_EQ(queue.capacity(), 8u);
-    int out = 0;
-    EXPECT_FALSE(queue.tryPop(out));
-    for (int i = 0; i < 8; ++i)
-        EXPECT_TRUE(queue.tryPush(std::move(i)));
-    int overflow = 99;
-    EXPECT_FALSE(queue.tryPush(std::move(overflow)));
-    for (int i = 0; i < 8; ++i) {
-        ASSERT_TRUE(queue.tryPop(out));
-        EXPECT_EQ(out, i);
-    }
-    // Indices have wrapped the ring once; it must keep working.
-    for (int round = 0; round < 5; ++round) {
-        for (int i = 0; i < 6; ++i)
-            EXPECT_TRUE(queue.tryPush(i + round));
-        for (int i = 0; i < 6; ++i) {
-            ASSERT_TRUE(queue.tryPop(out));
-            EXPECT_EQ(out, i + round);
-        }
-    }
-}
-
-TEST(MpscQueue, FourProducerStressDeliversEverythingInProducerOrder)
-{
-    // Item encodes (producer, sequence); the consumer checks that no
-    // item is lost or duplicated and that each producer's stream
-    // arrives in order — the exact guarantee the engine's inbox drain
-    // re-sort builds on.
-    constexpr int kProducers = 4;
-    constexpr std::uint64_t kPerProducer = 50000;
-    MpscQueue<std::uint64_t> queue(128);
-    std::atomic<bool> go{false};
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&queue, &go, p] {
-            while (!go.load(std::memory_order_acquire))
-                std::this_thread::yield();
-            for (std::uint64_t i = 0; i < kPerProducer;) {
-                std::uint64_t item =
-                    (static_cast<std::uint64_t>(p) << 32) | i;
-                if (queue.tryPush(std::move(item)))
-                    ++i;
-                else
-                    std::this_thread::yield();
-            }
-        });
-    }
-    go.store(true, std::memory_order_release);
-    std::uint64_t received = 0;
-    std::uint64_t next_seq[kProducers] = {};
-    while (received < kProducers * kPerProducer) {
-        std::uint64_t out = 0;
-        if (!queue.tryPop(out)) {
-            std::this_thread::yield();
-            continue;
-        }
-        const auto producer = static_cast<int>(out >> 32);
-        const std::uint64_t seq = out & 0xffffffffULL;
-        ASSERT_LT(producer, kProducers);
-        ASSERT_EQ(seq, next_seq[producer]); // per-producer FIFO
-        ++next_seq[producer];
-        ++received;
-    }
-    for (auto &thread : producers)
-        thread.join();
-    std::uint64_t tail = 0;
-    EXPECT_FALSE(queue.tryPop(tail));
-    for (int p = 0; p < kProducers; ++p)
-        EXPECT_EQ(next_seq[p], kPerProducer);
-}
-
-TEST(MpscQueue, ProducersContendWithConcurrentDrain)
-{
-    // Tiny ring + big item count: producers constantly hit the full
-    // path while the consumer drains, hammering the sequence-number
-    // handshake from both sides.
-    constexpr int kProducers = 4;
-    constexpr std::uint64_t kPerProducer = 20000;
-    MpscQueue<std::uint64_t> queue(4);
-    std::vector<std::thread> producers;
-    std::atomic<std::uint64_t> pushed{0};
-    for (int p = 0; p < kProducers; ++p) {
-        producers.emplace_back([&queue, &pushed] {
-            for (std::uint64_t i = 0; i < kPerProducer;) {
-                std::uint64_t item = 1;
-                if (queue.tryPush(std::move(item))) {
-                    ++i;
-                    pushed.fetch_add(1, std::memory_order_relaxed);
-                } else {
-                    std::this_thread::yield();
-                }
-            }
-        });
-    }
-    std::uint64_t drained = 0;
-    while (drained < kProducers * kPerProducer) {
-        std::uint64_t out = 0;
-        if (queue.tryPop(out))
-            drained += out;
-        else
-            std::this_thread::yield();
-    }
-    for (auto &thread : producers)
-        thread.join();
-    EXPECT_EQ(drained, pushed.load());
 }
 
 TEST(EventPool, ChurnWithRandomInterleavedLifetimes)
