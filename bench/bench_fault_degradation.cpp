@@ -139,13 +139,13 @@ main(int argc, char **argv)
             config.faults = scenario.faults;
             config.metrics = metrics;
             config.replanOnDrift = false;
-            config.metricsScope =
-                "f" + std::to_string(i) + ".stale";
+            std::string scope = "f";
+            scope += std::to_string(i);
+            config.metricsScope = scope + ".stale";
             const auto stale = core::RunRequest(config).run(plan);
             config.replanOnDrift = true;
             config.replanMapping = true;
-            config.metricsScope =
-                "f" + std::to_string(i) + ".replanned";
+            config.metricsScope = scope + ".replanned";
             const auto replanned = core::RunRequest(config).run(plan);
 
             const Seconds lost = stale.makespan - healthy.makespan;

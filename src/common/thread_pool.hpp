@@ -91,6 +91,23 @@ class ThreadPool
     State *state_ = nullptr; // pimpl: keeps <thread> out of the header
 };
 
+/**
+ * Run @p body(i) for every i in [0, n) on @p pool, or inline in index
+ * order when @p pool is null: the one loop for call sites whose pool
+ * is optional.
+ */
+inline void
+parallelFor(ThreadPool *pool, std::size_t n,
+            const std::function<void(std::size_t)> &body)
+{
+    if (pool == nullptr) {
+        for (std::size_t i = 0; i < n; ++i)
+            body(i);
+        return;
+    }
+    pool->parallelFor(n, body);
+}
+
 } // namespace rap
 
 #endif // RAP_COMMON_THREAD_POOL_HPP

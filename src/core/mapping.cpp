@@ -261,11 +261,7 @@ GraphMapper::mapRap(const std::vector<CapacityProfile> &profiles,
             delta[static_cast<std::size_t>(targets[i])] =
                 price(m, targets[i]);
         };
-        if (pool != nullptr)
-            pool->parallelFor(targets.size(), evaluate);
-        else
-            for (std::size_t i = 0; i < targets.size(); ++i)
-                evaluate(i);
+        parallelFor(pool, targets.size(), evaluate);
     };
 
     std::vector<int> all_gpus(static_cast<std::size_t>(gpus));
@@ -331,11 +327,7 @@ GraphMapper::mapRap(const std::vector<CapacityProfile> &profiles,
                 (i == 0 ? src_new : dst_new) =
                     price(candidate, i == 0 ? src : dst);
             };
-            if (pool != nullptr)
-                pool->parallelFor(2, evaluate);
-            else
-                for (std::size_t i = 0; i < 2; ++i)
-                    evaluate(i);
+            parallelFor(pool, 2, evaluate);
         }
         const Seconds old_worst =
             std::max(delta[static_cast<std::size_t>(src)],

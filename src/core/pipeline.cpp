@@ -778,11 +778,7 @@ OfflinePlanner::schedule(const GraphMapping &mapping,
         }
         schedules[g] = std::move(schedule);
     };
-    if (pool != nullptr)
-        pool->parallelFor(gpu_count, planGpu);
-    else
-        for (std::size_t g = 0; g < gpu_count; ++g)
-            planGpu(g);
+    parallelFor(pool, gpu_count, planGpu);
 }
 
 /**

@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <csignal>
-#include <queue>
 #include <set>
-#include <tuple>
 
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "core/checkpoint.hpp"
 #include "core/run_request.hpp"
 #include "ctrl/catalog.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "serve/slo.hpp"
 #include "sim/cluster.hpp"
@@ -27,50 +24,15 @@ namespace {
  */
 constexpr double kEnvelopeQuantum = 0.05;
 
-/** Scheduler-level instrument labels: policy plus the run scope. */
-obs::Labels
-fleetLabels(const FleetOptions &options)
-{
-    obs::Labels labels;
-    labels.set("policy", policyId(options.placement.policy));
-    if (!options.metricsScope.empty())
-        labels.set("run", options.metricsScope);
-    return labels;
-}
-
-/**
- * Event kinds in processing order at equal timestamps: finishes free
- * capacity before degradations preempt, and both precede arrivals, so
- * a job arriving the instant another finishes sees the freed GPUs.
- */
-enum class EventKind { Finish = 0, Degrade = 1, Arrival = 2 };
-
-struct Event
-{
-    Seconds time = 0.0;
-    EventKind kind = EventKind::Arrival;
-    /** Job id (Arrival/Finish) or fault-event index (Degrade). */
-    int id = 0;
-    /** Finish only: segment generation (stale after preemption). */
-    int generation = 0;
-};
-
-struct EventAfter
-{
-    bool
-    operator()(const Event &a, const Event &b) const
-    {
-        return std::tie(a.time, a.kind, a.id) >
-               std::tie(b.time, b.kind, b.id);
-    }
-};
-
 /** Plan-cache key: the preprocessing plan a job's workload builds. */
 std::string
 planKey(const JobSpec &spec)
 {
-    return "p" + std::to_string(spec.planId) + ".s" +
-           std::to_string(spec.ngramStress);
+    std::string key = "p";
+    key += std::to_string(spec.planId);
+    key += ".s";
+    key += std::to_string(spec.ngramStress);
+    return key;
 }
 
 /** One catalog frame op about @p job; callers append more fields. */
@@ -102,6 +64,9 @@ FleetScheduler::FleetScheduler(std::vector<JobSpec> jobs,
 {
     // Inputs were checked by FleetRequest::validate (fresh runs and
     // resumes alike), so only derived state is built here.
+    labels_.set("policy", policyId(options_.placement.policy));
+    if (!options_.metricsScope.empty())
+        labels_.set("run", options_.metricsScope);
     requestArrivals_.resize(jobs_.size());
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
         if (jobs_[j].kind != JobKind::Inference)
@@ -168,9 +133,26 @@ FleetScheduler::memoKey(const JobSpec &spec,
             std::llround(share / kEnvelopeQuantum)));
     };
     std::string key = spec.variantKey();
-    for (const auto &env : envelopes)
-        key += "|" + grid(env.sm) + "," + grid(env.bw);
+    for (const auto &env : envelopes) {
+        key += '|';
+        key += grid(env.sm);
+        key += ',';
+        key += grid(env.bw);
+    }
     return key;
+}
+
+core::SystemConfig
+FleetScheduler::jobConfig(const JobSpec &spec) const
+{
+    auto config = makeJobConfig(spec);
+    // Inner simulations are memoised and must stay byte-identical
+    // whether or not the fleet run is instrumented: never hand them
+    // the scheduler's registry.
+    config.metrics = nullptr;
+    config.clusterSpec =
+        sim::subsetSpec(options_.node, spec.gpusRequested);
+    return config;
 }
 
 core::RunReport
@@ -182,22 +164,12 @@ FleetScheduler::simulate(const JobSpec &spec, const Placement &placement,
     if (!tracing) {
         const auto it = memo_.find(key);
         if (it != memo_.end()) {
-            if (options_.metrics != nullptr) {
-                options_.metrics
-                    ->counter("fleet.memo.hit", fleetLabels(options_))
-                    .inc();
-            }
+            count("fleet.memo.hit");
             return it->second;
         }
     }
 
-    auto config = makeJobConfig(spec);
-    // Inner simulations are memoised and must stay byte-identical
-    // whether or not the fleet run is instrumented: never hand them
-    // the scheduler's registry.
-    config.metrics = nullptr;
-    config.clusterSpec =
-        sim::subsetSpec(options_.node, spec.gpusRequested);
+    auto config = jobConfig(spec);
     config.gpuSubset = placement.gpuIds;
     if (!wholeDevices(placement))
         config.envelopes = placement.envelopes;
@@ -211,11 +183,7 @@ FleetScheduler::simulate(const JobSpec &spec, const Placement &placement,
         core::RunRequest(config).run(planCache_.at(planKey(spec)));
     ++report_.simulationsRun;
     memo_[key] = report;
-    if (options_.metrics != nullptr) {
-        options_.metrics
-            ->counter("fleet.memo.miss", fleetLabels(options_))
-            .inc();
-    }
+    count("fleet.memo.miss");
     return report;
 }
 
@@ -239,12 +207,11 @@ FleetScheduler::replayServe(const JobSpec &spec,
 void
 FleetScheduler::precomputeReferences()
 {
-    obs::Span span(options_.metrics, "fleet.precompute",
-                   fleetLabels(options_));
+    obs::Span span(options_.metrics, "fleet.precompute", labels_);
     // One exclusive whole-device reference run per distinct workload
     // variant: it yields both the demand estimate placement reserves
     // (mean SM/BW utilisation) and the healthy-exclusive service time.
-    // The fan-out over the pool is a submission-indexed parallelMap,
+    // Each run of the fan-out writes its own submission-indexed slot,
     // so results are bit-identical at any thread count.
     std::vector<std::size_t> unique_jobs;
     std::set<std::string> seen;
@@ -256,26 +223,13 @@ FleetScheduler::precomputeReferences()
             planCache_.emplace(plan_key, buildJobPlan(jobs_[j]));
     }
 
-    auto referenceRun = [&](std::size_t u) {
+    count("fleet.reference_sims", unique_jobs.size());
+    std::vector<core::RunReport> references(unique_jobs.size());
+    parallelFor(pool_, unique_jobs.size(), [&](std::size_t u) {
         const auto &spec = jobs_[unique_jobs[u]];
-        auto config = makeJobConfig(spec);
-        config.clusterSpec =
-            sim::subsetSpec(options_.node, spec.gpusRequested);
-        return core::RunRequest(config).run(planCache_.at(planKey(spec)));
-    };
-    if (options_.metrics != nullptr) {
-        options_.metrics
-            ->counter("fleet.reference_sims", fleetLabels(options_))
-            .inc(unique_jobs.size());
-    }
-    std::vector<core::RunReport> references;
-    if (pool_ != nullptr && pool_->threadCount() > 1) {
-        references = pool_->parallelMap<core::RunReport>(
-            unique_jobs.size(), referenceRun);
-    } else {
-        for (std::size_t u = 0; u < unique_jobs.size(); ++u)
-            references.push_back(referenceRun(u));
-    }
+        references[u] = core::RunRequest(jobConfig(spec))
+                            .run(planCache_.at(planKey(spec)));
+    });
 
     std::map<std::string, DemandEstimate> demand_by_key;
     for (std::size_t u = 0; u < unique_jobs.size(); ++u) {
@@ -324,476 +278,450 @@ FleetScheduler::applyReservation(const JobSpec &spec,
 void
 FleetScheduler::accumulateBusy(Seconds until)
 {
-    int occupied = 0;
-    for (const auto &gpu : gpus_) {
-        if (gpu.residents > 0)
-            ++occupied;
-    }
+    const auto occupied =
+        std::count_if(gpus_.begin(), gpus_.end(),
+                      [](const GpuState &gpu) { return gpu.residents > 0; });
     report_.busyGpuSeconds +=
         static_cast<double>(occupied) * (until - lastBusyUpdate_);
     lastBusyUpdate_ = until;
 }
 
+void
+FleetScheduler::count(const char *name, std::uint64_t delta)
+{
+    if (options_.metrics != nullptr)
+        options_.metrics->counter(name, labels_).inc(delta);
+}
+
+void
+FleetScheduler::logOp(Json op)
+{
+    if (options_.catalog != nullptr)
+        frameOps_.push(std::move(op));
+}
+
+Seconds
+FleetScheduler::restartCharge(const QueuedJob &queued) const
+{
+    // A resumed segment pays the process-restart latency before any
+    // useful iteration runs (restore cost is already inside the job's
+    // composed makespan when it checkpoints).
+    return queued.requeues > 0 ? options_.restartOverhead : 0.0;
+}
+
+void
+FleetScheduler::markFinished(std::size_t ji, Seconds now)
+{
+    // Stamp a finished job's fleet-clock lifecycle into its report.
+    auto &outcome = report_.jobs[ji];
+    outcome.finish = now;
+    outcome.report.submittedAt = jobs_[ji].arrival;
+    outcome.report.startedAt = outcome.firstStart;
+    outcome.report.finishedAt = now;
+    logOp(jobOp("finish", jobs_[ji].id));
+}
+
+void
+FleetScheduler::attachCatalog()
+{
+    // A fresh catalog gets the genesis record committed before any
+    // event takes effect; a catalog that already holds one switches
+    // this run into resume mode — the loop re-executes every frame
+    // from event zero and byte-verifies the recomputed transactions
+    // against the durable prefix instead of re-committing them.
+    if (options_.catalog == nullptr)
+        return;
+    const Json genesis = genesisTransaction();
+    if (options_.catalog->state().hasGenesis()) {
+        durableLsn_ = options_.catalog->state().lastLsn;
+        RAP_ASSERT(options_.catalog->state().genesis.dump() ==
+                       ctrl::Catalog::serializeTransaction(genesis, 1),
+                   "catalog genesis does not match this run's trace and "
+                   "options — resuming a different run?");
+    } else {
+        options_.catalog->commit(genesis);
+    }
+}
+
+void
+FleetScheduler::startSegment(const QueuedJob &queued, Placement placement,
+                             Seconds now)
+{
+    const auto ji = static_cast<std::size_t>(queued.jobId);
+    const auto &spec = jobs_[ji];
+    auto &outcome = report_.jobs[ji];
+    placement = quantised(std::move(placement));
+    const auto report = simulate(spec, placement, outcome.placements);
+    const Seconds charge = restartCharge(queued);
+    RunningJob running;
+    Seconds duration = 0.0;
+    if (spec.kind == JobKind::Inference) {
+        // A serving segment runs until its request trace drains: the
+        // batch replay on this envelope's service model sets both the
+        // per-request latencies and the finish time.
+        running.replay = replayServe(spec, report, now + charge);
+        duration = std::max(running.replay.lastCompletion - now, charge);
+    } else {
+        duration = queued.remainingFraction * report.makespan + charge;
+    }
+    applyReservation(spec, placement, +1);
+    running.placement = placement;
+    running.segmentStart = now;
+    running.segmentDuration = duration;
+    running.restartCharge = charge;
+    running.remainingAtStart = queued.remainingFraction;
+    running.generation = outcome.placements;
+    running_[queued.jobId] = running;
+    // The placement-decision record: granted devices plus the exact
+    // (quantised) envelope reservation the job holds.
+    Json op = jobOp("place", spec.id);
+    op.set("segment", Json(running.generation));
+    op.set("start", Json(now));
+    op.set("duration", Json(duration));
+    op.set("remaining", Json(queued.remainingFraction));
+    op.set("placement", placement.toJson());
+    logOp(std::move(op));
+    count("fleet.placements");
+    if (options_.metrics != nullptr) {
+        obs::Labels seg_labels = labels_;
+        seg_labels.set("job", std::to_string(spec.id));
+        options_.metrics->recordSimSpan("fleet.segment", seg_labels, now,
+                                        now + duration);
+    }
+    ++outcome.placements;
+    if (outcome.firstStart < 0.0)
+        outcome.firstStart = now;
+    outcome.requeues = queued.requeues;
+    outcome.lastGpus = placement.gpuIds;
+    outcome.demand = demand_[ji];
+    outcome.report = report;
+    events_.push({now + duration, EventKind::Finish, queued.jobId,
+                  running.generation});
+}
+
+bool
+FleetScheduler::sloRejects(const QueuedJob &queued,
+                           const Placement &placement, Seconds now)
+{
+    // SLO admission gate: project the serving replay on the candidate
+    // envelope; a placement whose projected tail latency violates the
+    // SLO is skipped — the job stays queued and is re-planned on a
+    // later scan, exactly like a degraded training job. Whole-device
+    // grants are never gated (nothing shares them), and the final
+    // relaxed scan bypasses the gate so the fleet always drains.
+    const auto ji = static_cast<std::size_t>(queued.jobId);
+    const auto &spec = jobs_[ji];
+    const auto candidate = quantised(placement);
+    if (spec.kind != JobKind::Inference || wholeDevices(candidate))
+        return false;
+    const auto projection =
+        simulate(spec, candidate, report_.jobs[ji].placements);
+    const auto replay =
+        replayServe(spec, projection, now + restartCharge(queued));
+    if (replay.latencies.empty() ||
+        rap::p99(replay.latencies) <= spec.sloLatency)
+        return false;
+    count("fleet.slo_rejections");
+    return true;
+}
+
+void
+FleetScheduler::placeScan(Seconds now, const PlacementOptions &opts,
+                          bool enforce_slo)
+{
+    std::size_t i = 0;
+    while (i < queue_.size()) {
+        const auto &queued = queue_.jobs()[i];
+        const auto ji = static_cast<std::size_t>(queued.jobId);
+        const auto placement = placeJob(
+            opts, gpus_, jobs_[ji].gpusRequested, demand_[ji]);
+        if (!placement ||
+            (enforce_slo && sloRejects(queued, *placement, now))) {
+            ++i; // backfill: later jobs may still fit
+            continue;
+        }
+        startSegment(queue_.take(i), *placement, now);
+    }
+}
+
+void
+FleetScheduler::onArrival(const Event &event)
+{
+    queue_.push({event.id, 1.0, event.time, 0});
+    logOp(jobOp("admit", event.id));
+}
+
+void
+FleetScheduler::onFinish(const Event &event)
+{
+    const auto it = running_.find(event.id);
+    if (it == running_.end() || it->second.generation != event.generation)
+        return; // stale: the segment was preempted
+    const auto ji = static_cast<std::size_t>(event.id);
+    const auto &spec = jobs_[ji];
+    auto &outcome = report_.jobs[ji];
+    outcome.serviceTime += it->second.segmentDuration;
+    markFinished(ji, event.time);
+    if (spec.kind == JobKind::Inference) {
+        const auto &replay = it->second.replay;
+        outcome.serve = serve::computeSloStats(
+            replay.latencies, replay.batchSizes.size(), spec.sloLatency);
+        pooledLatencies_.insert(pooledLatencies_.end(),
+                                replay.latencies.begin(),
+                                replay.latencies.end());
+        count("serve.requests", outcome.serve->requests);
+        count("serve.batches", outcome.serve->batches);
+        count("serve.slo_attained", outcome.serve->attained);
+        if (options_.metrics != nullptr) {
+            // Bucket edges span the sub-millisecond service floor up
+            // to SLO-busting tails (100 us .. 100 ms).
+            static const std::vector<double> kLatencyEdges{
+                0.0001, 0.0002, 0.0005, 0.001, 0.002,
+                0.005,  0.01,   0.02,   0.05,  0.1};
+            auto &latency_hist = options_.metrics->histogram(
+                "serve.request_latency_seconds", kLatencyEdges, labels_);
+            for (Seconds latency : replay.latencies)
+                latency_hist.observe(latency);
+            static const std::vector<double> kBatchEdges{
+                1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0};
+            auto &batch_hist = options_.metrics->histogram(
+                "serve.batch_size", kBatchEdges, labels_);
+            for (int batch : replay.batchSizes)
+                batch_hist.observe(static_cast<double>(batch));
+        }
+    }
+    applyReservation(spec, it->second.placement, -1);
+    running_.erase(it);
+}
+
+void
+FleetScheduler::onDegrade(const Event &event)
+{
+    const auto &fault =
+        options_.faults.events[static_cast<std::size_t>(event.id)];
+    const bool crash = fault.kind == sim::FaultKind::DeviceCrash;
+    const int first = fault.device < 0 ? 0 : fault.device;
+    const int last =
+        fault.device < 0 ? options_.node.gpuCount - 1 : fault.device;
+    for (int g = first; g <= last; ++g) {
+        auto &gpu = gpus_[static_cast<std::size_t>(g)];
+        if (crash) {
+            gpu.alive = false;
+        } else if (fault.kind == sim::FaultKind::SmDegrade) {
+            // Degradations compose by min: plain assignment let a
+            // later, milder fault *raise* an already worse device back
+            // to stale healthier capacity, which admission would then
+            // happily fill.
+            gpu.healthSm = std::min(gpu.healthSm, fault.factor);
+        } else {
+            gpu.healthBw = std::min(gpu.healthBw, fault.factor);
+        }
+    }
+    Json op = Json::object();
+    op.set("op", Json("fault"));
+    op.set("fault", Json(sim::faultKindId(fault.kind)));
+    op.set("device", Json(fault.device));
+    op.set("factor", Json(fault.factor));
+    logOp(std::move(op));
+    // Preempt every job resident on an affected GPU — including
+    // co-located survivors sharing a crashed device — highest id
+    // first, so the lowest id ends up frontmost in the queue.
+    std::vector<int> affected;
+    for (const auto &[job_id, running] : running_) {
+        const auto &ids = running.placement.gpuIds;
+        if (std::any_of(ids.begin(), ids.end(), [first, last](int id) {
+                return id >= first && id <= last;
+            }))
+            affected.push_back(job_id);
+    }
+    for (auto it = affected.rbegin(); it != affected.rend(); ++it)
+        preempt(*it, event.time, crash);
+}
+
+void
+FleetScheduler::preempt(int job_id, Seconds now, bool crash)
+{
+    // Credit the last *durable* fraction, requeue at the front, and
+    // let the placement scan re-place — and thereby replan — the job
+    // against the surviving envelopes.
+    const auto ji = static_cast<std::size_t>(job_id);
+    const auto &running = running_.at(job_id);
+    const auto &spec = jobs_[ji];
+    auto &outcome = report_.jobs[ji];
+    const Seconds elapsed = now - running.segmentStart;
+    // Fraction of this segment's *work* completed; the restart charge
+    // at its head advances nothing.
+    const Seconds work_time =
+        running.segmentDuration - running.restartCharge;
+    const double per =
+        work_time > 0.0
+            ? std::clamp((elapsed - running.restartCharge) / work_time,
+                         0.0, 1.0)
+            : 1.0;
+    // Progress only survives preemption once a checkpoint seals it:
+    // round the completed fraction down to the last checkpoint
+    // boundary. A job that never checkpoints has no durable point and
+    // restarts from scratch — crediting the raw elapsed fraction would
+    // resume from state nobody saved.
+    const double before = 1.0 - running.remainingAtStart;
+    const double progress = before + running.remainingAtStart * per;
+    double durable = 0.0;
+    if (spec.checkpointInterval > 0) {
+        const double chk_frac =
+            static_cast<double>(spec.checkpointInterval) /
+            static_cast<double>(spec.iterations);
+        durable = std::min(
+            progress, std::floor(progress / chk_frac + 1e-9) * chk_frac);
+    }
+    if (durable > lastDurable_[ji]) {
+        // The durable fraction advanced: seal a manifest so the
+        // catalog records exactly which checkpoint the requeued job
+        // restarts from.
+        core::CheckpointManifest manifest;
+        manifest.jobId = spec.id;
+        manifest.sequence = sealCount_[ji]++;
+        manifest.fraction = durable;
+        manifest.sealedAt = now;
+        manifest.segment = running.generation;
+        lastDurable_[ji] = durable;
+        Json op = jobOp("seal", spec.id);
+        op.set("manifest", manifest.toJson());
+        logOp(std::move(op));
+    }
+    // The segment slice that advanced the job from `before` to
+    // `durable` is kept; everything else it ran here — volatile
+    // iterations plus the restart charge — is lost and will be re-run.
+    const Seconds credited =
+        running.remainingAtStart > 0.0
+            ? std::max(0.0, durable - before) / running.remainingAtStart *
+                  work_time
+            : elapsed;
+    outcome.lostWork += std::max(0.0, elapsed - credited);
+    outcome.serviceTime += elapsed;
+    if (crash)
+        ++outcome.crashRequeues;
+    const QueuedJob queued{job_id, 1.0 - durable, now,
+                           outcome.requeues + 1};
+    applyReservation(spec, running.placement, -1);
+    running_.erase(job_id);
+    if (queued.remainingFraction <= 0.0) {
+        // Preempted at the exact finish instant with every iteration
+        // sealed: done.
+        markFinished(ji, now);
+        return;
+    }
+    queue_.pushFront(queued);
+    Json op = jobOp("preempt", job_id);
+    op.set("remaining", Json(queued.remainingFraction));
+    logOp(std::move(op));
+    count("fleet.requeues");
+    if (crash)
+        count("fleet.crash_requeues");
+}
+
+void
+FleetScheduler::scanQueue(Seconds now)
+{
+    if (options_.metrics != nullptr) {
+        // Pre-scan depth: the backlog this event left to admit.
+        options_.metrics->gauge("fleet.queue.max_depth", labels_)
+            .max(static_cast<double>(queue_.size()));
+    }
+    placeScan(now, options_.placement, /*enforce_slo=*/true);
+    if (events_.empty() && running_.empty() && !queue_.empty()) {
+        // Every remaining event has drained but jobs are still queued:
+        // the cluster is idle yet no GPU passes the admission bar
+        // (e.g. degraded below minEnvelope). Relax the co-location
+        // guards so the fleet always drains.
+        auto relaxed = options_.placement;
+        relaxed.minEnvelope = 0.0;
+        relaxed.headroom = 1.0;
+        count("fleet.relaxed_scans");
+        placeScan(now, relaxed, /*enforce_slo=*/false);
+        RAP_ASSERT(queue_.empty() || !running_.empty(),
+                   "fleet deadlock: ", queue_.size(),
+                   " jobs unplaceable on an idle cluster");
+    }
+    if (options_.metrics != nullptr) {
+        // Post-scan depth: jobs the policy could not admit yet.
+        options_.metrics->series("fleet.queue_depth", labels_)
+            .append(now, static_cast<double>(queue_.size()));
+    }
+}
+
+bool
+FleetScheduler::commitFrame(const Event &event)
+{
+    if (options_.catalog == nullptr)
+        return false;
+    Json txn = Json::object();
+    txn.set("kind", Json("frame"));
+    txn.set("frame", Json(frame_));
+    txn.set("time", Json(event.time));
+    Json ev = Json::object();
+    ev.set("kind", Json(static_cast<int>(event.kind)));
+    ev.set("id", Json(event.id));
+    ev.set("generation", Json(event.generation));
+    txn.set("event", std::move(ev));
+    txn.set("ops", std::move(frameOps_));
+    const auto lsn = static_cast<std::uint64_t>(frame_) + 2;
+    if (lsn <= durableLsn_) {
+        // This frame was durable before the crash; the resumed loop
+        // must recompute it bit-for-bit. Compacted frames left no
+        // bytes to compare — the recovered WAL tail did.
+        const auto &tail = options_.catalog->recoveredTail();
+        const auto it = tail.find(lsn);
+        RAP_ASSERT(it == tail.end() ||
+                       ctrl::Catalog::serializeTransaction(txn, lsn) ==
+                           it->second,
+                   "resume diverged from the committed WAL at frame ",
+                   frame_);
+    } else {
+        // Commit-before-effect: the record is in the log (and fsync'd
+        // when configured) before the loop moves past this event — a
+        // kill here replays the frame, never invents or loses one.
+        options_.catalog->commit(std::move(txn));
+    }
+    ++frame_;
+    if (options_.stopAfterEvents <= 0 ||
+        frame_ < options_.stopAfterEvents || events_.empty())
+        return false;
+    if (options_.stopMode == StopMode::HardKill) {
+        // The deterministic "power cut" the resume gate exercises: no
+        // destructors, no flushes, exit code 137.
+        std::raise(SIGKILL);
+    }
+    stopped_ = true;
+    report_.catalogDegraded = options_.catalog->degraded();
+    return true;
+}
+
 FleetReport
 FleetScheduler::run()
 {
-    obs::Span run_span(options_.metrics, "fleet.run",
-                      fleetLabels(options_));
+    obs::Span run_span(options_.metrics, "fleet.run", labels_);
     precomputeReferences();
-
-    // Catalog attachment. A fresh catalog gets the genesis record
-    // committed before any event takes effect; a catalog that already
-    // holds one switches this run into resume mode — the loop
-    // re-executes every frame from event zero and byte-verifies the
-    // recomputed transactions against the durable prefix instead of
-    // re-committing them.
-    std::uint64_t durable_lsn = 0;
-    if (options_.catalog != nullptr) {
-        const Json genesis = genesisTransaction();
-        if (options_.catalog->state().hasGenesis()) {
-            durable_lsn = options_.catalog->state().lastLsn;
-            RAP_ASSERT(
-                options_.catalog->state().genesis.dump() ==
-                    ctrl::Catalog::serializeTransaction(genesis, 1),
-                "catalog genesis does not match this run's trace and "
-                "options — resuming a different run?");
-        } else {
-            options_.catalog->commit(genesis);
-        }
-    }
-    const bool logging = options_.catalog != nullptr;
-    Json frame_ops = Json::array();
-    std::int64_t frame = 0;
-
-    std::priority_queue<Event, std::vector<Event>, EventAfter> events;
+    attachCatalog();
     for (const auto &spec : jobs_)
-        events.push({spec.arrival, EventKind::Arrival, spec.id, 0});
+        events_.push({spec.arrival, EventKind::Arrival, spec.id, 0});
     for (std::size_t e = 0; e < options_.faults.events.size(); ++e) {
-        events.push({options_.faults.events[e].time, EventKind::Degrade,
-                     static_cast<int>(e), 0});
+        events_.push({options_.faults.events[e].time, EventKind::Degrade,
+                      static_cast<int>(e), 0});
     }
-
-    // Stamp a finished job's fleet-clock lifecycle into its report.
-    auto markFinished = [this](std::size_t ji, Seconds now) {
-        auto &outcome = report_.jobs[ji];
-        outcome.finish = now;
-        outcome.report.submittedAt = jobs_[ji].arrival;
-        outcome.report.startedAt = outcome.firstStart;
-        outcome.report.finishedAt = now;
-    };
-
-    auto startSegment = [&](QueuedJob queued, Placement placement,
-                            Seconds now) {
-        const auto ji = static_cast<std::size_t>(queued.jobId);
-        const auto &spec = jobs_[ji];
-        auto &outcome = report_.jobs[ji];
-        placement = quantised(std::move(placement));
-        const auto report =
-            simulate(spec, placement, outcome.placements);
-        // A resumed segment pays the process-restart latency before
-        // any useful iteration runs (restore cost is already inside
-        // the job's composed makespan when it checkpoints).
-        const Seconds charge =
-            queued.requeues > 0 ? options_.restartOverhead : 0.0;
-        RunningJob running;
-        Seconds duration = 0.0;
-        if (spec.kind == JobKind::Inference) {
-            // A serving segment runs until its request trace drains:
-            // the batch replay on this envelope's service model sets
-            // both the per-request latencies and the finish time.
-            running.replay = replayServe(spec, report, now + charge);
-            duration =
-                std::max(running.replay.lastCompletion - now, charge);
-        } else {
-            duration = queued.remainingFraction * report.makespan +
-                       charge;
-        }
-        applyReservation(spec, placement, +1);
-        running.placement = placement;
-        running.segmentStart = now;
-        running.segmentDuration = duration;
-        running.restartCharge = charge;
-        running.remainingAtStart = queued.remainingFraction;
-        running.generation = outcome.placements;
-        running_[queued.jobId] = running;
-        if (logging) {
-            // The placement-decision record: granted devices plus the
-            // exact (quantised) envelope reservation the job holds.
-            Json op = jobOp("place", spec.id);
-            op.set("segment", Json(running.generation));
-            op.set("start", Json(now));
-            op.set("duration", Json(duration));
-            op.set("remaining", Json(queued.remainingFraction));
-            op.set("placement", placement.toJson());
-            frame_ops.push(std::move(op));
-        }
-        if (options_.metrics != nullptr) {
-            options_.metrics
-                ->counter("fleet.placements", fleetLabels(options_))
-                .inc();
-            obs::Labels seg_labels = fleetLabels(options_);
-            seg_labels.set("job", std::to_string(spec.id));
-            options_.metrics->recordSimSpan(
-                "fleet.segment", seg_labels, now, now + duration);
-        }
-        ++outcome.placements;
-        if (outcome.firstStart < 0.0)
-            outcome.firstStart = now;
-        outcome.requeues = queued.requeues;
-        outcome.lastGpus = placement.gpuIds;
-        outcome.demand = demand_[ji];
-        outcome.report = report;
-        events.push({now + duration, EventKind::Finish, queued.jobId,
-                     running.generation});
-    };
-
-    auto placeScan = [&](Seconds now, const PlacementOptions &opts,
-                         bool enforce_slo) {
-        std::size_t i = 0;
-        while (i < queue_.size()) {
-            const auto &queued = queue_.jobs()[i];
-            const auto ji = static_cast<std::size_t>(queued.jobId);
-            const auto &spec = jobs_[ji];
-            const auto placement = placeJob(
-                opts, gpus_, spec.gpusRequested, demand_[ji]);
-            if (!placement) {
-                ++i; // backfill: later jobs may still fit
-                continue;
-            }
-            if (enforce_slo && spec.kind == JobKind::Inference) {
-                // SLO admission gate: project the serving replay on
-                // the candidate envelope; a placement whose projected
-                // tail latency violates the SLO is skipped — the job
-                // stays queued and is re-planned on a later scan,
-                // exactly like a degraded training job. Whole-device
-                // grants are never gated (nothing shares them), and
-                // the final relaxed scan bypasses the gate so the
-                // fleet always drains.
-                const auto candidate = quantised(*placement);
-                if (!wholeDevices(candidate)) {
-                    const auto projection = simulate(
-                        spec, candidate, report_.jobs[ji].placements);
-                    const Seconds charge =
-                        queued.requeues > 0 ? options_.restartOverhead
-                                            : 0.0;
-                    const auto replay =
-                        replayServe(spec, projection, now + charge);
-                    if (!replay.latencies.empty() &&
-                        rap::p99(replay.latencies) > spec.sloLatency) {
-                        if (options_.metrics != nullptr) {
-                            options_.metrics
-                                ->counter("fleet.slo_rejections",
-                                          fleetLabels(options_))
-                                .inc();
-                        }
-                        ++i;
-                        continue;
-                    }
-                }
-            }
-            startSegment(queue_.take(i), *placement, now);
-        }
-    };
-
-    while (!events.empty()) {
-        const Event event = events.top();
-        events.pop();
-        frame_ops = Json::array();
+    while (!events_.empty()) {
+        const Event event = events_.top();
+        events_.pop();
+        frameOps_ = Json::array();
         accumulateBusy(event.time);
-        switch (event.kind) {
-          case EventKind::Arrival: {
-            queue_.push({event.id, 1.0, event.time, 0});
-            if (logging)
-                frame_ops.push(jobOp("admit", event.id));
-            break;
-          }
-          case EventKind::Finish: {
-            const auto it = running_.find(event.id);
-            if (it == running_.end() ||
-                it->second.generation != event.generation) {
-                break; // stale: the segment was preempted
-            }
-            const auto ji = static_cast<std::size_t>(event.id);
-            auto &outcome = report_.jobs[ji];
-            outcome.serviceTime += it->second.segmentDuration;
-            markFinished(ji, event.time);
-            if (jobs_[ji].kind == JobKind::Inference) {
-                const auto &replay = it->second.replay;
-                outcome.serve = serve::computeSloStats(
-                    replay.latencies, replay.batchSizes.size(),
-                    jobs_[ji].sloLatency);
-                pooledLatencies_.insert(pooledLatencies_.end(),
-                                        replay.latencies.begin(),
-                                        replay.latencies.end());
-                if (options_.metrics != nullptr) {
-                    const auto labels = fleetLabels(options_);
-                    options_.metrics->counter("serve.requests", labels)
-                        .inc(outcome.serve->requests);
-                    options_.metrics->counter("serve.batches", labels)
-                        .inc(outcome.serve->batches);
-                    options_.metrics
-                        ->counter("serve.slo_attained", labels)
-                        .inc(outcome.serve->attained);
-                    // Bucket edges span the sub-millisecond service
-                    // floor up to SLO-busting tails (100 us .. 100 ms).
-                    static const std::vector<double> kLatencyEdges{
-                        0.0001, 0.0002, 0.0005, 0.001, 0.002, 0.005,
-                        0.01,   0.02,   0.05,   0.1};
-                    auto &latency_hist = options_.metrics->histogram(
-                        "serve.request_latency_seconds", kLatencyEdges,
-                        labels);
-                    for (Seconds latency : replay.latencies)
-                        latency_hist.observe(latency);
-                    static const std::vector<double> kBatchEdges{
-                        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
-                        256.0};
-                    auto &batch_hist = options_.metrics->histogram(
-                        "serve.batch_size", kBatchEdges, labels);
-                    for (int batch : replay.batchSizes)
-                        batch_hist.observe(static_cast<double>(batch));
-                }
-            }
-            applyReservation(jobs_[ji], it->second.placement, -1);
-            running_.erase(it);
-            if (logging)
-                frame_ops.push(jobOp("finish", event.id));
-            break;
-          }
-          case EventKind::Degrade: {
-            const auto &fault =
-                options_.faults
-                    .events[static_cast<std::size_t>(event.id)];
-            const bool crash =
-                fault.kind == sim::FaultKind::DeviceCrash;
-            const int first = fault.device < 0 ? 0 : fault.device;
-            const int last = fault.device < 0
-                                 ? options_.node.gpuCount - 1
-                                 : fault.device;
-            for (int g = first; g <= last; ++g) {
-                auto &gpu = gpus_[static_cast<std::size_t>(g)];
-                if (crash) {
-                    gpu.alive = false;
-                } else if (fault.kind == sim::FaultKind::SmDegrade) {
-                    // Degradations compose by min: plain assignment
-                    // let a later, milder fault *raise* an already
-                    // worse device back to stale healthier capacity,
-                    // which admission would then happily fill.
-                    gpu.healthSm = std::min(gpu.healthSm, fault.factor);
-                } else {
-                    gpu.healthBw = std::min(gpu.healthBw, fault.factor);
-                }
-            }
-            if (logging) {
-                Json op = Json::object();
-                op.set("op", Json("fault"));
-                op.set("fault", Json(sim::faultKindId(fault.kind)));
-                op.set("device", Json(fault.device));
-                op.set("factor", Json(fault.factor));
-                frame_ops.push(std::move(op));
-            }
-            // Preempt every job resident on an affected GPU —
-            // including co-located survivors sharing a crashed
-            // device: credit the last *durable* fraction, requeue at
-            // the front (highest id first, so the lowest id ends up
-            // frontmost), and let the placement scan re-place — and
-            // thereby replan — it against the surviving envelopes.
-            std::vector<int> affected;
-            for (const auto &[job_id, running] : running_) {
-                for (int id : running.placement.gpuIds) {
-                    if (id >= first && id <= last) {
-                        affected.push_back(job_id);
-                        break;
-                    }
-                }
-            }
-            for (auto it = affected.rbegin(); it != affected.rend();
-                 ++it) {
-                const int job_id = *it;
-                const auto ji = static_cast<std::size_t>(job_id);
-                auto &running = running_.at(job_id);
-                const auto &spec = jobs_[ji];
-                auto &outcome = report_.jobs[ji];
-                const Seconds elapsed =
-                    event.time - running.segmentStart;
-                // Fraction of this segment's *work* completed; the
-                // restart charge at its head advances nothing.
-                const Seconds work_time =
-                    running.segmentDuration - running.restartCharge;
-                const double per =
-                    work_time > 0.0
-                        ? std::clamp(
-                              (elapsed - running.restartCharge) /
-                                  work_time,
-                              0.0, 1.0)
-                        : 1.0;
-                // Progress only survives preemption once a checkpoint
-                // seals it: round the completed fraction down to the
-                // last checkpoint boundary. A job that never
-                // checkpoints has no durable point and restarts from
-                // scratch — crediting the raw elapsed fraction would
-                // resume from state nobody saved.
-                const double before = 1.0 - running.remainingAtStart;
-                const double progress =
-                    before + running.remainingAtStart * per;
-                double durable = 0.0;
-                if (spec.checkpointInterval > 0) {
-                    const double chk_frac =
-                        static_cast<double>(spec.checkpointInterval) /
-                        static_cast<double>(spec.iterations);
-                    durable = std::min(
-                        progress, std::floor(progress / chk_frac +
-                                             1e-9) *
-                                      chk_frac);
-                }
-                if (logging && durable > lastDurable_[ji]) {
-                    // The durable fraction advanced: seal a manifest
-                    // so the catalog records exactly which checkpoint
-                    // the requeued job restarts from.
-                    core::CheckpointManifest manifest;
-                    manifest.jobId = spec.id;
-                    manifest.sequence = sealCount_[ji];
-                    manifest.fraction = durable;
-                    manifest.sealedAt = event.time;
-                    manifest.segment = running.generation;
-                    ++sealCount_[ji];
-                    lastDurable_[ji] = durable;
-                    Json op = jobOp("seal", spec.id);
-                    op.set("manifest", manifest.toJson());
-                    frame_ops.push(std::move(op));
-                }
-                // The segment slice that advanced the job from
-                // `before` to `durable` is kept; everything else it
-                // ran here — volatile iterations plus the restart
-                // charge — is lost and will be re-run.
-                const Seconds credited =
-                    running.remainingAtStart > 0.0
-                        ? std::max(0.0, durable - before) /
-                              running.remainingAtStart * work_time
-                        : elapsed;
-                outcome.lostWork +=
-                    std::max(0.0, elapsed - credited);
-                QueuedJob queued;
-                queued.jobId = job_id;
-                queued.remainingFraction = 1.0 - durable;
-                queued.enqueuedAt = event.time;
-                queued.requeues = outcome.requeues + 1;
-                outcome.serviceTime += elapsed;
-                if (crash)
-                    ++outcome.crashRequeues;
-                applyReservation(spec, running.placement, -1);
-                running_.erase(job_id);
-                if (queued.remainingFraction <= 0.0) {
-                    // Preempted at the exact finish instant with
-                    // every iteration sealed: done.
-                    markFinished(ji, event.time);
-                    if (logging)
-                        frame_ops.push(jobOp("finish", job_id));
-                    continue;
-                }
-                queue_.pushFront(queued);
-                if (logging) {
-                    Json op = jobOp("preempt", job_id);
-                    op.set("remaining",
-                           Json(queued.remainingFraction));
-                    frame_ops.push(std::move(op));
-                }
-                if (options_.metrics != nullptr) {
-                    options_.metrics
-                        ->counter("fleet.requeues",
-                                  fleetLabels(options_))
-                        .inc();
-                    if (crash) {
-                        options_.metrics
-                            ->counter("fleet.crash_requeues",
-                                      fleetLabels(options_))
-                            .inc();
-                    }
-                }
-            }
-            break;
-          }
-        }
-        if (options_.metrics != nullptr) {
-            // Pre-scan depth: the backlog this event left to admit.
-            options_.metrics
-                ->gauge("fleet.queue.max_depth", fleetLabels(options_))
-                .max(static_cast<double>(queue_.size()));
-        }
-        placeScan(event.time, options_.placement,
-                  /*enforce_slo=*/true);
-        if (events.empty() && running_.empty() && !queue_.empty()) {
-            // Every remaining event has drained but jobs are still
-            // queued: the cluster is idle yet no GPU passes the
-            // admission bar (e.g. degraded below minEnvelope). Relax
-            // the co-location guards so the fleet always drains.
-            auto relaxed = options_.placement;
-            relaxed.minEnvelope = 0.0;
-            relaxed.headroom = 1.0;
-            if (options_.metrics != nullptr) {
-                options_.metrics
-                    ->counter("fleet.relaxed_scans",
-                              fleetLabels(options_))
-                    .inc();
-            }
-            placeScan(event.time, relaxed, /*enforce_slo=*/false);
-            RAP_ASSERT(queue_.empty() || !running_.empty(),
-                       "fleet deadlock: ", queue_.size(),
-                       " jobs unplaceable on an idle cluster");
-        }
-        if (options_.metrics != nullptr) {
-            // Post-scan depth: jobs the policy could not admit yet.
-            options_.metrics
-                ->series("fleet.queue_depth", fleetLabels(options_))
-                .append(event.time,
-                        static_cast<double>(queue_.size()));
-        }
-        if (options_.catalog != nullptr) {
-            Json txn = Json::object();
-            txn.set("kind", Json("frame"));
-            txn.set("frame", Json(frame));
-            txn.set("time", Json(event.time));
-            Json ev = Json::object();
-            ev.set("kind", Json(static_cast<int>(event.kind)));
-            ev.set("id", Json(event.id));
-            ev.set("generation", Json(event.generation));
-            txn.set("event", std::move(ev));
-            txn.set("ops", std::move(frame_ops));
-            const auto lsn = static_cast<std::uint64_t>(frame) + 2;
-            if (lsn <= durable_lsn) {
-                // This frame was durable before the crash; the
-                // resumed loop must recompute it bit-for-bit.
-                // Compacted frames left no bytes to compare — the
-                // recovered WAL tail did.
-                const auto &tail = options_.catalog->recoveredTail();
-                const auto it = tail.find(lsn);
-                RAP_ASSERT(
-                    it == tail.end() ||
-                        ctrl::Catalog::serializeTransaction(txn, lsn) ==
-                            it->second,
-                    "resume diverged from the committed WAL at frame ",
-                    frame);
-            } else {
-                // Commit-before-effect: the record is in the log (and
-                // fsync'd when configured) before the loop moves past
-                // this event — a kill here replays the frame, never
-                // invents or loses one.
-                options_.catalog->commit(std::move(txn));
-            }
-            ++frame;
-            if (options_.stopAfterEvents > 0 &&
-                frame >= options_.stopAfterEvents &&
-                !events.empty()) {
-                if (options_.stopMode == StopMode::HardKill) {
-                    // The deterministic "power cut" the resume gate
-                    // exercises: no destructors, no flushes, exit
-                    // code 137.
-                    std::raise(SIGKILL);
-                }
-                stopped_ = true;
-                report_.catalogDegraded = options_.catalog->degraded();
-                return report_;
-            }
-        }
+        if (event.kind == EventKind::Arrival)
+            onArrival(event);
+        else if (event.kind == EventKind::Finish)
+            onFinish(event);
+        else
+            onDegrade(event);
+        scanQueue(event.time);
+        if (commitFrame(event))
+            return report_;
     }
 
     RAP_ASSERT(queue_.empty() && running_.empty(),

@@ -6,11 +6,25 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hpp"
 #include "sim/cluster.hpp"
 
 namespace rap::sim {
 namespace {
+
+/**
+ * "<prefix><i>", built by append: g++ 12 flags the inlined
+ * `"lit" + std::to_string(i)` with a -Wrestrict false positive.
+ */
+std::string
+indexed(const char *prefix, std::size_t i)
+{
+    std::string name = prefix;
+    name += std::to_string(i);
+    return name;
+}
 
 struct RandomMix
 {
@@ -26,7 +40,7 @@ makeMix(std::uint64_t seed)
     const int n = static_cast<int>(rng.uniformInt(2, 6));
     for (int i = 0; i < n; ++i) {
         mix.kernels.push_back(KernelDesc::synthetic(
-            "k" + std::to_string(i),
+            indexed("k", static_cast<std::size_t>(i)),
             rng.uniform(20e-6, 400e-6),
             ResourceDemand{rng.uniform(0.05, 0.95),
                            rng.uniform(0.05, 0.95)}));
@@ -51,7 +65,7 @@ TEST_P(ContentionPropertyTest, MakespanBounds)
     Seconds sum_exclusive = 0.0;
     for (std::size_t i = 0; i < mix.kernels.size(); ++i) {
         auto &stream = cluster.device(0).newStream(
-            "s" + std::to_string(i), static_cast<int>(i),
+            indexed("s", i), static_cast<int>(i),
             mix.priorities[i]);
         stream.pushKernel(mix.kernels[i]);
         max_exclusive = std::max(max_exclusive,
@@ -78,7 +92,7 @@ TEST_P(ContentionPropertyTest, UtilisationNeverExceedsCapacity)
     Cluster cluster(dgxA100Spec(1));
     for (std::size_t i = 0; i < mix.kernels.size(); ++i) {
         cluster.device(0)
-            .newStream("s" + std::to_string(i), static_cast<int>(i),
+            .newStream(indexed("s", i), static_cast<int>(i),
                        mix.priorities[i])
             .pushKernel(mix.kernels[i]);
     }
@@ -101,8 +115,7 @@ TEST_P(ContentionPropertyTest, HighPriorityNeverStretchedByLow)
     high.pushKernel(mix.kernels.front());
     for (std::size_t i = 1; i < mix.kernels.size(); ++i) {
         cluster.device(0)
-            .newStream("low" + std::to_string(i),
-                       static_cast<int>(i), 1)
+            .newStream(indexed("low", i), static_cast<int>(i), 1)
             .pushKernel(mix.kernels[i]);
     }
     cluster.run();
@@ -122,7 +135,7 @@ TEST_P(ContentionPropertyTest, WorkConservation)
     double expected_sm_area = 0.0;
     for (std::size_t i = 0; i < mix.kernels.size(); ++i) {
         cluster.device(0)
-            .newStream("s" + std::to_string(i), static_cast<int>(i),
+            .newStream(indexed("s", i), static_cast<int>(i),
                        mix.priorities[i])
             .pushKernel(mix.kernels[i]);
         expected_sm_area += mix.kernels[i].exclusiveLatency *
