@@ -210,13 +210,11 @@ ablationRegenerationCost()
 
         core::HorizontalFusionPlanner planner(cluster_spec.gpu);
         core::GraphMapper mapper(plan, sharding, cluster_spec, 4096);
-        const auto mapping = mapper.mapRap(profiles, planner);
-        core::CoRunScheduler scheduler(planner);
-        for (int g = 0; g < 8; ++g) {
-            (void)scheduler.schedule(
-                planner.plan(mapper.buildGpuGraph(mapping, g), 4096),
-                profiles[static_cast<std::size_t>(g)]);
-        }
+        // The search's pricings are each GPU's fusion plan and
+        // schedule, as in planOffline.
+        std::vector<core::CoRunSchedule> schedules;
+        (void)mapper.mapRap(profiles, planner, /*max_moves=*/64, nullptr,
+                            nullptr, &schedules);
         const auto t2 = std::chrono::steady_clock::now();
 
         auto ms = [](auto a, auto b) {

@@ -39,6 +39,39 @@ GraphMapper::GraphMapper(const preproc::PreprocPlan &plan,
     RAP_ASSERT(sharding_.gpuCount() == clusterSpec_.gpuCount,
                "sharding GPU count does not match cluster");
     RAP_ASSERT(rows_ > 0, "batch size must be positive");
+
+    // One topological sort, bucketed by feature: each chain keeps the
+    // order featureNodes returns, its latency sums in that order and
+    // its output bytes are the tail node's.
+    for (int id : plan_.graph.topoOrder()) {
+        const auto &node = plan_.graph.node(id);
+        RAP_ASSERT(node.featureId >= 0, "node ", id,
+                   " has no feature id");
+        const auto f = static_cast<std::size_t>(node.featureId);
+        if (f >= chains_.size())
+            chains_.resize(f + 1);
+        auto &chain = chains_[f];
+        const auto shape = preproc::nodeShape(node, plan_.schema, rows_);
+        chain.nodes.push_back(id);
+        chain.latency +=
+            preproc::makeOpKernel(node.type, shape, clusterSpec_.gpu)
+                .exclusiveLatency;
+        chain.outputBytes = preproc::opOutputBytes(node.type, shape);
+    }
+}
+
+const GraphMapper::Chain &
+GraphMapper::chain(int feature_id) const
+{
+    static const Chain kNoNodes;
+    const auto f = static_cast<std::size_t>(feature_id);
+    return feature_id >= 0 && f < chains_.size() ? chains_[f] : kNoNodes;
+}
+
+const std::vector<int> &
+GraphMapper::featureChain(int feature_id) const
+{
+    return chain(feature_id).nodes;
 }
 
 int
@@ -66,13 +99,7 @@ GraphMapper::consumers(const WorkItem &item) const
 Bytes
 GraphMapper::featureOutputBytes(int feature_id) const
 {
-    const auto nodes = plan_.graph.featureNodes(feature_id);
-    if (nodes.empty())
-        return 0.0;
-    const auto &tail = plan_.graph.node(nodes.back());
-    const auto shape =
-        preproc::nodeShape(tail, plan_.schema, rows_);
-    return preproc::opOutputBytes(tail.type, shape);
+    return chain(feature_id).outputBytes;
 }
 
 Bytes
@@ -91,21 +118,11 @@ GraphMapper::featureRawBytes(int feature_id) const
 Seconds
 GraphMapper::featureChainLatency(int feature_id) const
 {
-    Seconds total = 0.0;
-    for (int id : plan_.graph.featureNodes(feature_id)) {
-        const auto &node = plan_.graph.node(id);
-        const auto shape =
-            preproc::nodeShape(node, plan_.schema, rows_);
-        total += preproc::makeOpKernel(node.type, shape,
-                                       clusterSpec_.gpu)
-                     .exclusiveLatency;
-    }
-    return total;
+    return chain(feature_id).latency;
 }
 
-std::vector<Bytes>
-GraphMapper::remoteMessageSizes(const GraphMapping &mapping,
-                                int gpu) const
+std::vector<std::vector<Bytes>>
+GraphMapper::remoteMessageSizes(const GraphMapping &mapping) const
 {
     // A consumer with its own local copy of (feature, batch) needs no
     // transfer — the §7.2 duplication case for row-wise tables.
@@ -116,15 +133,17 @@ GraphMapper::remoteMessageSizes(const GraphMapping &mapping,
                            static_cast<int>(g));
         }
     }
-    std::vector<Bytes> messages;
-    for (const auto &item :
-         mapping.itemsPerGpu[static_cast<std::size_t>(gpu)]) {
-        for (int c : consumers(item)) {
-            if (c == gpu)
-                continue;
-            if (!placed.count({item.featureId, item.batch, c}))
-                messages.push_back(
-                    featureOutputBytes(item.featureId));
+    std::vector<std::vector<Bytes>> messages(
+        mapping.itemsPerGpu.size());
+    for (std::size_t g = 0; g < mapping.itemsPerGpu.size(); ++g) {
+        for (const auto &item : mapping.itemsPerGpu[g]) {
+            for (int c : consumers(item)) {
+                if (c == static_cast<int>(g))
+                    continue;
+                if (!placed.count({item.featureId, item.batch, c}))
+                    messages[g].push_back(
+                        featureOutputBytes(item.featureId));
+            }
         }
     }
     return messages;
@@ -136,11 +155,10 @@ GraphMapper::makeMapping(std::vector<std::vector<WorkItem>> items) const
     GraphMapping mapping;
     mapping.itemsPerGpu = std::move(items);
     mapping.commOutBytes.assign(mapping.itemsPerGpu.size(), 0.0);
-    for (std::size_t g = 0; g < mapping.itemsPerGpu.size(); ++g) {
-        for (Bytes message : remoteMessageSizes(
-                 mapping, static_cast<int>(g))) {
+    const auto messages = remoteMessageSizes(mapping);
+    for (std::size_t g = 0; g < messages.size(); ++g) {
+        for (Bytes message : messages[g])
             mapping.commOutBytes[g] += message;
-        }
     }
     return mapping;
 }
@@ -185,21 +203,10 @@ GraphMapper::buildGpuGraph(const GraphMapping &mapping, int gpu) const
     RAP_ASSERT(gpu >= 0 && gpu < mapping.gpuCount(),
                "gpu ordinal out of range");
     preproc::PreprocGraph graph(plan_.schema);
-
-    // Cache per-feature node id lists (topo order) once.
-    std::map<int, std::vector<int>> chains;
-    for (const auto &item :
-         mapping.itemsPerGpu[static_cast<std::size_t>(gpu)]) {
-        if (!chains.count(item.featureId)) {
-            chains[item.featureId] =
-                plan_.graph.featureNodes(item.featureId);
-        }
-    }
-
     for (const auto &item :
          mapping.itemsPerGpu[static_cast<std::size_t>(gpu)]) {
         std::map<int, int> remap; // source node id -> new node id
-        for (int id : chains[item.featureId]) {
+        for (int id : featureChain(item.featureId)) {
             preproc::OpNode copy = plan_.graph.node(id);
             copy.id = -1;
             std::vector<int> kept_deps;
@@ -222,7 +229,8 @@ GraphMapping
 GraphMapper::mapRap(const std::vector<CapacityProfile> &profiles,
                     const HorizontalFusionPlanner &planner,
                     int max_moves, ThreadPool *pool,
-                    MappingSearchStats *stats) const
+                    MappingSearchStats *stats,
+                    std::vector<CoRunSchedule> *schedules) const
 {
     const int gpus = clusterSpec_.gpuCount;
     RAP_ASSERT(static_cast<int>(profiles.size()) == gpus,
@@ -237,12 +245,14 @@ GraphMapper::mapRap(const std::vector<CapacityProfile> &profiles,
     // (Algorithm 1) and the cost model. The schedule accounts for
     // leftover-envelope slowdowns that the raw latency sum misses.
     // Pricing reads only const state, so evaluations of different
-    // GPUs are free to run concurrently.
-    auto price = [&](const GraphMapping &m, int g) {
+    // GPUs are free to run concurrently. Each pricing leaves its
+    // co-run schedule in `schedule`; the last accepted one per GPU is
+    // that GPU's final plan.
+    auto price = [&](const GraphMapping &m, int g,
+                     CoRunSchedule &schedule) {
         const auto graph = buildGpuGraph(m, g);
         const auto &profile = profiles[static_cast<std::size_t>(g)];
-        const auto schedule =
-            scheduler.schedule(planner.plan(graph, rows_), profile);
+        schedule = scheduler.schedule(planner.plan(graph, rows_), profile);
         const Seconds comm = cost_model.commLatency(
             m.commOutBytes[static_cast<std::size_t>(g)]);
         // Signed slack: effective co-run time (capacity actually
@@ -253,13 +263,14 @@ GraphMapper::mapRap(const std::vector<CapacityProfile> &profiles,
     };
 
     std::vector<Seconds> delta(static_cast<std::size_t>(gpus));
+    std::vector<CoRunSchedule> priced(static_cast<std::size_t>(gpus));
     auto priceInto = [&](const GraphMapping &m,
                          std::vector<int> targets) {
         if (stats != nullptr)
             stats->pricings += targets.size();
         auto evaluate = [&](std::size_t i) {
-            delta[static_cast<std::size_t>(targets[i])] =
-                price(m, targets[i]);
+            const auto g = static_cast<std::size_t>(targets[i]);
+            delta[g] = price(m, targets[i], priced[g]);
         };
         parallelFor(pool, targets.size(), evaluate);
     };
@@ -318,14 +329,18 @@ GraphMapper::mapRap(const std::vector<CapacityProfile> &profiles,
 
         Seconds src_new = 0.0;
         Seconds dst_new = 0.0;
+        CoRunSchedule src_schedule;
+        CoRunSchedule dst_schedule;
         {
             if (stats != nullptr) {
                 ++stats->movesEvaluated;
                 stats->pricings += 2;
             }
             auto evaluate = [&](std::size_t i) {
-                (i == 0 ? src_new : dst_new) =
-                    price(candidate, i == 0 ? src : dst);
+                if (i == 0)
+                    src_new = price(candidate, src, src_schedule);
+                else
+                    dst_new = price(candidate, dst, dst_schedule);
             };
             parallelFor(pool, 2, evaluate);
         }
@@ -338,10 +353,16 @@ GraphMapper::mapRap(const std::vector<CapacityProfile> &profiles,
             mapping = std::move(candidate);
             delta[static_cast<std::size_t>(src)] = src_new;
             delta[static_cast<std::size_t>(dst)] = dst_new;
+            priced[static_cast<std::size_t>(src)] =
+                std::move(src_schedule);
+            priced[static_cast<std::size_t>(dst)] =
+                std::move(dst_schedule);
         } else {
             break; // no improving substitution found
         }
     }
+    if (schedules != nullptr)
+        *schedules = std::move(priced);
     return mapping;
 }
 

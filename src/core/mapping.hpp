@@ -85,12 +85,18 @@ struct GraphMapping
 
 /**
  * Builds and optimises graph mappings for a preprocessing plan.
+ *
+ * The constructor tabulates every feature's chain once (node ids in
+ * the plan's topological order, output bytes, unfused latency); the
+ * mapper holds a reference to @p plan, so the plan must outlive the
+ * mapper and must not change after the mapper is built.
  */
 class GraphMapper
 {
   public:
     /**
-     * @param plan The preprocessing plan (schema + DAG).
+     * @param plan The preprocessing plan (schema + DAG); kept by
+     *        reference and tabulated once, see the class comment.
      * @param sharding Embedding-table placement (sparse consumers).
      * @param cluster_spec Node description (GPU count, NVLink).
      * @param rows Per-GPU batch size.
@@ -113,11 +119,17 @@ class GraphMapper
      *        per-GPU pricings are independent and reduced in GPU
      *        order, so the search is deterministic in thread count.
      * @param stats Optional search diagnostics (observability).
+     * @param schedules Optional out-parameter: each GPU's co-run
+     *        schedule from its last accepted pricing (the initial
+     *        sweep or a committed move), i.e. planner.plan →
+     *        CoRunScheduler::schedule of the returned mapping.
      */
     GraphMapping mapRap(const std::vector<CapacityProfile> &profiles,
                         const HorizontalFusionPlanner &planner,
                         int max_moves = 64, ThreadPool *pool = nullptr,
-                        MappingSearchStats *stats = nullptr) const;
+                        MappingSearchStats *stats = nullptr,
+                        std::vector<CoRunSchedule> *schedules =
+                            nullptr) const;
 
     /**
      * Materialise the preprocessing graph a GPU executes under a
@@ -144,12 +156,18 @@ class GraphMapper
     std::vector<int> consumers(const WorkItem &item) const;
 
     /**
-     * @return One entry per transfer GPU @p gpu must make to a remote
+     * @return Per GPU, one entry per transfer it must make to a remote
      *         consumer lacking its own copy under @p mapping (the
      *         per-feature messages the execution pipeline ships).
      */
-    std::vector<Bytes> remoteMessageSizes(const GraphMapping &mapping,
-                                          int gpu) const;
+    std::vector<std::vector<Bytes>> remoteMessageSizes(
+        const GraphMapping &mapping) const;
+
+    /**
+     * @return Ids of @p feature_id's nodes in the plan graph, in its
+     *         topological order (PreprocGraph::featureNodes, tabulated).
+     */
+    const std::vector<int> &featureChain(int feature_id) const;
 
     /** @return Output bytes of @p feature_id's chain for one batch. */
     Bytes featureOutputBytes(int feature_id) const;
@@ -166,6 +184,16 @@ class GraphMapper
     int gpuCount() const { return clusterSpec_.gpuCount; }
 
   private:
+    /** One feature's chain, tabulated by the constructor. */
+    struct Chain
+    {
+        std::vector<int> nodes;
+        Bytes outputBytes = 0.0;
+        Seconds latency = 0.0;
+    };
+
+    const Chain &chain(int feature_id) const;
+
     GraphMapping makeMapping(
         std::vector<std::vector<WorkItem>> items) const;
 
@@ -173,6 +201,8 @@ class GraphMapper
     const dlrm::EmbeddingSharding &sharding_;
     sim::ClusterSpec clusterSpec_;
     std::int64_t rows_;
+    /** Indexed by feature id; features without nodes stay empty. */
+    std::vector<Chain> chains_;
 };
 
 } // namespace rap::core

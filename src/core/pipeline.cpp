@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 
 #include "common/log.hpp"
@@ -538,6 +539,10 @@ RunSession::run(InputPath &input) const
     sim::Cluster cluster(spec, config.gpuSubset);
     applyEnvelopes(cluster, config);
     auto &engine = cluster.engine();
+    // Kernel records feed only the Chrome trace export.
+    for (int g = 0; g < cluster.gpuCount(); ++g)
+        cluster.device(g).trace().setRecordKernels(
+            !config.tracePath.empty());
 
     // Optional seeded fault scenario: degraded SM/HBM envelopes, slow
     // links, transient kernel-launch failures (sim/fault.hpp).
@@ -716,19 +721,27 @@ OfflinePlanner::plan(ThreadPool *pool) const
 
     const MappingStrategy strategy =
         config.forcedMapping.value_or(traits_.mapping);
+    // The RAP search already fusion-planned and Algorithm-1-scheduled
+    // every GPU's final share while pricing it; a capacity-scheduling
+    // system keeps those schedules instead of planning them again.
+    const bool priced = strategy == MappingStrategy::Rap &&
+                        traits_.capacityScheduling;
     MappingSearchStats mapping_stats;
     {
         obs::Span span(metrics, "plan.mapping", runLabels(config));
         offline.mapping =
             strategy == MappingStrategy::Rap
                 ? mapper_.mapRap(offline.profiles, fusion_,
-                                 /*max_moves=*/64, pool, &mapping_stats)
+                                 /*max_moves=*/64, pool, &mapping_stats,
+                                 priced ? &offline.schedules : nullptr)
                 : mapper_.map(strategy);
     }
     {
         obs::Span span(metrics, "plan.schedule", runLabels(config));
-        schedule(offline.mapping, offline.profiles, pool,
-                 offline.schedules);
+        if (!priced) {
+            schedule(offline.mapping, offline.profiles, pool,
+                     offline.schedules);
+        }
     }
 
     if (metrics != nullptr) {
@@ -798,8 +811,11 @@ class TorchArrowInput final : public InputPath
                 node.type, preproc::nodeShape(node, session.plan.schema,
                                               config_.batchPerGpu));
         }
-        for (int f : graph.featureIds()) {
-            const auto &tail = graph.node(graph.featureNodes(f).back());
+        std::map<int, int> tails; // feature id -> last node in topo order
+        for (int id : graph.topoOrder())
+            tails[graph.node(id).featureId] = id;
+        for (const auto &[feature, tail_id] : tails) {
+            const auto &tail = graph.node(tail_id);
             batchOutBytes_ += preproc::opOutputBytes(
                 tail.type, preproc::nodeShape(tail, session.plan.schema,
                                               config_.batchPerGpu));
@@ -1020,6 +1036,7 @@ void
 GpuInput::refreshMappingCosts()
 {
     const auto &mapper = planner_.mapper();
+    auto messages = mapper.remoteMessageSizes(offline_.mapping);
     for (int g = 0; g < config_.gpuCount; ++g) {
         const auto gi = static_cast<std::size_t>(g);
         auto &lane = lanes_[gi];
@@ -1040,7 +1057,7 @@ GpuInput::refreshMappingCosts()
         lane.prepBytes = bytes;
         // Input communication: one message per remote-consumer item
         // (per-feature tensors are shipped individually).
-        lane.messages = mapper.remoteMessageSizes(offline_.mapping, g);
+        lane.messages = std::move(messages[gi]);
     }
 }
 
@@ -1265,12 +1282,19 @@ GpuInput::replan(const std::vector<Seconds> &observed)
             profiles[g], std::min(1.0, device.smCapacity() / env.sm),
             std::min(1.0, device.bwCapacity() / env.bw));
     }
+    // As offline: a capacity-scheduling search's priced schedules are
+    // the final ones.
+    const bool priced =
+        config_.replanMapping && traits_.capacityScheduling;
     if (config_.replanMapping) {
         offline_.mapping = planner_.mapper().mapRap(
-            degraded, planner_.fusion(), /*max_moves=*/64);
+            degraded, planner_.fusion(), /*max_moves=*/64, nullptr,
+            nullptr, priced ? &offline_.schedules : nullptr);
     }
-    planner_.schedule(offline_.mapping, degraded, nullptr,
-                      offline_.schedules);
+    if (!priced) {
+        planner_.schedule(offline_.mapping, degraded, nullptr,
+                          offline_.schedules);
+    }
     refreshMappingCosts();
     // Calibrate the monitor to the new plan so drift re-arms relative
     // to the degraded prediction (or the observation, when the fault

@@ -197,14 +197,16 @@ Device::refresh()
             resident_.erase(resident_.begin() +
                             static_cast<std::ptrdiff_t>(i));
             KernelRecord record;
-            record.name = finished.desc.name;
-            record.stream = finished.streamName;
             record.start = finished.start;
             record.end = engine_.now();
             record.exclusiveLatency = finished.desc.exclusiveLatency;
             ++kernelsRetired_;
             stallSeconds_ += std::max(record.stretch(), 0.0);
-            trace_.addKernel(std::move(record));
+            if (trace_.recordsKernels()) {
+                record.name = finished.desc.name;
+                record.stream = finished.streamName;
+                trace_.addKernel(std::move(record));
+            }
             if (finished.done) {
                 // Completion callbacks may push more work; run them via
                 // the engine at the current instant to keep refresh

@@ -19,6 +19,8 @@ Trace::addSegment(const UtilSegment &segment)
 void
 Trace::addKernel(KernelRecord record)
 {
+    if (!recordKernels_)
+        return;
     kernels_.push_back(std::move(record));
 }
 

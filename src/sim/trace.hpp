@@ -49,8 +49,19 @@ struct KernelRecord
 class Trace
 {
   public:
-    /** Enable/disable segment recording (kernel records always kept). */
+    /** Enable/disable segment recording. */
     void setRecordSegments(bool on) { recordSegments_ = on; }
+
+    /**
+     * Enable/disable kernel records (on by default). Only the Chrome
+     * trace export reads them, so runs that write no trace turn them
+     * off; the device's own retire and stall tallies do not depend on
+     * them.
+     */
+    void setRecordKernels(bool on) { recordKernels_ = on; }
+
+    /** @return Whether addKernel keeps its record. */
+    bool recordsKernels() const { return recordKernels_; }
 
     /** Append a utilisation segment (called by Device). */
     void addSegment(const UtilSegment &segment);
@@ -80,6 +91,7 @@ class Trace
     std::vector<UtilSegment> segments_;
     std::vector<KernelRecord> kernels_;
     bool recordSegments_ = true;
+    bool recordKernels_ = true;
 };
 
 } // namespace rap::sim

@@ -200,6 +200,98 @@ TEST(Mapping, RapRebalancesSkewedPlan)
     EXPECT_GT(rap_comm, 0.0);
 }
 
+/**
+ * Checks @p mapper's chain tables against the plan graph: node lists
+ * against featureNodes, output bytes against the tail node's output and
+ * latency against the unfused exclusive latencies summed in chain order.
+ */
+void
+expectChainsMatchGraph(const GraphMapper &mapper,
+                       const preproc::PreprocPlan &plan,
+                       const sim::GpuSpec &gpu, std::int64_t rows)
+{
+    for (int f : plan.graph.featureIds()) {
+        SCOPED_TRACE("feature " + std::to_string(f));
+        const auto nodes = plan.graph.featureNodes(f);
+        ASSERT_FALSE(nodes.empty());
+        EXPECT_EQ(mapper.featureChain(f), nodes);
+        const auto &tail = plan.graph.node(nodes.back());
+        EXPECT_EQ(mapper.featureOutputBytes(f),
+                  preproc::opOutputBytes(
+                      tail.type,
+                      preproc::nodeShape(tail, plan.schema, rows)));
+        Seconds latency = 0.0;
+        for (int id : nodes) {
+            const auto &node = plan.graph.node(id);
+            latency += preproc::makeOpKernel(
+                           node.type,
+                           preproc::nodeShape(node, plan.schema, rows),
+                           gpu)
+                           .exclusiveLatency;
+        }
+        EXPECT_EQ(mapper.featureChainLatency(f), latency);
+    }
+}
+
+TEST(MappingChains, TablesMatchFeatureNodesOnEveryPlan)
+{
+    std::vector<preproc::PreprocPlan> plans;
+    for (int plan_id = 0; plan_id < 4; ++plan_id)
+        plans.push_back(preproc::makePlan(plan_id));
+    plans.push_back(preproc::makeSkewedPlan(0, 4, 3000));
+    const auto cluster_spec = sim::dgxA100Spec(4);
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+        SCOPED_TRACE("plan " + std::to_string(i));
+        const auto &plan = plans[i];
+        const auto sharding =
+            dlrm::EmbeddingSharding::balanced(plan.schema, 4);
+        const GraphMapper mapper(plan, sharding, cluster_spec, 4096);
+        expectChainsMatchGraph(mapper, plan, cluster_spec.gpu, 4096);
+        // A feature without nodes has an empty chain.
+        const int absent = plan.graph.featureIds().back() + 1;
+        EXPECT_TRUE(mapper.featureChain(absent).empty());
+        EXPECT_EQ(mapper.featureOutputBytes(absent), 0.0);
+        EXPECT_EQ(mapper.featureChainLatency(absent), 0.0);
+    }
+}
+
+TEST(MappingChains, FollowKahnOrderNotIdOrder)
+{
+    // Feature B = 1 owns nodes 0 and 1; feature A = 0 owns node 2
+    // (which reads B's output) and node 3 (no deps). Kahn's queue
+    // starts {0, 3}, so A's chain is {3, 2}, not id order.
+    auto plan = preproc::makePlan(0);
+    const int a = 0;
+    const int b = 1;
+    auto node = [](preproc::OpType type, int feature,
+                   std::vector<int> deps) {
+        preproc::OpNode n;
+        n.type = type;
+        n.featureId = feature;
+        n.deps = std::move(deps);
+        n.inputs = {preproc::ColumnRef{
+            data::FeatureKind::Dense,
+            static_cast<std::size_t>(feature)}};
+        n.output = n.inputs.front();
+        return n;
+    };
+    preproc::PreprocGraph graph(plan.schema);
+    graph.addNode(node(preproc::OpType::FillNull, b, {}));
+    graph.addNode(node(preproc::OpType::Clamp, b, {0}));
+    graph.addNode(node(preproc::OpType::Logit, a, {1}));
+    graph.addNode(node(preproc::OpType::FillNull, a, {}));
+    plan.graph = std::move(graph);
+    ASSERT_EQ(plan.graph.featureNodes(a), (std::vector<int>{3, 2}));
+
+    const auto cluster_spec = sim::dgxA100Spec(2);
+    const auto sharding =
+        dlrm::EmbeddingSharding::balanced(plan.schema, 2);
+    const GraphMapper mapper(plan, sharding, cluster_spec, 4096);
+    EXPECT_EQ(mapper.featureChain(a), (std::vector<int>{3, 2}));
+    EXPECT_EQ(mapper.featureChain(b), (std::vector<int>{0, 1}));
+    expectChainsMatchGraph(mapper, plan, cluster_spec.gpu, 4096);
+}
+
 TEST(MappingDeath, MismatchedShardingPanics)
 {
     const auto plan = preproc::makePlan(0);

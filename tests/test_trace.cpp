@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/cluster.hpp"
 #include "sim/trace.hpp"
 
@@ -51,6 +53,33 @@ TEST(Trace, DisableSegmentRecording)
     trace.setRecordSegments(false);
     trace.addSegment({0.0, 1.0, 0.5, 0.5, 1});
     EXPECT_TRUE(trace.segments().empty());
+}
+
+TEST(Trace, KernelRecordsOffKeepDeviceTallies)
+{
+    // Two contending kernels, once with records and once without: the
+    // device's retire count and stall time must not depend on them.
+    auto run = [](bool record) {
+        auto cluster = std::make_unique<Cluster>(dgxA100Spec(1));
+        auto &device = cluster->device(0);
+        device.trace().setRecordKernels(record);
+        device.newStream("a").pushKernel(
+            KernelDesc::synthetic("k1", 100e-6, {0.8, 0.6}));
+        device.newStream("b").pushKernel(
+            KernelDesc::synthetic("k2", 100e-6, {0.8, 0.6}));
+        cluster->run();
+        return cluster;
+    };
+    const auto on = run(true);
+    const auto off = run(false);
+    const auto &dev_on = on->device(0);
+    const auto &dev_off = off->device(0);
+    EXPECT_EQ(dev_on.trace().kernels().size(), 2u);
+    EXPECT_TRUE(dev_off.trace().kernels().empty());
+    EXPECT_EQ(dev_off.kernelsRetired(), 2u);
+    EXPECT_GT(dev_on.contentionStallSeconds(), 0.0);
+    EXPECT_EQ(dev_off.contentionStallSeconds(),
+              dev_on.contentionStallSeconds());
 }
 
 TEST(Trace, ClearDropsEverything)

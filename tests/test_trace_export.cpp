@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "core/run_request.hpp"
+#include "preproc/plan.hpp"
 #include "sim/trace_export.hpp"
 
 namespace rap::sim {
@@ -99,6 +101,27 @@ TEST(TraceExport, WritesFile)
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
     EXPECT_NE(content.find("traceEvents"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(TraceExport, TracedRunKeepsKernelRecords)
+{
+    // A run keeps kernel records only when it writes a trace; this one
+    // does, so the trace carries the run's kernels.
+    const std::string path =
+        ::testing::TempDir() + "rap_traced_run_test.json";
+    core::SystemConfig config;
+    config.system = core::System::Rap;
+    config.gpuCount = 2;
+    config.iterations = 4;
+    config.warmup = 1;
+    config.tracePath = path;
+    core::RunRequest(config).run(preproc::makePlan(0));
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::string content((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    EXPECT_NE(content.find("\"ph\":\"X\""), std::string::npos);
     std::remove(path.c_str());
 }
 
