@@ -539,10 +539,6 @@ RunSession::run(InputPath &input) const
     sim::Cluster cluster(spec, config.gpuSubset);
     applyEnvelopes(cluster, config);
     auto &engine = cluster.engine();
-    // Kernel records feed only the Chrome trace export.
-    for (int g = 0; g < cluster.gpuCount(); ++g)
-        cluster.device(g).trace().setRecordKernels(
-            !config.tracePath.empty());
 
     // Optional seeded fault scenario: degraded SM/HBM envelopes, slow
     // links, transient kernel-launch failures (sim/fault.hpp).
@@ -605,6 +601,18 @@ RunSession::run(InputPath &input) const
     const bool checkpointing =
         armCheckpoints(config, model, sharding, driver);
     driver.pushIterations(n);
+    // Utilisation is integrated over the measurement window as the run
+    // goes; kernel records and segments feed only the Chrome trace.
+    const Seconds &span_start =
+        driver.iterationSpan(0, config.warmup).start;
+    const Seconds &span_end = driver.iterationSpan(0, n - 1).end;
+    const bool traced = !config.tracePath.empty();
+    for (int g = 0; g < cluster.gpuCount(); ++g) {
+        auto &trace = cluster.device(g).trace();
+        trace.setRecordKernels(traced);
+        trace.setRecordSegments(traced);
+        trace.armWindow(span_start, span_end);
+    }
     RunContext context{cluster, driver, ready, barriers};
     input.wire(context);
     cluster.run();
@@ -613,9 +621,6 @@ RunSession::run(InputPath &input) const
     report.system = systemName(config.system);
     report.gpuCount = gpus;
     report.batchPerGpu = config.batchPerGpu;
-    const Seconds span_start =
-        driver.iterationSpan(0, config.warmup).start;
-    const Seconds span_end = driver.iterationSpan(0, n - 1).end;
     if (gated || checkpointing) {
         // Iterations wait on their inputs, so the interval between
         // iteration ends — not the span after the gate fired — is the
@@ -919,6 +924,11 @@ class GpuInput final : public InputPath
         Seconds prepCpu = 0.0;
         Bytes prepBytes = 0.0;
         std::vector<Bytes> messages;
+        /**
+         * The schedule's kernels, built once per plan and shared by
+         * every batch pushed under it.
+         */
+        std::vector<sim::KernelPtr> kernels;
         std::vector<std::unique_ptr<InputBarrier>> joins;
     };
 
@@ -1029,8 +1039,10 @@ GpuInput::offloadOverflowToCpu()
 }
 
 /**
- * Host preparation cost and input-communication messages follow the
- * current mapping and schedules; recomputed after a replan.
+ * Host preparation cost, input-communication messages and the shared
+ * kernel descriptors follow the current mapping and schedules;
+ * recomputed after a replan. Batches already queued keep the
+ * descriptors they were pushed with.
  */
 void
 GpuInput::refreshMappingCosts()
@@ -1044,8 +1056,12 @@ GpuInput::refreshMappingCosts()
         // column staged over PCIe per mapped work item.
         Seconds cpu = 0.0;
         Bytes bytes = 0.0;
-        for (const auto &sk : offline_.schedules[gi].kernels)
+        lane.kernels.clear();
+        for (const auto &sk : offline_.schedules[gi].kernels) {
             cpu += sk.kernel.prepCpuSeconds;
+            lane.kernels.push_back(
+                std::make_shared<const sim::KernelDesc>(sk.kernel.kernel));
+        }
         for (const auto &item : offline_.mapping.itemsPerGpu[gi]) {
             // Column slicing + pinned-buffer staging is a memcpy-rate
             // pass over the raw column (the Fig. 8 preparation cost).
@@ -1147,14 +1163,16 @@ GpuInput::pushBatch(int g, int j)
     } else if (!traits_.capacityScheduling && corun_iter >= 0) {
         pre_stream.pushWait(driver.opStart(g, corun_iter, 0));
     }
-    for (const auto &sk : schedule.kernels) {
+    RAP_ASSERT(lane.kernels.size() == schedule.kernels.size(),
+               "shared kernels out of step with the schedule");
+    for (std::size_t k = 0; k < schedule.kernels.size(); ++k) {
+        const auto &sk = schedule.kernels[k];
         if (traits_.capacityScheduling && corun_iter >= 0) {
-            pre_stream.pushWait(
-                driver.opStart(g, corun_iter, sk.opIndex));
+            pre_stream.pushWait(driver.opStart(g, corun_iter, sk.opIndex));
         }
         if (traits_.hostDispatch > 0.0)
             pre_stream.pushDelay(traits_.hostDispatch);
-        pre_stream.pushKernel(sk.kernel.kernel);
+        pre_stream.pushKernel(lane.kernels[k]);
     }
 
     // --- Input communication + readiness barrier. ---

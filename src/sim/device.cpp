@@ -36,38 +36,33 @@ Device::newStream(std::string name, int launch_group, int priority)
 }
 
 void
-Device::launchKernel(Stream &stream, KernelDesc desc,
+Device::launchKernel(const Stream &stream, KernelPtr desc,
                      std::function<void()> done)
 {
-    queueLaunch(stream.launchGroup(), std::move(desc), stream.name(),
-                stream.priority(), std::move(done), /*attempt=*/1);
+    queueLaunch(stream, std::move(desc), std::move(done), /*attempt=*/1);
 }
 
 void
-Device::queueLaunch(int group, KernelDesc desc, std::string stream_name,
-                    int priority, std::function<void()> done,
-                    int attempt)
+Device::queueLaunch(const Stream &stream, KernelPtr desc,
+                    std::function<void()> done, int attempt)
 {
     if (offline_)
         return; // crashed devices drop launches on the floor
-    auto &free_at = launchFree_[group];
+    auto &free_at = launchFree_[stream.launchGroup()];
     const Seconds start = std::max(engine_.now(), free_at);
     const Seconds resident_at = start + spec_.kernelLaunchOverhead;
     free_at = resident_at;
     engine_.schedule(resident_at,
-                     [this, group, desc = std::move(desc),
-                      stream_name = std::move(stream_name), priority,
+                     [this, &stream, desc = std::move(desc),
                       done = std::move(done), attempt]() mutable {
-                         admitKernel(group, std::move(desc),
-                                     std::move(stream_name), priority,
-                                     std::move(done), attempt);
+                         admitKernel(stream, std::move(desc), std::move(done),
+                                     attempt);
                      });
 }
 
 void
-Device::admitKernel(int group, KernelDesc desc, std::string stream_name,
-                    int priority, std::function<void()> done,
-                    int attempt)
+Device::admitKernel(const Stream &stream, KernelPtr desc,
+                    std::function<void()> done, int attempt)
 {
     if (offline_)
         return; // crashed between launch and admission
@@ -77,31 +72,25 @@ Device::admitKernel(int group, KernelDesc desc, std::string stream_name,
         // waits out the backoff, then relaunches through the regular
         // launch path (charging launch overhead again). All of it is
         // charged to the timeline, so faults are visible in makespan.
-        KernelDesc probe = desc;
-        probe.name += ".fault" + std::to_string(attempt);
-        probe.exclusiveLatency *= injector_->retry().detectFraction;
+        auto probe = std::make_shared<KernelDesc>(*desc);
+        probe->name += ".fault" + std::to_string(attempt);
+        probe->exclusiveLatency *= injector_->retry().detectFraction;
         const Seconds backoff = injector_->backoff(attempt);
         ++kernelRetries_;
         retryBackoff_ += backoff;
-        auto relaunch = [this, group, desc = std::move(desc),
-                         stream_name, priority, done = std::move(done),
-                         attempt, backoff]() mutable {
+        auto relaunch = [this, &stream, desc = std::move(desc),
+                         done = std::move(done), attempt, backoff]() mutable {
             engine_.scheduleAfter(
-                backoff, [this, group, desc = std::move(desc),
-                          stream_name = std::move(stream_name),
-                          priority, done = std::move(done),
-                          attempt]() mutable {
-                    queueLaunch(group, std::move(desc),
-                                std::move(stream_name), priority,
-                                std::move(done), attempt + 1);
+                backoff, [this, &stream, desc = std::move(desc),
+                          done = std::move(done), attempt]() mutable {
+                    queueLaunch(stream, std::move(desc), std::move(done),
+                                attempt + 1);
                 });
         };
-        addResident(std::move(probe), stream_name, priority,
-                    std::move(relaunch));
+        addResident(std::move(probe), stream, std::move(relaunch));
         return;
     }
-    addResident(std::move(desc), stream_name, priority,
-                std::move(done));
+    addResident(std::move(desc), stream, std::move(done));
 }
 
 void
@@ -164,7 +153,7 @@ Device::residentDemand() const
 {
     ResourceDemand total;
     for (const auto &r : resident_)
-        total = total + r.desc.demand;
+        total = total + r.desc->demand;
     return total;
 }
 
@@ -199,12 +188,12 @@ Device::refresh()
             KernelRecord record;
             record.start = finished.start;
             record.end = engine_.now();
-            record.exclusiveLatency = finished.desc.exclusiveLatency;
+            record.exclusiveLatency = finished.desc->exclusiveLatency;
             ++kernelsRetired_;
             stallSeconds_ += std::max(record.stretch(), 0.0);
             if (trace_.recordsKernels()) {
-                record.name = finished.desc.name;
-                record.stream = finished.streamName;
+                record.name = finished.desc->name;
+                record.stream = finished.stream->name();
                 trace_.addKernel(std::move(record));
             }
             if (finished.done) {
@@ -241,8 +230,8 @@ Device::refresh()
         for (const auto &r : resident_) {
             if (r.priority != cls)
                 continue;
-            class_sm += r.desc.demand.sm;
-            class_bw += r.desc.demand.bw;
+            class_sm += r.desc->demand.sm;
+            class_bw += r.desc->demand.bw;
         }
         const double scale_sm =
             class_sm > kDemandEps
@@ -256,17 +245,17 @@ Device::refresh()
             if (r.priority != cls)
                 continue;
             double rate = 1.0;
-            if (r.desc.demand.sm > kDemandEps)
+            if (r.desc->demand.sm > kDemandEps)
                 rate = std::min(rate, scale_sm);
-            if (r.desc.demand.bw > kDemandEps)
+            if (r.desc->demand.bw > kDemandEps)
                 rate = std::min(rate, scale_bw);
             // A fully starved kernel still trickles forward: the SM
             // scheduler interleaves some of its blocks eventually.
             r.rate = std::max(rate, 0.02);
-            avail_sm -= r.desc.demand.sm * r.rate;
-            avail_bw -= r.desc.demand.bw * r.rate;
-            currentSmUsage_ += r.desc.demand.sm * r.rate;
-            currentBwUsage_ += r.desc.demand.bw * r.rate;
+            avail_sm -= r.desc->demand.sm * r.rate;
+            avail_bw -= r.desc->demand.bw * r.rate;
+            currentSmUsage_ += r.desc->demand.sm * r.rate;
+            currentBwUsage_ += r.desc->demand.bw * r.rate;
         }
     }
     currentSmUsage_ = std::min(currentSmUsage_, 1.0);
@@ -292,16 +281,16 @@ Device::refresh()
 }
 
 void
-Device::addResident(KernelDesc desc, const std::string &stream_name,
-                    int priority, std::function<void()> done)
+Device::addResident(KernelPtr desc, const Stream &stream,
+                    std::function<void()> done)
 {
     advanceToNow();
     Resident r;
-    r.remaining = desc.exclusiveLatency;
+    r.remaining = desc->exclusiveLatency;
     r.desc = std::move(desc);
     r.start = engine_.now();
-    r.streamName = stream_name;
-    r.priority = priority;
+    r.stream = &stream;
+    r.priority = stream.priority();
     r.done = std::move(done);
     r.id = nextKernelId_++;
     resident_.push_back(std::move(r));

@@ -77,7 +77,7 @@ class Device
      * launch-group thread for the spec's launch overhead, after which
      * the kernel becomes resident; @p done fires at kernel completion.
      */
-    void launchKernel(Stream &stream, KernelDesc desc,
+    void launchKernel(const Stream &stream, KernelPtr desc,
                       std::function<void()> done);
 
     /** Submit a copy on the H2D or P2P link; @p done at completion. */
@@ -164,11 +164,11 @@ class Device
   private:
     struct Resident
     {
-        KernelDesc desc;
+        KernelPtr desc;
         Seconds remaining = 0.0;
         double rate = 1.0;
         Seconds start = 0.0;
-        std::string streamName;
+        const Stream *stream = nullptr;
         int priority = 0;
         std::function<void()> done;
         std::uint64_t id = 0;
@@ -180,17 +180,15 @@ class Device
     /** Recompute rates, retire finished kernels, schedule next wake. */
     void refresh();
 
-    void addResident(KernelDesc desc, const std::string &stream_name,
-                     int priority, std::function<void()> done);
+    void addResident(KernelPtr desc, const Stream &stream,
+                     std::function<void()> done);
 
     /** Occupy the launch path, then admit attempt @p attempt. */
-    void queueLaunch(int group, KernelDesc desc,
-                     std::string stream_name, int priority,
+    void queueLaunch(const Stream &stream, KernelPtr desc,
                      std::function<void()> done, int attempt);
 
     /** Make the kernel resident, or fail it and chain the retry. */
-    void admitKernel(int group, KernelDesc desc,
-                     std::string stream_name, int priority,
+    void admitKernel(const Stream &stream, KernelPtr desc,
                      std::function<void()> done, int attempt);
 
     Engine &engine_;

@@ -19,6 +19,7 @@
 #ifndef RAP_SIM_KERNEL_HPP
 #define RAP_SIM_KERNEL_HPP
 
+#include <memory>
 #include <string>
 
 #include "common/units.hpp"
@@ -82,6 +83,9 @@ struct KernelDesc
     static KernelDesc synthetic(std::string name, Seconds latency,
                                 ResourceDemand demand);
 };
+
+/** A descriptor shared by every queued launch of one kernel. */
+using KernelPtr = std::shared_ptr<const KernelDesc>;
 
 } // namespace rap::sim
 

@@ -16,14 +16,22 @@ Stream::Stream(Engine &engine, std::string name, Device *device,
 }
 
 void
-Stream::pushKernel(KernelDesc desc, std::function<void()> on_done)
+Stream::pushKernel(KernelPtr desc, std::function<void()> on_done)
 {
     RAP_ASSERT(device_, "kernels require a device stream");
+    RAP_ASSERT(desc, "cannot launch a null kernel");
     Op op;
     op.kind = Op::Kind::Kernel;
-    op.kernel = std::move(desc);
+    op.handle = std::move(desc);
     op.callback = std::move(on_done);
     push(std::move(op));
+}
+
+void
+Stream::pushKernel(KernelDesc desc, std::function<void()> on_done)
+{
+    pushKernel(std::make_shared<const KernelDesc>(std::move(desc)),
+               std::move(on_done));
 }
 
 void
@@ -32,8 +40,8 @@ Stream::pushCopy(CopyKind kind, Bytes bytes, std::function<void()> on_done)
     RAP_ASSERT(device_, "copies require a device stream");
     Op op;
     op.kind = Op::Kind::Copy;
-    op.copyKind = kind;
-    op.bytes = bytes;
+    op.aux = static_cast<int>(kind);
+    op.amount = bytes;
     op.callback = std::move(on_done);
     push(std::move(op));
 }
@@ -45,8 +53,8 @@ Stream::pushCpuTask(Seconds cpu_seconds, int cores,
     RAP_ASSERT(host_, "CPU tasks require a host stream");
     Op op;
     op.kind = Op::Kind::CpuTask;
-    op.cpuSeconds = cpu_seconds;
-    op.cpuCores = cores;
+    op.aux = cores;
+    op.amount = cpu_seconds;
     op.callback = std::move(on_done);
     push(std::move(op));
 }
@@ -57,7 +65,7 @@ Stream::pushWait(SimEventPtr event)
     RAP_ASSERT(event, "cannot wait on a null event");
     Op op;
     op.kind = Op::Kind::Wait;
-    op.event = std::move(event);
+    op.handle = std::move(event);
     push(std::move(op));
 }
 
@@ -67,7 +75,7 @@ Stream::pushRecord(SimEventPtr event)
     RAP_ASSERT(event, "cannot record a null event");
     Op op;
     op.kind = Op::Kind::Record;
-    op.event = std::move(event);
+    op.handle = std::move(event);
     push(std::move(op));
 }
 
@@ -86,7 +94,7 @@ Stream::pushDelay(Seconds duration)
     RAP_ASSERT(duration >= 0, "delay must be >= 0");
     Op op;
     op.kind = Op::Kind::Delay;
-    op.delay = duration;
+    op.amount = duration;
     push(std::move(op));
 }
 
@@ -98,7 +106,7 @@ Stream::pushCollective(CollectivePtr collective,
     RAP_ASSERT(collective, "cannot join a null collective");
     Op op;
     op.kind = Op::Kind::Collective;
-    op.collective = std::move(collective);
+    op.handle = std::move(collective);
     op.callback = std::move(on_done);
     push(std::move(op));
 }
@@ -134,22 +142,25 @@ Stream::maybeStart()
             break;
 
           case Op::Kind::Record:
-            op.event->fire(engine_);
+            std::get<SimEventPtr>(op.handle)->fire(engine_);
             break;
 
-          case Op::Kind::Wait:
-            if (op.event->fired())
+          case Op::Kind::Wait: {
+            const auto &event = std::get<SimEventPtr>(op.handle);
+            if (event->fired())
                 break;
             busy_ = true;
-            op.event->addWaiter(engine_, [this] {
+            event->addWaiter(engine_, [this] {
                 busy_ = false;
                 maybeStart();
             });
             return;
+          }
 
           case Op::Kind::Kernel:
             busy_ = true;
-            device_->launchKernel(*this, std::move(op.kernel),
+            device_->launchKernel(*this,
+                                  std::get<KernelPtr>(std::move(op.handle)),
                                   [this, cb = std::move(op.callback)] {
                                       opDone(cb);
                                   });
@@ -157,7 +168,7 @@ Stream::maybeStart()
 
           case Op::Kind::Copy:
             busy_ = true;
-            device_->submitCopy(op.copyKind, op.bytes,
+            device_->submitCopy(static_cast<CopyKind>(op.aux), op.amount,
                                 [this, cb = std::move(op.callback)] {
                                     opDone(cb);
                                 });
@@ -165,7 +176,7 @@ Stream::maybeStart()
 
           case Op::Kind::CpuTask:
             busy_ = true;
-            host_->submit(op.cpuSeconds, op.cpuCores,
+            host_->submit(op.amount, op.aux,
                           [this, cb = std::move(op.callback)] {
                               opDone(cb);
                           });
@@ -173,14 +184,13 @@ Stream::maybeStart()
 
           case Op::Kind::Collective:
             busy_ = true;
-            op.collective->arrive([this, cb = std::move(op.callback)] {
-                opDone(cb);
-            });
+            std::get<CollectivePtr>(op.handle)->arrive(
+                [this, cb = std::move(op.callback)] { opDone(cb); });
             return;
 
           case Op::Kind::Delay:
             busy_ = true;
-            engine_.scheduleAfter(op.delay, [this] { opDone({}); });
+            engine_.scheduleAfter(op.amount, [this] { opDone({}); });
             return;
         }
     }

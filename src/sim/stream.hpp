@@ -12,9 +12,11 @@
 #ifndef RAP_SIM_STREAM_HPP
 #define RAP_SIM_STREAM_HPP
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
+#include <variant>
 
 #include "common/units.hpp"
 #include "sim/engine.hpp"
@@ -61,7 +63,14 @@ class Stream
     Stream(const Stream &) = delete;
     Stream &operator=(const Stream &) = delete;
 
-    /** Enqueue a GPU kernel; @p on_done runs at kernel completion. */
+    /**
+     * Enqueue a GPU kernel; @p on_done runs at kernel completion. The
+     * descriptor is shared, not copied: a caller pushing the same
+     * kernel every batch builds it once.
+     */
+    void pushKernel(KernelPtr desc, std::function<void()> on_done = {});
+
+    /** Enqueue a GPU kernel from a descriptor the stream takes over. */
     void pushKernel(KernelDesc desc, std::function<void()> on_done = {});
 
     /** Enqueue a copy of @p bytes; device streams only. */
@@ -106,9 +115,14 @@ class Stream
     std::size_t pushedOps() const { return pushedOps_; }
 
   private:
+    /**
+     * One queued operation. A stream can hold thousands of them, so
+     * the per-kind fields share storage: one scalar, one small integer
+     * and one handle.
+     */
     struct Op
     {
-        enum class Kind {
+        enum class Kind : std::uint8_t {
             Kernel,
             Copy,
             CpuTask,
@@ -119,14 +133,12 @@ class Stream
             Delay,
         };
         Kind kind;
-        KernelDesc kernel;
-        CopyKind copyKind = CopyKind::HostToDevice;
-        Bytes bytes = 0.0;
-        Seconds cpuSeconds = 0.0;
-        int cpuCores = 1;
-        Seconds delay = 0.0;
-        SimEventPtr event;
-        CollectivePtr collective;
+        /** Copy: the CopyKind; CpuTask: the cores. */
+        int aux = 0;
+        /** Copy: bytes; CpuTask: CPU seconds; Delay: seconds. */
+        double amount = 0.0;
+        /** Kernel, Wait/Record or Collective handle; else null. */
+        std::variant<KernelPtr, SimEventPtr, CollectivePtr> handle;
         std::function<void()> callback;
     };
 

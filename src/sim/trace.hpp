@@ -45,12 +45,32 @@ struct KernelRecord
 
 /**
  * Per-device trace accumulating utilisation segments and kernel records.
+ *
+ * A run that only needs the averages over one window arms that window
+ * and turns segment recording off: the trace then integrates each
+ * segment as it arrives and holds three sums instead of one segment per
+ * device state change.
  */
 class Trace
 {
   public:
-    /** Enable/disable segment recording. */
+    /**
+     * Enable/disable segment recording (on by default). Only the
+     * Chrome trace export and averages over windows other than the
+     * armed one read the stored segments.
+     */
     void setRecordSegments(bool on) { recordSegments_ = on; }
+
+    /**
+     * Arm the window [@p start, @p end] whose averages are accumulated
+     * as segments arrive. The bounds are read through their addresses,
+     * which must outlive the trace's use: a bound below zero is not
+     * set yet. The caller sets them from the simulation clock, so a
+     * segment that arrives before a bound is set ends at or before it,
+     * and the accumulated averages equal integrating every segment over
+     * the final window, bit for bit.
+     */
+    void armWindow(const Seconds &start, const Seconds &end);
 
     /**
      * Enable/disable kernel records (on by default). Only the Chrome
@@ -72,7 +92,11 @@ class Trace
     const std::vector<UtilSegment> &segments() const { return segments_; }
     const std::vector<KernelRecord> &kernels() const { return kernels_; }
 
-    /** Average SM usage over [t0, t1], weighting by segment length. */
+    /**
+     * Average SM usage over [t0, t1], weighting by segment length.
+     * The armed window reads its accumulated sum; any other window
+     * needs the segments recorded.
+     */
     double avgSmUsage(Seconds t0, Seconds t1) const;
 
     /** Average DRAM-bandwidth usage over [t0, t1]. */
@@ -81,15 +105,28 @@ class Trace
     /** Fraction of [t0, t1] with at least one kernel resident. */
     double busyFraction(Seconds t0, Seconds t1) const;
 
-    /** Drop all recorded data. */
+    /** Drop all recorded data and the armed window's sums. */
     void clear();
 
   private:
+    /** Running areas (value x seconds) inside the armed window. */
+    struct WindowAreas
+    {
+        double sm = 0.0;
+        double bw = 0.0;
+        double busy = 0.0;
+    };
+
+    void accumulate(const UtilSegment &segment);
+    bool isArmedWindow(Seconds t0, Seconds t1) const;
     double integrate(Seconds t0, Seconds t1,
                      double (*value)(const UtilSegment &)) const;
 
     std::vector<UtilSegment> segments_;
     std::vector<KernelRecord> kernels_;
+    const Seconds *windowStart_ = nullptr;
+    const Seconds *windowEnd_ = nullptr;
+    WindowAreas window_;
     bool recordSegments_ = true;
     bool recordKernels_ = true;
 };

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/cluster.hpp"
 
 namespace rap::sim {
@@ -215,6 +217,45 @@ TEST(Stream, IdleReflectsState)
     cluster.run();
     EXPECT_TRUE(stream.idle());
     EXPECT_EQ(stream.pushedOps(), 1u);
+}
+
+TEST(Stream, SharedDescriptorRetiresOncePerPush)
+{
+    // One descriptor pushed N times runs N kernels, with the same
+    // tallies as N pushed copies. A second stream co-runs, so the
+    // kernels also contend.
+    constexpr int kPushes = 5;
+    const auto desc = std::make_shared<const KernelDesc>(
+        KernelDesc::synthetic("k", 40e-6, {0.7, 0.4}));
+    auto run = [&](bool shared) {
+        auto cluster = std::make_unique<Cluster>(oneGpu());
+        auto &device = cluster->device(0);
+        auto &a = device.newStream("a");
+        auto &b = device.newStream("b", /*group=*/1);
+        for (int i = 0; i < kPushes; ++i) {
+            if (shared)
+                a.pushKernel(desc);
+            else
+                a.pushKernel(*desc);
+            b.pushKernel(KernelDesc::synthetic("other", 30e-6, {0.6, 0.5}));
+        }
+        cluster->run();
+        return cluster;
+    };
+    const auto shared = run(true);
+    const auto copied = run(false);
+    const auto &dev_shared = shared->device(0);
+    const auto &dev_copied = copied->device(0);
+    EXPECT_EQ(dev_shared.kernelsRetired(), 2u * kPushes);
+    EXPECT_EQ(dev_shared.kernelsRetired(), dev_copied.kernelsRetired());
+    EXPECT_EQ(dev_shared.kernelsLaunched(), dev_copied.kernelsLaunched());
+    EXPECT_GT(dev_shared.contentionStallSeconds(), 0.0);
+    EXPECT_EQ(dev_shared.contentionStallSeconds(),
+              dev_copied.contentionStallSeconds());
+    EXPECT_EQ(dev_shared.trace().kernels().size(), 2u * kPushes);
+    EXPECT_EQ(shared->engine().now(), copied->engine().now());
+    // Retired kernels release the descriptor.
+    EXPECT_EQ(desc.use_count(), 1);
 }
 
 TEST(Device, CopySubmitsToLinks)

@@ -3,15 +3,21 @@
  * Tests for the validated run API: SystemConfig::validate() (one test
  * per error path, plus multi-error accumulation) and the RunRequest
  * builder (field plumbing, validate() pass-through, and build()'s
- * fatal exit on an invalid configuration).
+ * fatal exit on an invalid configuration), and that a trace path
+ * changes no report byte.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "core/run_request.hpp"
 #include "obs/metrics.hpp"
+#include "preproc/plan.hpp"
+#include "sim/fault.hpp"
 
 namespace rap::core {
 namespace {
@@ -207,6 +213,56 @@ TEST(RunRequestDeathTest, BuildExitsOnInvalidConfig)
     request.gpus(-1);
     EXPECT_EXIT(request.build(), testing::ExitedWithCode(1),
                 "invalid run configuration");
+}
+
+TEST(RunRequest, TracePathLeavesReportsByteIdentical)
+{
+    // An untraced run integrates utilisation as it goes and keeps no
+    // segments; a traced run keeps them for the export. Both must
+    // report the same bytes.
+    auto base = [](System system) {
+        SystemConfig config;
+        config.system = system;
+        config.gpuCount = 2;
+        config.batchPerGpu = 1024;
+        config.iterations = 6;
+        config.warmup = 1;
+        return config;
+    };
+    std::vector<SystemConfig> configs = {base(System::Rap),
+                                         base(System::Mps)};
+    {
+        auto config = base(System::Rap);
+        config.checkpoint.mode = CheckpointMode::FixedInterval;
+        config.checkpoint.interval = 2;
+        config.checkpoint.jobIterations = 1000;
+        configs.push_back(config);
+    }
+    {
+        auto config = base(System::Rap);
+        sim::FaultSpec faults;
+        faults.events.push_back(sim::FaultEvent::smDegrade(0, 0.0, 0.5));
+        faults.events.push_back(sim::FaultEvent::transientKernel(
+            -1, 0.0, std::numeric_limits<Seconds>::infinity(), 0.2));
+        config.faults = faults;
+        config.replanOnDrift = true;
+        config.replanMapping = true;
+        configs.push_back(config);
+    }
+    const auto plan = preproc::makePlan(0);
+    const std::string path =
+        ::testing::TempDir() + "rap_trace_path_report_test.json";
+    for (const auto &config : configs) {
+        const auto plain = RunRequest(config).run(plan);
+        const auto traced = RunRequest(config).tracePath(path).run(plan);
+        EXPECT_GT(plain.avgSmUtil, 0.0);
+        if (config.replanMapping) {
+            EXPECT_GE(plain.replans, 1);
+        }
+        EXPECT_EQ(plain.toJson().dump(), traced.toJson().dump())
+            << systemName(config.system);
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace

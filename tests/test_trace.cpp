@@ -55,6 +55,54 @@ TEST(Trace, DisableSegmentRecording)
     EXPECT_TRUE(trace.segments().empty());
 }
 
+TEST(Trace, ArmedWindowEqualsIntegratingStoredSegments)
+{
+    // The bounds start unset and are set from the clock while segments
+    // arrive, as a run's iteration spans are. Each segment reaches the
+    // armed trace when its end is the current time.
+    Seconds t0 = -1.0;
+    Seconds t1 = -1.0;
+    Trace armed;
+    armed.setRecordSegments(false);
+    armed.armWindow(t0, t1);
+    Trace recorded;
+    auto arrive = [&](const UtilSegment &segment) {
+        armed.addSegment(segment);
+        recorded.addSegment(segment);
+    };
+    arrive({0.0, 0.3, 0.7, 0.1, 2}); // before t0 is set
+    t0 = 0.4;
+    arrive({0.3, 0.55, 0.3, 0.9, 1}); // straddles t0
+    arrive({0.55, 0.9, 0.0, 0.0, 0}); // idle, inside the window
+    arrive({0.9, 1.0, 0.1, 0.7, 3});  // inside, before t1 is set
+    t1 = 1.1;
+    arrive({1.0, 1.3, 0.6, 0.2, 1}); // straddles t1, after it is set
+    arrive({1.3, 1.7, 0.9, 0.9, 2}); // after t1
+
+    EXPECT_TRUE(armed.segments().empty());
+    EXPECT_EQ(recorded.segments().size(), 6u);
+    EXPECT_GT(armed.avgSmUsage(t0, t1), 0.0);
+    EXPECT_EQ(armed.avgSmUsage(t0, t1), recorded.avgSmUsage(t0, t1));
+    EXPECT_EQ(armed.avgBwUsage(t0, t1), recorded.avgBwUsage(t0, t1));
+    EXPECT_EQ(armed.busyFraction(t0, t1), recorded.busyFraction(t0, t1));
+
+    armed.clear();
+    EXPECT_EQ(armed.avgSmUsage(t0, t1), 0.0);
+    EXPECT_EQ(armed.busyFraction(t0, t1), 0.0);
+}
+
+TEST(TraceDeathTest, OtherWindowsNeedRecordedSegments)
+{
+    Seconds t0 = 0.0;
+    Seconds t1 = 1.0;
+    Trace trace;
+    trace.setRecordSegments(false);
+    trace.armWindow(t0, t1);
+    trace.addSegment({0.0, 1.0, 0.5, 0.5, 1});
+    EXPECT_EQ(trace.avgSmUsage(t0, t1), 0.5);
+    EXPECT_DEATH(trace.avgSmUsage(0.0, 0.5), "recorded segments");
+}
+
 TEST(Trace, KernelRecordsOffKeepDeviceTallies)
 {
     // Two contending kernels, once with records and once without: the

@@ -106,8 +106,9 @@ TEST(TraceExport, WritesFile)
 
 TEST(TraceExport, TracedRunKeepsKernelRecords)
 {
-    // A run keeps kernel records only when it writes a trace; this one
-    // does, so the trace carries the run's kernels.
+    // A run keeps kernel records and utilisation segments only when it
+    // writes a trace; this one does, so the trace carries the run's
+    // kernels and its utilisation counters.
     const std::string path =
         ::testing::TempDir() + "rap_traced_run_test.json";
     core::SystemConfig config;
@@ -122,6 +123,8 @@ TEST(TraceExport, TracedRunKeepsKernelRecords)
     std::string content((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
     EXPECT_NE(content.find("\"ph\":\"X\""), std::string::npos);
+    EXPECT_NE(content.find("\"name\":\"utilisation\""),
+              std::string::npos);
     std::remove(path.c_str());
 }
 
