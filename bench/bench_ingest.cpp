@@ -1,16 +1,17 @@
 /**
  * @file
  * Streaming-ingest sweep: rate profiles × backpressure policies over
- * the lock-free ingest front-end (src/ingest).
+ * the ingest front-end (src/ingest).
  *
- * Each point runs the full pipeline — seeded stream emitters, SPSC
- * transport rings, k-way merge, virtual-time staging — and reports
- * the deterministic outcome: event/drop/spill accounting, staging
- * latency percentiles, and an FNV-1a digest over the staged batches.
- * Everything on stdout and in `--metrics` / `--report` is a function
- * of the logical workload only: `--producers` moves the work across
- * transport threads and must never change a byte (the CI determinism
- * job diffs a `--producers 1` run against `--producers 4`).
+ * Each point runs the full pipeline — seeded stream emitters filling
+ * per-window slabs on a thread pool, the k-way merge, virtual-time
+ * staging — and reports the deterministic outcome: event/drop/spill
+ * accounting, staging latency percentiles, and an FNV-1a digest over
+ * the staged batches. Everything on stdout and in `--metrics` /
+ * `--report` is a function of the logical workload only:
+ * `--producers` moves row generation across pool threads and must
+ * never change a byte (the serial_parallel_determinism ctest diffs a
+ * `--producers 1` run against `--producers 4`).
  *
  * Wall clock goes to stderr only, including a sharded-vs-mutex counter
  * A/B microbenchmark that justifies the wait-free metric shards
@@ -20,8 +21,8 @@
  *
  *   --report PATH   rap.ingest.v1 JSON artifact (CI diffs this)
  *   --streams N     logical substreams (the workload knob)
- *   --producers N   transport threads (0 = one per stream; never
- *                   affects results)
+ *   --producers N   row-generation threads (0 = one per stream;
+ *                   never affects results)
  */
 
 #include <cstdint>
@@ -165,7 +166,7 @@ main(int argc, char **argv)
         "--streams", 4, "logical substreams (the workload knob)");
     const int &producers = args.addInt(
         "--producers", 1,
-        "transport threads (0 = one per stream; results "
+        "row-generation threads (0 = one per stream; results "
         "byte-identical at any value)");
     args.parse(argc, argv);
     const bool tiny = args.tiny();

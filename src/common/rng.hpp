@@ -60,17 +60,6 @@ class Rng
     /** @return True with probability @p p. */
     bool bernoulli(double p);
 
-    /**
-     * Sample from a Zipf distribution over {0, ..., n-1}.
-     *
-     * Uses rejection-inversion (Hörmann) so it stays O(1) even for the
-     * hundred-million-row hash spaces of the Criteo Terabyte preset.
-     *
-     * @param n Support size (must be >= 1).
-     * @param alpha Skew parameter (> 0); larger means more skewed.
-     */
-    std::int64_t zipf(std::int64_t n, double alpha);
-
     /** Fork an independent child stream (for per-column generators). */
     Rng fork();
 
@@ -90,6 +79,47 @@ class Rng
     std::uint64_t s_[4];
     bool haveSpareNormal_ = false;
     double spareNormal_ = 0.0;
+};
+
+/**
+ * Zipf distribution over {0, ..., n-1}, sampled by rejection-inversion
+ * (Hörmann, 1996) so a draw stays O(1) even for the hundred-million-row
+ * hash spaces of the Criteo Terabyte preset.
+ *
+ * Everything that depends only on (n, alpha) is computed once: the two
+ * ends of the inversion interval, and the acceptance bound
+ * h(k + 0.5) - k^-alpha for the ranks k <= kTabulated where most draws
+ * land. Each is built from the same expression the rejection loop
+ * would evaluate, so a draw, and the generator state it leaves behind,
+ * is bit-identical to evaluating every pow() per draw.
+ */
+class ZipfSampler
+{
+  public:
+    /** Ranks whose acceptance bound is tabulated. */
+    static constexpr std::int64_t kTabulated = 1024;
+
+    /**
+     * @param n Support size (must be >= 1).
+     * @param alpha Skew parameter (> 0); larger means more skewed.
+     */
+    ZipfSampler(std::int64_t n, double alpha);
+
+    /** @return One rank in [0, n), drawn from @p rng. */
+    std::int64_t operator()(Rng &rng) const;
+
+  private:
+    double h(double x) const;
+    double hInv(double x) const;
+
+    std::int64_t n_;
+    double alpha_;
+    /** alpha == 1 (within 1e-12): h is log, hInv is exp. */
+    bool logarithmic_;
+    double hx0_ = 0.0;
+    double hn_ = 0.0;
+    /** bound_[k - 1] = h(k + 0.5) - k^-alpha, k <= min(n, kTabulated). */
+    std::vector<double> bound_;
 };
 
 /**

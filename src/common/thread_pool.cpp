@@ -106,10 +106,22 @@ void
 ThreadPool::parallelFor(std::size_t n,
                         const std::function<void(std::size_t)> &body)
 {
-    // Inline paths: trivial loops, serial pools, and nested calls from
-    // a worker of this pool (blocking a worker on its own pool could
-    // deadlock once every worker does it).
-    if (n <= 1 || state_ == nullptr || current_pool == this) {
+    parallelFor(n, body, {});
+}
+
+void
+ThreadPool::parallelFor(std::size_t n,
+                        const std::function<void(std::size_t)> &body,
+                        const std::function<void()> &beside)
+{
+    // Inline paths: empty loops, single-index loops with nothing to
+    // overlap, serial pools, and nested calls from a worker of this
+    // pool (blocking a worker on its own pool could deadlock once
+    // every worker does it).
+    if (n == 0 || (n == 1 && !beside) || state_ == nullptr ||
+        current_pool == this) {
+        if (beside)
+            beside();
         for (std::size_t i = 0; i < n; ++i)
             body(i);
         return;
@@ -124,10 +136,21 @@ ThreadPool::parallelFor(std::size_t n,
     state_->queue.push_back(batch);
     state_->wake.notify_all();
 
-    // The caller participates until the index space is claimed, then
-    // waits for stragglers.
     const ThreadPool *previous_pool = current_pool;
     current_pool = this;
+    std::exception_ptr beside_error;
+    if (beside) {
+        lock.unlock();
+        try {
+            beside();
+        } catch (...) {
+            beside_error = std::current_exception();
+        }
+        lock.lock();
+    }
+
+    // The caller participates until the index space is claimed, then
+    // waits for stragglers.
     while (batch->next < batch->n) {
         const std::size_t i = batch->next++;
         lock.unlock();
@@ -146,6 +169,8 @@ ThreadPool::parallelFor(std::size_t n,
     current_pool = previous_pool;
     lock.unlock();
 
+    if (beside_error)
+        std::rethrow_exception(beside_error);
     for (auto &error : batch->errors) {
         if (error)
             std::rethrow_exception(error);

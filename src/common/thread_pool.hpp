@@ -20,7 +20,10 @@
  *    on earlier indices having failed);
  *  - nested parallelFor calls on the same pool degrade to serial
  *    inline execution on the worker thread, which keeps the pool
- *    deadlock-free without a work-stealing scheduler.
+ *    deadlock-free without a work-stealing scheduler;
+ *  - the `beside` overload runs its serial task on the calling thread
+ *    only, so state that must stay on one thread (the ingest stager,
+ *    whose histogram shards are per-thread) can overlap a loop.
  */
 
 #ifndef RAP_COMMON_THREAD_POOL_HPP
@@ -66,6 +69,20 @@ class ThreadPool
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
+
+    /**
+     * Run @p beside once on the calling thread while the workers run
+     * @p body(i) for i in [0, n); the caller then joins the loop and
+     * returns once every index has finished. This is how a serial
+     * stage overlaps a parallel one without leaving the thread that
+     * owns its state. A serial pool (or a nested call) runs @p beside
+     * first, then the indices inline. An exception from @p beside
+     * ranks before every index's: it is rethrown, after the loop
+     * drains, ahead of the lowest-index one.
+     */
+    void parallelFor(std::size_t n,
+                     const std::function<void(std::size_t)> &body,
+                     const std::function<void()> &beside);
 
     /**
      * Map [0, n) through @p body and return the results in index

@@ -74,12 +74,12 @@ struct IngestPhase
 
 /**
  * Streaming-ingest pre-pass: when the run is configured with an
- * ingest front-end, drive the whole stream (producers, lock-free
- * transport, staging) to completion and record each staged batch's
- * virtual ready time. The training simulation then gates iteration j
- * on readyAt[j] — input-bound stretches of the stream surface as
- * iteration-latency stalls. Fatal when the stream stages fewer
- * batches than the run consumes.
+ * ingest front-end, drive the whole stream (windowed generation on
+ * the producer pool, merge, staging) to completion and record each
+ * staged batch's virtual ready time. The training simulation then
+ * gates iteration j on readyAt[j] — input-bound stretches of the
+ * stream surface as iteration-latency stalls. Fatal when the stream
+ * stages fewer batches than the run consumes.
  */
 std::optional<IngestPhase>
 runIngestPhase(const SystemConfig &config)

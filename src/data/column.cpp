@@ -86,7 +86,7 @@ SparseColumn::value(std::size_t row, std::size_t i) const
 }
 
 void
-SparseColumn::appendRow(const std::vector<std::int64_t> &ids)
+SparseColumn::appendRow(std::span<const std::int64_t> ids)
 {
     values_.insert(values_.end(), ids.begin(), ids.end());
     offsets_.push_back(static_cast<std::int64_t>(values_.size()));

@@ -14,6 +14,7 @@
 #define RAP_DATA_COLUMN_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace rap::data {
@@ -85,7 +86,7 @@ class SparseColumn
     std::int64_t value(std::size_t row, std::size_t i) const;
 
     /** Append one row given its id list. */
-    void appendRow(const std::vector<std::int64_t> &ids);
+    void appendRow(std::span<const std::int64_t> ids);
 
     /** @return Total number of ids across all rows. */
     std::size_t totalValues() const { return values_.size(); }

@@ -111,6 +111,9 @@ makeScaledSchema(DatasetPreset preset, std::size_t dense_count,
 CriteoGenerator::CriteoGenerator(Schema schema, std::uint64_t seed)
     : schema_(std::move(schema)), rng_(seed)
 {
+    zipf_.reserve(schema_.sparseCount());
+    for (std::size_t f = 0; f < schema_.sparseCount(); ++f)
+        zipf_.emplace_back(schema_.sparse(f).hashSize, 1.05);
 }
 
 void
@@ -148,7 +151,7 @@ CriteoGenerator::generateRow(CriteoRow &row)
             len = 0;
         auto &ids = row.sparse[f];
         for (std::size_t i = 0; i < len; ++i)
-            ids.push_back(scramble(rng_.zipf(spec.hashSize, 1.05)));
+            ids.push_back(scramble(zipf_[f](rng_)));
     }
 }
 
@@ -186,7 +189,7 @@ CriteoGenerator::generate(std::size_t rows)
                 len = 0;
             ids.clear();
             for (std::size_t i = 0; i < len; ++i)
-                ids.push_back(scramble(rng_.zipf(spec.hashSize, 1.05)));
+                ids.push_back(scramble(zipf_[f](rng_)));
             col.appendRow(ids);
         }
         batch.setSparse(f, std::move(col));

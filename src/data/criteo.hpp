@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "data/batch.hpp"
@@ -76,6 +77,8 @@ class CriteoGenerator
   private:
     Schema schema_;
     Rng rng_;
+    /** One id sampler per sparse feature (its hash size, skew 1.05). */
+    std::vector<ZipfSampler> zipf_;
     double nullProb_ = 0.05;
 };
 

@@ -1,7 +1,5 @@
 #include "ingest/config.hpp"
 
-#include "common/lockfree_queue.hpp"
-
 namespace rap::ingest {
 
 std::string
@@ -44,17 +42,17 @@ validateIngestConfig(const IngestConfig &config)
     if (config.producers < 0) {
         issues.emplace_back(
             "producers",
-            "transport thread count cannot be negative "
+            "generation thread count cannot be negative "
             "(0 = one per stream)");
     }
     if (config.duration <= 0.0)
         issues.emplace_back("duration", "emission horizon must be > 0");
     if (config.batchRows < 1)
         issues.emplace_back("batchRows", "batches need at least 1 row");
-    if (!isPowerOfTwo(config.ringCapacity) || config.ringCapacity < 2) {
+    if (config.windowEvents < 1) {
         issues.emplace_back(
-            "ringCapacity",
-            "SPSC ring capacity must be a power of two >= 2");
+            "windowEvents",
+            "a generation window must hold at least 1 event");
     }
     if (config.stagingEventsPerSec <= 0.0) {
         issues.emplace_back("stagingEventsPerSec",

@@ -9,10 +9,11 @@
  *  - `streams` is the *logical* knob. Every event is a pure function
  *    of (seed, stream), so changing the stream count changes the
  *    workload.
- *  - `producers` is the *transport* knob: how many OS threads carry
- *    the streams into the staging consumer. Any producer count yields
- *    byte-identical batches, metrics, and reports — the same contract
- *    the sweep benches' `--jobs` keeps, and what CI's determinism job
+ *  - `producers` is the *execution* knob: how many pool threads
+ *    generate the streams' rows, window by window, beside the staging
+ *    consumer. Any producer count yields byte-identical batches,
+ *    metrics, and reports — the same contract the sweep benches'
+ *    `--jobs` keeps, and what the serial_parallel_determinism ctest
  *    diffs for bench_ingest.
  */
 
@@ -53,7 +54,8 @@ struct IngestConfig
 {
     /** Logical substream count (the workload knob, see file docs). */
     int streams = 4;
-    /** Transport threads; 0 = one per stream. Never affects results. */
+    /** Row-generation threads; 0 = one per stream. Never affects
+     *  results. */
     int producers = 1;
     /** Root seed; stream s derives its own generator from (seed, s). */
     std::uint64_t seed = 20240408;
@@ -65,8 +67,12 @@ struct IngestConfig
     Seconds duration = 0.05;
     /** Rows per assembled RecordBatch. */
     std::int64_t batchRows = 256;
-    /** Per-stream SPSC ring capacity (power of two). */
-    std::size_t ringCapacity = 1024;
+    /**
+     * Generation window, in events per stream at the profile's peak
+     * rate: window w covers emit times [(w-1)·W, w·W) with
+     * W = windowEvents / peakRate(profile). Never affects results.
+     */
+    std::size_t windowEvents = 256;
     /** Staging queue capacity before the policy kicks in (0 = cap
      *  disabled; only meaningful with Block). */
     std::size_t stagingQueueCap = 512;

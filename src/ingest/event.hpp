@@ -7,9 +7,9 @@
  * seq). Within one stream emit times are strictly increasing (the
  * emitter enforces it, mirroring serve/request.cpp); across streams
  * ties break on the stream id. The staging consumer k-way-merges
- * per-stream rings on this key, which is what makes every downstream
- * decision independent of how streams are packed onto producer
- * threads.
+ * each generation window's per-stream slabs on this key, which is
+ * what makes every downstream decision independent of which thread
+ * generated which stream.
  */
 
 #ifndef RAP_INGEST_EVENT_HPP

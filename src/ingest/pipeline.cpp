@@ -1,17 +1,15 @@
 #include "ingest/pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <charconv>
 #include <chrono>
-#include <memory>
-#include <optional>
-#include <thread>
+#include <span>
 #include <vector>
 
-#include "common/lockfree_queue.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
 #include "ingest/stream.hpp"
 
 namespace rap::ingest {
@@ -26,6 +24,64 @@ hex(std::uint64_t value)
         std::to_chars(buf, buf + sizeof(buf), value, 16);
     return std::string(buf, result.ptr);
 }
+
+/**
+ * One stream's generation state: its emitter, two slabs of events
+ * (window w fills slab w % 2 while the caller merges the other), and
+ * the stream's next event, held while it lies past the last window.
+ */
+class Lane
+{
+  public:
+    Lane(const IngestConfig &config, const data::Schema &schema,
+         std::uint32_t stream)
+        : emitter_(config, schema, stream)
+    {
+    }
+
+    /** Fill slab @p slot with the stream's events emitted before
+     *  @p end. Slab events are reused: after the first windows, the
+     *  rows only ever overwrite buffers they already own. */
+    void
+    fill(std::size_t slot, Seconds end)
+    {
+        auto &slab = slabs_[slot];
+        std::size_t count = 0;
+        for (;;) {
+            if (!held_) {
+                if (exhausted_ || !emitter_.next(next_)) {
+                    exhausted_ = true;
+                    break;
+                }
+                held_ = true;
+            }
+            if (next_.emitTime >= end)
+                break;
+            if (count == slab.size())
+                slab.emplace_back();
+            std::swap(slab[count++], next_);
+            held_ = false;
+        }
+        counts_[slot] = count;
+    }
+
+    std::span<const Event>
+    slab(std::size_t slot) const
+    {
+        return {slabs_[slot].data(), counts_[slot]};
+    }
+
+    /** @return True while the stream has events no slab took yet. */
+    bool live() const { return held_ || !exhausted_; }
+
+  private:
+    StreamEmitter emitter_;
+    std::array<std::vector<Event>, 2> slabs_;
+    std::array<std::size_t, 2> counts_{};
+    Event next_;
+    bool held_ = false;
+    bool exhausted_ = false;
+};
 
 } // namespace
 
@@ -76,128 +132,64 @@ IngestPipeline::run(const BatchSink &sink,
     IngestMetrics instruments;
     if (metrics != nullptr)
         instruments = IngestMetrics::create(*metrics, labels);
-
-    std::vector<std::unique_ptr<SpscQueue<Event>>> rings;
-    rings.reserve(streams);
-    for (std::size_t s = 0; s < streams; ++s) {
-        rings.push_back(std::make_unique<SpscQueue<Event>>(
-            config_.ringCapacity));
-    }
-    const auto done =
-        std::make_unique<std::atomic<bool>[]>(streams);
-    for (std::size_t s = 0; s < streams; ++s)
-        done[s].store(false, std::memory_order_relaxed);
-
     Stager stager(config_, schema_, sink, instruments);
 
     const auto wall_begin = std::chrono::steady_clock::now();
-    std::vector<std::thread> threads;
-    threads.reserve(producers);
-    for (std::size_t p = 0; p < producers; ++p) {
-        threads.emplace_back([&, p] {
-            // This thread's streams, each with a one-event lookahead
-            // buffer so a full ring never blocks the other streams.
-            struct Owned
-            {
-                std::size_t stream;
-                StreamEmitter emitter;
-                Event pending;
-                bool hasPending = false;
-                bool exhausted = false;
-            };
-            std::vector<Owned> owned;
-            for (std::size_t s = p; s < streams; s += producers) {
-                owned.push_back(
-                    {s,
-                     StreamEmitter(config_, schema_,
-                                   static_cast<std::uint32_t>(s)),
-                     Event{}});
-            }
-            obs::Counter *events = instruments.events;
-            std::size_t live = owned.size();
-            while (live > 0) {
-                bool progressed = false;
-                for (auto &o : owned) {
-                    if (o.exhausted)
-                        continue;
-                    if (!o.hasPending) {
-                        if (o.emitter.next(o.pending)) {
-                            o.hasPending = true;
-                            if (events != nullptr)
-                                events->inc();
-                        } else {
-                            // Publish everything pushed so far, then
-                            // mark the stream finished (release pairs
-                            // with the consumer's acquire).
-                            done[o.stream].store(
-                                true, std::memory_order_release);
-                            o.exhausted = true;
-                            --live;
-                            progressed = true;
-                            continue;
-                        }
-                    }
-                    if (rings[o.stream]->tryPush(
-                            std::move(o.pending))) {
-                        o.hasPending = false;
-                        progressed = true;
-                    }
-                }
-                if (!progressed)
-                    std::this_thread::yield();
-            }
-        });
-    }
+    ThreadPool pool(static_cast<int>(producers));
+    std::vector<Lane> lanes;
+    lanes.reserve(streams);
+    for (std::size_t s = 0; s < streams; ++s)
+        lanes.emplace_back(config_, schema_, static_cast<std::uint32_t>(s));
 
-    // Consumer: k-way merge on the event key. The minimum head can
-    // only be committed once every non-exhausted stream has a head
-    // buffered — an empty ring might still deliver an earlier event.
-    // An exhausted stream, by construction, has no buffered head.
-    std::vector<std::optional<Event>> heads(streams);
-    std::vector<bool> exhausted(streams, false);
-    std::size_t open = streams;
-    while (open > 0) {
-        for (std::size_t s = 0; s < streams; ++s) {
-            if (exhausted[s] || heads[s].has_value())
-                continue;
-            Event event;
-            if (rings[s]->tryPop(event)) {
-                heads[s] = std::move(event);
-                continue;
+    // Window w ends at w * width, computed afresh each time so every
+    // lane cuts at the same bits and no rounding accumulates.
+    const Seconds width = static_cast<double>(config_.windowEvents) /
+                          peakRate(config_.profile);
+    const auto fill = [&](std::uint64_t window) {
+        const Seconds end = static_cast<double>(window) * width;
+        return [&lanes, end, slot = window % 2](std::size_t s) {
+            lanes[s].fill(slot, end);
+        };
+    };
+    // K-way merge of one filled window on the total event key. Every
+    // event of window w precedes every event of window w + 1, so
+    // merging window by window yields the global order.
+    std::vector<std::span<const Event>> heads;
+    heads.reserve(streams);
+    const auto merge = [&](std::uint64_t window) {
+        heads.clear();
+        std::uint64_t events = 0;
+        for (const auto &lane : lanes) {
+            const auto slab = lane.slab(window % 2);
+            events += slab.size();
+            if (!slab.empty())
+                heads.push_back(slab);
+        }
+        if (instruments.events != nullptr)
+            instruments.events->inc(events);
+        while (!heads.empty()) {
+            std::size_t min = 0;
+            for (std::size_t h = 1; h < heads.size(); ++h) {
+                if (eventBefore(heads[h].front(), heads[min].front()))
+                    min = h;
             }
-            // Empty ring: final once the producer's done flag is
-            // visible AND a re-pop (ordered after the acquire) still
-            // finds nothing.
-            if (done[s].load(std::memory_order_acquire)) {
-                if (rings[s]->tryPop(event)) {
-                    heads[s] = std::move(event);
-                } else {
-                    exhausted[s] = true;
-                    --open;
-                }
+            stager.push(heads[min].front());
+            heads[min] = heads[min].subspan(1);
+            if (heads[min].empty()) {
+                heads[min] = heads.back();
+                heads.pop_back();
             }
         }
-        std::size_t min_stream = streams;
-        bool ready = true;
-        for (std::size_t s = 0; s < streams; ++s) {
-            if (heads[s].has_value()) {
-                if (min_stream == streams ||
-                    eventBefore(*heads[s], *heads[min_stream]))
-                    min_stream = s;
-            } else if (!exhausted[s]) {
-                ready = false;
-                break;
-            }
-        }
-        if (ready && min_stream < streams) {
-            stager.push(std::move(*heads[min_stream]));
-            heads[min_stream].reset();
-        } else if (!ready) {
-            std::this_thread::yield();
-        }
+    };
+
+    std::uint64_t window = 1;
+    pool.parallelFor(streams, fill(window));
+    while (std::any_of(lanes.begin(), lanes.end(),
+                       [](const Lane &lane) { return lane.live(); })) {
+        pool.parallelFor(streams, fill(window + 1), [&] { merge(window); });
+        ++window;
     }
-    for (auto &thread : threads)
-        thread.join();
+    merge(window);
     stager.finish();
     const auto wall_end = std::chrono::steady_clock::now();
 

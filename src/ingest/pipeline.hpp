@@ -1,22 +1,29 @@
 /**
  * @file
- * The ingest front-end driver: spawns producer threads that run the
- * logical stream emitters, transports events over per-stream SPSC
- * rings (common/lockfree_queue.hpp), k-way-merges them back into the
- * global event order on the consumer, and feeds the Stager.
+ * The ingest front-end driver: generates the logical streams' events
+ * window by window on a thread pool, k-way-merges each window back
+ * into the global event order on the calling thread, and feeds the
+ * Stager.
  *
- * Thread layout: `producers` transport threads (stream s belongs to
- * thread s mod producers), one consumer (the calling thread). A
- * producer owning several streams round-robins them and skips full
- * rings, which keeps it live while the consumer waits on a different
- * stream's head — the merge needs every non-exhausted ring non-empty
- * before it can commit the minimum, so a blocking producer would
- * deadlock the pipeline.
+ * Windows: window w holds every event emitted in [(w-1)·W, w·W), with
+ * W = windowEvents / peakRate(profile). Each stream's lane fills its
+ * slab for window w on a ThreadPool of `producers` threads and holds
+ * the first event past the window for the next one. Slabs are double
+ * buffered: while the pool fills window w, the calling thread merges
+ * window w-1 into the Stager (ThreadPool::parallelFor's `beside`
+ * task), then joins the pool. Slab events are reused, so steady-state
+ * generation allocates nothing.
  *
- * Determinism: the merged order and everything the Stager derives
- * from it are functions of (seed, streams, profile, ...) only — the
- * producer count and all transport-level timing affect wall clock and
- * nothing else. bench_ingest's CI determinism diff holds the proof.
+ * The Stager and the sink stay on the calling thread: the
+ * ingest.staging_latency histogram sums per-thread shards, so staging
+ * on a worker would change the last digit of its sum.
+ *
+ * Determinism: every window's events precede the next window's, and
+ * the merge orders a window by the total event key, so the merged
+ * order and everything the Stager derives from it are functions of
+ * (seed, streams, profile, ...) only. The producer count and the
+ * window size affect wall clock and nothing else; the
+ * serial_parallel_determinism ctest diffs bench_ingest to prove it.
  */
 
 #ifndef RAP_INGEST_PIPELINE_HPP
@@ -50,7 +57,7 @@ struct IngestReport
     Seconds lastReadyAt = 0.0;
     /** FNV-1a digest over per-batch checksums. */
     std::uint64_t checksum = 0;
-    /** Transport wall clock (stderr only — NEVER in the deterministic
+    /** Pipeline wall clock (stderr only — NEVER in the deterministic
      *  report JSON). */
     double wallMs = 0.0;
 
@@ -68,8 +75,9 @@ class IngestPipeline
     const IngestConfig &config() const { return config_; }
 
     /**
-     * Run the full pipeline to completion on the calling thread
-     * (consumer) plus config.producers transport threads.
+     * Run the full pipeline to completion: staging on the calling
+     * thread, row generation on config.producers pool threads (the
+     * caller joins them once a window is staged).
      *
      * @param sink Receives every staged batch in order (optional).
      * @param metrics Registry for ingest.* instruments (optional).

@@ -105,7 +105,7 @@ SpillLog::append(const Event &event)
 
 void
 SpillLog::replay(const data::Schema &schema,
-                 const std::function<void(Event &&)> &fn)
+                 const std::function<void(const Event &)> &fn)
 {
     if (out_ == nullptr)
         return;
@@ -118,6 +118,7 @@ SpillLog::replay(const data::Schema &schema,
     std::string_view rest(raw);
     std::uint64_t replayed = 0;
     data::RowError error;
+    Event event;
     while (!rest.empty()) {
         const auto newline = rest.find('\n');
         if (newline == std::string_view::npos)
@@ -140,7 +141,6 @@ SpillLog::replay(const data::Schema &schema,
               default: ok = parseU64(token, bits, 16); break;
             }
         }
-        Event event;
         if (!ok ||
             !data::decodeCriteoRow(view, schema, event.row, error)) {
             RAP_FATAL("corrupt spill log line ", replayed, " in ",
@@ -149,7 +149,7 @@ SpillLog::replay(const data::Schema &schema,
         event.stream = static_cast<std::uint32_t>(stream);
         event.seq = seq;
         event.emitTime = std::bit_cast<double>(bits);
-        fn(std::move(event));
+        fn(event);
         ++replayed;
     }
     RAP_ASSERT(replayed == appended_,

@@ -68,12 +68,13 @@ class SpillLog
 
     /**
      * Close the writer and stream every spilled event back through
-     * @p fn in append order. Fatal on a malformed line — every
-     * successful append ended on a line boundary, so the log is
-     * either clean or our accounting is buggy.
+     * @p fn in append order. Every line decodes into the same reused
+     * Event, so @p fn copies what it keeps. Fatal on a malformed
+     * line — every successful append ended on a line boundary, so the
+     * log is either clean or our accounting is buggy.
      */
     void replay(const data::Schema &schema,
-                const std::function<void(Event &&)> &fn);
+                const std::function<void(const Event &)> &fn);
 
     /** Best-effort unlink of the log file (idempotent). */
     void removeFile();

@@ -23,6 +23,29 @@ fnv1a(std::uint64_t hash, std::uint64_t value)
     return hash;
 }
 
+/**
+ * Copy @p row into @p out as one flat buffer: the dense values' bit
+ * patterns, the dense valid flags, the sparse list lengths, then every
+ * sparse id in feature order.
+ */
+void
+flattenRow(const data::CriteoRow &row, std::vector<std::int64_t> &out)
+{
+    std::size_t ids = 0;
+    for (const auto &list : row.sparse)
+        ids += list.size();
+    out.clear();
+    out.reserve(2 * row.dense.size() + row.sparse.size() + ids);
+    for (const float value : row.dense)
+        out.push_back(std::bit_cast<std::uint32_t>(value));
+    for (const std::uint8_t valid : row.denseValid)
+        out.push_back(valid);
+    for (const auto &list : row.sparse)
+        out.push_back(static_cast<std::int64_t>(list.size()));
+    for (const auto &list : row.sparse)
+        out.insert(out.end(), list.begin(), list.end());
+}
+
 } // namespace
 
 const std::vector<double> &
@@ -74,7 +97,7 @@ Stager::Stager(const IngestConfig &config, data::Schema schema,
 }
 
 void
-Stager::push(Event &&event)
+Stager::push(const Event &event)
 {
     RAP_ASSERT(!finished_, "push after finish");
     ++stats_.arrived;
@@ -121,11 +144,10 @@ Stager::push(Event &&event)
         }
     }
 
-    Pending pending;
+    Pending &pending = waiting_.emplace_back();
     pending.arrival = event.emitTime;
     pending.emit = event.emitTime;
-    pending.row = std::move(event.row);
-    waiting_.push_back(std::move(pending));
+    flattenRow(event.row, pending.row);
     stats_.maxQueueDepth =
         std::max(stats_.maxQueueDepth, waiting_.size());
 }
@@ -140,13 +162,13 @@ Stager::completeUntil(Seconds t)
         if (done > t)
             break;
         serverFreeAt_ = done;
-        complete(std::move(front), done, /*replay=*/false);
+        complete(front, done, /*replay=*/false);
         waiting_.pop_front();
     }
 }
 
 void
-Stager::complete(Pending &&pending, Seconds done, bool replay)
+Stager::complete(const Pending &pending, Seconds done, bool replay)
 {
     const double latency = done - pending.emit;
     stats_.latencies.push_back(latency);
@@ -167,22 +189,27 @@ Stager::complete(Pending &&pending, Seconds done, bool replay)
 }
 
 void
-Stager::appendRow(const data::CriteoRow &row)
+Stager::appendRow(std::span<const std::int64_t> row)
 {
-    for (std::size_t f = 0; f < schema_.denseCount(); ++f) {
-        denseValues_[f].push_back(row.dense[f]);
-        denseValid_[f].push_back(row.denseValid[f]);
-        batchHash_ = fnv1a(batchHash_, row.denseValid[f]);
-        batchHash_ = fnv1a(
-            batchHash_,
-            row.denseValid[f] != 0
-                ? std::bit_cast<std::uint32_t>(row.dense[f])
-                : 0u);
+    const std::size_t dense = schema_.denseCount();
+    const std::size_t sparse = schema_.sparseCount();
+    const auto bits = row.subspan(0, dense);
+    const auto valid = row.subspan(dense, dense);
+    const auto lengths = row.subspan(2 * dense, sparse);
+    for (std::size_t f = 0; f < dense; ++f) {
+        const auto value = static_cast<std::uint32_t>(bits[f]);
+        denseValues_[f].push_back(std::bit_cast<float>(value));
+        denseValid_[f].push_back(static_cast<std::uint8_t>(valid[f]));
+        batchHash_ = fnv1a(batchHash_, static_cast<std::uint64_t>(valid[f]));
+        batchHash_ = fnv1a(batchHash_, valid[f] != 0 ? value : 0u);
     }
-    for (std::size_t s = 0; s < schema_.sparseCount(); ++s) {
-        sparseCols_[s].appendRow(row.sparse[s]);
-        batchHash_ = fnv1a(batchHash_, row.sparse[s].size());
-        for (const auto id : row.sparse[s]) {
+    auto ids = row.subspan(2 * dense + sparse);
+    for (std::size_t s = 0; s < sparse; ++s) {
+        const auto list = ids.first(static_cast<std::size_t>(lengths[s]));
+        ids = ids.subspan(list.size());
+        sparseCols_[s].appendRow(list);
+        batchHash_ = fnv1a(batchHash_, list.size());
+        for (const auto id : list) {
             batchHash_ =
                 fnv1a(batchHash_, static_cast<std::uint64_t>(id));
         }
@@ -237,16 +264,16 @@ Stager::finish()
         // serverFreeAt_ on, so spilled events queue behind everything
         // live and their latency keeps counting from the original
         // emission — the cost of the detour is visible in the tail.
-        spill_.replay(schema_, [this](Event &&event) {
-            Pending pending;
+        Pending pending;
+        spill_.replay(schema_, [this, &pending](const Event &event) {
             pending.arrival = event.emitTime;
             pending.emit = event.emitTime;
-            pending.row = std::move(event.row);
+            flattenRow(event.row, pending.row);
             const Seconds start =
                 std::max(serverFreeAt_, pending.arrival);
             const Seconds done = start + serviceTime_;
             serverFreeAt_ = done;
-            complete(std::move(pending), done, /*replay=*/true);
+            complete(pending, done, /*replay=*/true);
         });
     }
     spill_.removeFile();

@@ -9,7 +9,7 @@
  * when an event completes staging, whether the queue is over
  * capacity, which event a policy drops or spills — is made in virtual
  * time on the merged stream, never from wall-clock races. That is the
- * whole determinism story: transport threads can jitter all they
+ * whole determinism story: generation threads can jitter all they
  * want, the stager's inputs and therefore its outputs are fixed.
  *
  * Per-event staging latency (completion − emission) feeds the
@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "data/batch.hpp"
@@ -105,8 +106,12 @@ class Stager
     Stager(const IngestConfig &config, data::Schema schema,
            BatchSink sink, IngestMetrics metrics = {});
 
-    /** Feed the next event in global order (nondecreasing emitTime). */
-    void push(Event &&event);
+    /**
+     * Feed the next event in global order (nondecreasing emitTime).
+     * The stager copies what it keeps, so the caller may reuse
+     * @p event as soon as push returns.
+     */
+    void push(const Event &event);
 
     /**
      * Drain the queue, replay the spill log (if any), and flush the
@@ -117,18 +122,23 @@ class Stager
     const StagerStats &stats() const { return stats_; }
 
   private:
+    /**
+     * A queued event. Its row is one flat buffer (see flattenRow in
+     * stager.cpp) rather than a CriteoRow's ~30 heap blocks.
+     */
     struct Pending
     {
         Seconds arrival = 0.0;
         Seconds emit = 0.0;
-        data::CriteoRow row;
+        std::vector<std::int64_t> row;
     };
 
     /** Complete every queued event whose service ends by @p t. */
     void completeUntil(Seconds t);
     /** Account one staged row at virtual time @p done. */
-    void complete(Pending &&pending, Seconds done, bool replay);
-    void appendRow(const data::CriteoRow &row);
+    void complete(const Pending &pending, Seconds done, bool replay);
+    /** Append one flattened row to the batch under assembly. */
+    void appendRow(std::span<const std::int64_t> row);
     void flushBatch(Seconds ready_at);
 
     IngestConfig config_;

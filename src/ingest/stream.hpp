@@ -3,8 +3,8 @@
  * Deterministic per-stream event source. A StreamEmitter is a pure
  * function of (config.seed, stream): it owns a private Rng for
  * arrival thinning and a private CriteoGenerator for row content, so
- * the sequence it yields never depends on which transport thread
- * drives it, how fast the consumer drains, or what other streams do.
+ * the sequence it yields never depends on which pool thread drives
+ * it, how fast the consumer drains, or what other streams do.
  */
 
 #ifndef RAP_INGEST_STREAM_HPP

@@ -13,7 +13,7 @@
  * each thread updates its own cache-line-padded shard (a relaxed
  * fetch_add; no mutex, no CAS retry against other threads on the
  * counter path), and shards are folded only at snapshot time. The
- * streaming ingest producers put metric updates on their emit path,
+ * streaming ingest stager puts metric updates on its per-event path,
  * which is what forced the mutex out; every bench's worker threads
  * benefit the same way.
  *

@@ -3,16 +3,17 @@
 #   cmake -DBENCH_ABLATIONS=<bench_ablations> -DBENCH_FLEET=<bench_fleet>
 #         -DBENCH_FIG09=<bench_fig09_end_to_end>
 #         -DBENCH_INFERENCE=<bench_inference> -DBENCH_INGEST=<bench_ingest>
+#         -DBENCH_CRASH_RECOVERY=<bench_crash_recovery>
 #         -DWORK_DIR=<scratch dir> -P serial_parallel_determinism.cmake
 #
 # Each bench runs its tiny configuration twice: once with one worker
-# and once with four (--jobs for the sweeps, --producers for the ingest
-# transport threads). The stdout tables, the --metrics snapshots and,
-# where the bench writes one, the --report artifacts must come out
-# byte-identical.
+# and once with four (--jobs for the sweeps and the crash-recovery
+# chaos arms, --producers for the ingest row-generation threads). The
+# stdout tables, the --metrics snapshots and, where the bench writes
+# one, the --report artifacts must come out byte-identical.
 
 foreach(var BENCH_ABLATIONS BENCH_FLEET BENCH_FIG09 BENCH_INFERENCE
-            BENCH_INGEST WORK_DIR)
+            BENCH_INGEST BENCH_CRASH_RECOVERY WORK_DIR)
     if(NOT DEFINED ${var})
         message(FATAL_ERROR
             "serial_parallel_determinism: -D${var}=... is required")
@@ -73,3 +74,4 @@ pair(fleet "${BENCH_FLEET}" --jobs REPORT)
 pair(fig09 "${BENCH_FIG09}" --jobs)
 pair(serve "${BENCH_INFERENCE}" --jobs REPORT)
 pair(ingest "${BENCH_INGEST}" --producers REPORT)
+pair(chaos "${BENCH_CRASH_RECOVERY}" --jobs REPORT)

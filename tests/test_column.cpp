@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "data/column.hpp"
 
 namespace rap::data {
 namespace {
+
+/** One sparse row's id list (SparseColumn::appendRow takes a span). */
+using Ids = std::vector<std::int64_t>;
 
 TEST(DenseColumn, ConstructedValidAndZero)
 {
@@ -65,9 +70,9 @@ TEST(SparseColumn, EmptyHasZeroRows)
 TEST(SparseColumn, AppendAndRead)
 {
     SparseColumn col;
-    col.appendRow({1, 2, 3});
+    col.appendRow(Ids{1, 2, 3});
     col.appendRow({});
-    col.appendRow({7});
+    col.appendRow(Ids{7});
     EXPECT_EQ(col.size(), 3u);
     EXPECT_EQ(col.listLength(0), 3u);
     EXPECT_EQ(col.listLength(1), 0u);
@@ -101,7 +106,7 @@ TEST(SparseColumnDeath, OffsetsMustEndAtValueCount)
 TEST(SparseColumnDeath, OutOfRangeAccessPanics)
 {
     SparseColumn col;
-    col.appendRow({1});
+    col.appendRow(Ids{1});
     EXPECT_DEATH((void)col.value(0, 5), "out of range");
     EXPECT_DEATH((void)col.listLength(3), "out of range");
 }
@@ -109,7 +114,7 @@ TEST(SparseColumnDeath, OutOfRangeAccessPanics)
 TEST(SparseColumn, MutableValuesEditInPlace)
 {
     SparseColumn col;
-    col.appendRow({5, 6});
+    col.appendRow(Ids{5, 6});
     for (auto &v : col.mutableValues())
         v *= 10;
     EXPECT_EQ(col.value(0, 0), 50);

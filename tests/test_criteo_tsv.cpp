@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "data/criteo.hpp"
@@ -15,6 +16,9 @@
 
 namespace rap::data {
 namespace {
+
+/** One sparse row's id list (SparseColumn::appendRow takes a span). */
+using Ids = std::vector<std::int64_t>;
 
 Schema
 smallSchema()
@@ -38,13 +42,13 @@ TEST(CriteoTsv, RoundTripPreservesEverything)
     batch.dense(1).set(1, 8.0f);
     batch.dense(1).set(2, 9.0f);
     SparseColumn s0;
-    s0.appendRow({10, 20, 30});
+    s0.appendRow(Ids{10, 20, 30});
     s0.appendRow({});
-    s0.appendRow({5});
+    s0.appendRow(Ids{5});
     batch.setSparse(0, std::move(s0));
     SparseColumn s1;
-    s1.appendRow({1});
-    s1.appendRow({2});
+    s1.appendRow(Ids{1});
+    s1.appendRow(Ids{2});
     s1.appendRow({});
     batch.setSparse(1, std::move(s1));
 
@@ -118,13 +122,13 @@ TEST(CriteoTsv, CrlfLineEndingsRoundTrip)
     batch.dense(1).set(1, 8.0f);
     batch.dense(1).set(2, 9.0f);
     SparseColumn s0;
-    s0.appendRow({10, 20, 30});
+    s0.appendRow(Ids{10, 20, 30});
     s0.appendRow({});
-    s0.appendRow({5});
+    s0.appendRow(Ids{5});
     batch.setSparse(0, std::move(s0));
     SparseColumn s1;
-    s1.appendRow({1});
-    s1.appendRow({2});
+    s1.appendRow(Ids{1});
+    s1.appendRow(Ids{2});
     s1.appendRow({}); // trailing field empty: '\r' is all that follows
     batch.setSparse(1, std::move(s1));
 
@@ -273,8 +277,8 @@ TEST(CriteoTsvChecked, SeededCorruptionPropertyHoldsRowAccounting)
         SparseColumn s0;
         SparseColumn s1;
         for (std::size_t r = 0; r < rows; ++r) {
-            s0.appendRow({static_cast<std::int64_t>(r), 7});
-            s1.appendRow({static_cast<std::int64_t>(2 * r)});
+            s0.appendRow(Ids{static_cast<std::int64_t>(r), 7});
+            s1.appendRow(Ids{static_cast<std::int64_t>(2 * r)});
         }
         batch.setSparse(0, std::move(s0));
         batch.setSparse(1, std::move(s1));

@@ -1,11 +1,13 @@
 /**
  * @file
  * Unit tests for the slab-backed event allocator (sim/event_pool.hpp):
- * node reuse, generation-tagged no-ABA handles, reset semantics.
+ * node reuse, generation-tagged no-ABA handles, reset semantics, and
+ * long randomized churn.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <utility>
 #include <vector>
@@ -123,6 +125,45 @@ TEST(EventPool, ResetInvalidatesEverything)
     pool.take(fresh)();
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(pool.capacity(), 256u);
+}
+
+TEST(EventPool, ChurnWithRandomInterleavedLifetimes)
+{
+    // Mixed acquire/take/release churn with a growing-and-shrinking
+    // live set: the free list, generations, and slab growth must stay
+    // consistent far past several slabs of peak occupancy.
+    EventPool pool;
+    std::vector<EventHandle> live;
+    std::uint64_t fired = 0;
+    std::uint64_t acquired = 0;
+    std::uint64_t lcg = 12345;
+    for (int step = 0; step < 200000; ++step) {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        const bool grow = (lcg >> 33) % 100 <
+                          (live.size() < 700 ? 60u : 40u);
+        if (grow || live.empty()) {
+            live.push_back(pool.acquire([&fired] { ++fired; }));
+            ++acquired;
+        } else {
+            const std::size_t pick =
+                static_cast<std::size_t>(lcg >> 13) % live.size();
+            const EventHandle handle = live[pick];
+            live[pick] = live.back();
+            live.pop_back();
+            ASSERT_TRUE(pool.valid(handle));
+            if ((lcg >> 7) & 1)
+                pool.take(handle)();
+            else
+                pool.release(handle);
+            ASSERT_FALSE(pool.valid(handle));
+        }
+    }
+    EXPECT_EQ(pool.liveNodes(), live.size());
+    for (const auto &handle : live)
+        pool.take(handle)();
+    EXPECT_EQ(pool.liveNodes(), 0u);
+    EXPECT_GT(fired, 0u);
+    EXPECT_LT(pool.capacity(), 2048u); // bounded by peak, not churn
 }
 
 TEST(EventPoolDeath, TakingAStaleHandlePanics)

@@ -4,8 +4,9 @@
  * row codec's bit-exact round-trip, config validation, rate profiles,
  * emitter determinism, hand-computed virtual-time staging timelines
  * for every backpressure policy, spill-log round-trips, the
- * producer-count invariance contract of the full pipeline, and the
- * core-run integration (SystemConfig.ingest gating + report fields).
+ * producer-count and window-size invariance of the full pipeline, and
+ * the core-run integration (SystemConfig.ingest gating + report
+ * fields).
  */
 
 #include <gtest/gtest.h>
@@ -149,8 +150,10 @@ TEST(Config, RejectsBadKnobs)
     EXPECT_EQ(field(config), "streams");
 
     config = IngestConfig{};
-    config.ringCapacity = 100; // not a power of two
-    EXPECT_EQ(field(config), "ringCapacity");
+    config.windowEvents = 0;
+    EXPECT_EQ(field(config), "windowEvents");
+    config.windowEvents = 3; // any size >= 1, no power-of-two rule
+    EXPECT_TRUE(validateIngestConfig(config).empty());
 
     config = IngestConfig{};
     config.stagingEventsPerSec = 0.0;
@@ -361,9 +364,7 @@ TEST(SpillLogTest, RoundTripsEventsBitExactly)
     EXPECT_EQ(log.appended(), 2u);
 
     std::vector<Event> replayed;
-    log.replay(schema, [&](Event &&event) {
-        replayed.push_back(std::move(event));
-    });
+    log.replay(schema, [&](const Event &event) { replayed.push_back(event); });
     ASSERT_EQ(replayed.size(), 2u);
     EXPECT_EQ(replayed[0].stream, first.stream);
     EXPECT_EQ(replayed[0].seq, first.seq);
@@ -392,33 +393,69 @@ pipelineConfig(BackpressurePolicy policy)
     return config;
 }
 
+/** One whole run's deterministic outcome. */
+struct RunDigest
+{
+    std::uint64_t events = 0;
+    std::uint64_t batches = 0;
+    /** IngestReport::toJson(), dumped. */
+    std::string report;
+    std::vector<std::uint64_t> checksums;
+};
+
+RunDigest
+runDigest(const IngestConfig &config)
+{
+    IngestPipeline pipeline(config);
+    RunDigest digest;
+    const auto report = pipeline.run([&](StagedBatch &&batch) {
+        digest.checksums.push_back(batch.checksum);
+    });
+    digest.events = report.events;
+    digest.batches = report.batches;
+    digest.report = report.toJson().dump();
+    return digest;
+}
+
 TEST(Pipeline, ResultsAreInvariantToProducerCount)
 {
     for (auto policy :
          {BackpressurePolicy::Block, BackpressurePolicy::DropOldest,
           BackpressurePolicy::Spill}) {
-        std::string baseline;
-        std::vector<std::uint64_t> baseline_checksums;
-        for (int producers : {1, 2, 4}) {
+        const auto baseline = runDigest(pipelineConfig(policy));
+        EXPECT_GT(baseline.events, 100u);
+        EXPECT_GT(baseline.batches, 0u);
+        for (int producers : {2, 4}) {
             auto config = pipelineConfig(policy);
             config.producers = producers;
-            IngestPipeline pipeline(config);
-            std::vector<std::uint64_t> checksums;
-            auto report = pipeline.run([&](StagedBatch &&batch) {
-                checksums.push_back(batch.checksum);
-            });
-            report.wallMs = 0.0; // the only nondeterministic field
-            const std::string dump = report.toJson().dump();
-            if (producers == 1) {
-                baseline = dump;
-                baseline_checksums = checksums;
-                EXPECT_GT(report.events, 100u);
-                EXPECT_GT(report.batches, 0u);
-            } else {
-                EXPECT_EQ(dump, baseline)
-                    << backpressurePolicyId(policy) << " producers="
-                    << producers;
-                EXPECT_EQ(checksums, baseline_checksums);
+            const auto digest = runDigest(config);
+            EXPECT_EQ(digest.report, baseline.report)
+                << backpressurePolicyId(policy) << " producers="
+                << producers;
+            EXPECT_EQ(digest.checksums, baseline.checksums);
+        }
+    }
+}
+
+TEST(Pipeline, ResultsAreInvariantToWindowSize)
+{
+    // One event per window, windows that split bursts mid-way, and the
+    // default: the windows cut the streams at different emit times,
+    // and the merged order must not notice at any producer count.
+    for (auto policy :
+         {BackpressurePolicy::Block, BackpressurePolicy::DropOldest,
+          BackpressurePolicy::Spill}) {
+        const auto baseline = runDigest(pipelineConfig(policy));
+        for (std::size_t window : {1u, 3u, 256u}) {
+            for (int producers : {0, 1, 2, 4}) {
+                auto config = pipelineConfig(policy);
+                config.windowEvents = window;
+                config.producers = producers;
+                const auto digest = runDigest(config);
+                EXPECT_EQ(digest.report, baseline.report)
+                    << backpressurePolicyId(policy) << " window="
+                    << window << " producers=" << producers;
+                EXPECT_EQ(digest.checksums, baseline.checksums);
             }
         }
     }

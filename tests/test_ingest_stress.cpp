@@ -1,11 +1,11 @@
 /**
  * @file
  * Concurrency stress for the ingest hot paths, run under TSan by the
- * sanitize CI job (`ctest -L queue-stress`): many threads hammering
+ * sanitize CI job (`ctest -L thread-stress`): many threads hammering
  * the sharded wait-free Counter/Histogram (obs/metrics.hpp) with
  * exact-total assertions, concurrent snapshot folds racing the
- * writers, and the full producer/consumer SPSC transport moving real
- * ingest Events under contention.
+ * writers, and the whole pipeline generating windows on a pool while
+ * the calling thread stages the previous one.
  */
 
 #include <gtest/gtest.h>
@@ -15,8 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/lockfree_queue.hpp"
-#include "ingest/event.hpp"
 #include "ingest/pipeline.hpp"
 #include "obs/metrics.hpp"
 
@@ -89,52 +87,18 @@ TEST(IngestStress, ShardedHistogramKeepsExactCounts)
     EXPECT_EQ(counts[0], kThreads * kObs / 4); // [0, 0.25)
 }
 
-TEST(IngestStress, SpscTransportsEveryIngestEvent)
+TEST(IngestStress, PipelineSurvivesManyProducersAndTinyWindows)
 {
-    constexpr std::uint64_t kEvents = 50000;
-    SpscQueue<ingest::Event> ring(256);
-
-    std::thread producer([&ring] {
-        for (std::uint64_t i = 0; i < kEvents; ++i) {
-            ingest::Event event;
-            event.stream = 7;
-            event.seq = i;
-            event.emitTime = static_cast<double>(i) * 1e-6;
-            event.row.dense = {static_cast<float>(i)};
-            event.row.denseValid = {1};
-            event.row.sparse = {{static_cast<std::int64_t>(i * 3)}};
-            while (!ring.tryPush(std::move(event)))
-                std::this_thread::yield();
-        }
-    });
-
-    std::uint64_t received = 0;
-    ingest::Event event;
-    while (received < kEvents) {
-        if (!ring.tryPop(event)) {
-            std::this_thread::yield();
-            continue;
-        }
-        ASSERT_EQ(event.seq, received); // FIFO, nothing lost
-        ASSERT_EQ(event.row.sparse[0][0],
-                  static_cast<std::int64_t>(received * 3));
-        ++received;
-    }
-    producer.join();
-    EXPECT_FALSE(ring.tryPop(event));
-}
-
-TEST(IngestStress, PipelineSurvivesManyProducersAndTinyRings)
-{
-    // Tiny rings force constant full-ring backoff; the merge still
-    // must deliver the exact deterministic result.
+    // Tiny windows hand the pool and the staging thread a new slab
+    // every few events; the merge still must deliver the exact
+    // deterministic result.
     ingest::IngestConfig config;
     config.streams = 8;
     config.producers = 8;
     config.duration = 0.002;
     config.profile.eventsPerSec = 50000.0;
     config.stagingEventsPerSec = 200000.0;
-    config.ringCapacity = 4;
+    config.windowEvents = 4;
     config.batchRows = 32;
 
     std::uint64_t first_checksum = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "data/batch.hpp"
 #include "preproc/ops.hpp"
@@ -19,6 +20,9 @@ using data::FeatureKind;
 using data::RecordBatch;
 using data::Schema;
 using data::SparseColumn;
+
+/** One sparse row's id list (SparseColumn::appendRow takes a span). */
+using Ids = std::vector<std::int64_t>;
 
 Schema
 testSchema()
@@ -42,16 +46,16 @@ testBatch()
     batch.setDense(0, dense);
 
     SparseColumn s0;
-    s0.appendRow({100, 200, 300});
+    s0.appendRow(Ids{100, 200, 300});
     s0.appendRow({});
-    s0.appendRow({-50});
-    s0.appendRow({7, 7});
+    s0.appendRow(Ids{-50});
+    s0.appendRow(Ids{7, 7});
     batch.setSparse(0, std::move(s0));
 
     SparseColumn s1;
-    s1.appendRow({1});
-    s1.appendRow({2, 3});
-    s1.appendRow({4});
+    s1.appendRow(Ids{1});
+    s1.appendRow(Ids{2, 3});
+    s1.appendRow(Ids{4});
     s1.appendRow({});
     batch.setSparse(1, std::move(s1));
     return batch;
@@ -291,10 +295,10 @@ TEST(OpNgram, OrderSensitive)
     auto batch_b = testBatch();
     {
         data::SparseColumn col;
-        col.appendRow({200, 100, 300}); // swapped first two ids
+        col.appendRow(Ids{200, 100, 300}); // swapped first two ids
         col.appendRow({});
-        col.appendRow({-50});
-        col.appendRow({7, 7});
+        col.appendRow(Ids{-50});
+        col.appendRow(Ids{7, 7});
         batch_b.setSparse(0, std::move(col));
     }
     auto node = sparseNode(OpType::Ngram);

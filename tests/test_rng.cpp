@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -150,11 +152,12 @@ class ZipfTest
 TEST_P(ZipfTest, SupportAndSkew)
 {
     const auto [n, alpha] = GetParam();
+    const ZipfSampler zipf(n, alpha);
     Rng rng(37);
     std::map<std::int64_t, int> histogram;
     const int draws = 20000;
     for (int i = 0; i < draws; ++i) {
-        const auto v = rng.zipf(n, alpha);
+        const auto v = zipf(rng);
         ASSERT_GE(v, 0);
         ASSERT_LT(v, n);
         ++histogram[v];
@@ -173,10 +176,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Rng, ZipfRank0MostFrequentLargeSupport)
 {
+    const ZipfSampler zipf(1'000'000, 1.05);
     Rng rng(41);
     std::map<std::int64_t, int> histogram;
     for (int i = 0; i < 50000; ++i)
-        ++histogram[rng.zipf(1'000'000, 1.05)];
+        ++histogram[zipf(rng)];
     const auto best =
         std::max_element(histogram.begin(), histogram.end(),
                          [](const auto &a, const auto &b) {
@@ -184,6 +188,73 @@ TEST(Rng, ZipfRank0MostFrequentLargeSupport)
                          });
     EXPECT_EQ(best->first, 0);
 }
+
+/**
+ * The per-draw rejection-inversion loop ZipfSampler replaced, frozen
+ * here verbatim: every pow() evaluated on every draw. The sampler must
+ * reproduce its draws and leave the generator in the same state.
+ */
+std::int64_t
+referenceZipf(Rng &rng, std::int64_t n, double alpha)
+{
+    if (n == 1)
+        return 0;
+    const double nd = static_cast<double>(n);
+    auto h = [alpha](double x) {
+        if (std::abs(alpha - 1.0) < 1e-12)
+            return std::log(x);
+        return (std::pow(x, 1.0 - alpha) - 1.0) / (1.0 - alpha);
+    };
+    auto hInv = [alpha](double x) {
+        if (std::abs(alpha - 1.0) < 1e-12)
+            return std::exp(x);
+        return std::pow(1.0 + x * (1.0 - alpha), 1.0 / (1.0 - alpha));
+    };
+    const double hx0 = h(0.5) - 1.0;
+    const double hn = h(nd + 0.5);
+    for (;;) {
+        const double u = hx0 + rng.uniform() * (hn - hx0);
+        const double x = hInv(u);
+        const double k = std::floor(x + 0.5);
+        const double clamped = std::min(std::max(k, 1.0), nd);
+        if (u >= h(clamped + 0.5) - std::pow(clamped, -alpha))
+            return static_cast<std::int64_t>(clamped) - 1;
+    }
+}
+
+class ZipfBitExactTest
+    : public ::testing::TestWithParam<std::tuple<std::int64_t, double>>
+{
+};
+
+TEST_P(ZipfBitExactTest, MatchesTheReferenceLoop)
+{
+    const auto [n, alpha] = GetParam();
+    const ZipfSampler zipf(n, alpha);
+    Rng sampled(20240408);
+    Rng reference(20240408);
+    for (int i = 0; i < 100000; ++i) {
+        const auto expected = referenceZipf(reference, n, alpha);
+        const auto actual = zipf(sampled);
+        EXPECT_EQ(actual, expected) << "draw " << i;
+        if (actual != expected)
+            break;
+    }
+    EXPECT_EQ(sampled.next(), reference.next());
+}
+
+// Both sides of the table edge (1024), the log branch (alpha = 1),
+// the Kaggle preset's largest table, and a steep skew.
+INSTANTIATE_TEST_SUITE_P(
+    Pairs, ZipfBitExactTest,
+    ::testing::Values(std::make_tuple(std::int64_t{1}, 1.05),
+                      std::make_tuple(std::int64_t{2}, 1.05),
+                      std::make_tuple(std::int64_t{1000}, 1.05),
+                      std::make_tuple(std::int64_t{1024}, 1.05),
+                      std::make_tuple(std::int64_t{1025}, 1.05),
+                      std::make_tuple(std::int64_t{11250134}, 1.05),
+                      std::make_tuple(std::int64_t{5000}, 1.0),
+                      std::make_tuple(std::int64_t{300}, 2.5)));
 
 } // namespace
 } // namespace rap

@@ -5,11 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "data/batch.hpp"
 #include "data/schema.hpp"
 
 namespace rap::data {
 namespace {
+
+/** One sparse row's id list (SparseColumn::appendRow takes a span). */
+using Ids = std::vector<std::int64_t>;
 
 Schema
 smallSchema()
@@ -65,8 +70,8 @@ TEST(RecordBatch, SetColumnsValidated)
     EXPECT_DEATH(batch.setDense(0, DenseColumn(3)), "mismatch");
 
     SparseColumn col;
-    col.appendRow({1});
-    col.appendRow({2, 3});
+    col.appendRow(Ids{1});
+    col.appendRow(Ids{2, 3});
     batch.setSparse(0, std::move(col));
     EXPECT_EQ(batch.sparse(0).listLength(1), 2u);
 }
@@ -80,7 +85,7 @@ TEST(RecordBatch, AppendColumns)
 
     SparseColumn col;
     col.appendRow({});
-    col.appendRow({9});
+    col.appendRow(Ids{9});
     const auto sparse_idx = batch.appendSparse(std::move(col));
     EXPECT_EQ(sparse_idx, 1u);
     EXPECT_EQ(batch.sparseCount(), 2u);

@@ -1,14 +1,18 @@
 /**
  * @file
- * Unit and stress tests for the deterministic thread pool.
+ * Unit and stress tests for the deterministic thread pool, including
+ * the `beside` overload the ingest pipeline stages with. Labelled
+ * `thread-stress`, so the TSan CI step race-checks it explicitly.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -115,6 +119,106 @@ TEST(ThreadPool, NestedLoopsRunInline)
             hits[o * inner + i]++;
         });
     });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "slot " << i;
+}
+
+TEST(ThreadPool, BesideRunsOnceOnTheCallingThread)
+{
+    const auto caller = std::this_thread::get_id();
+    for (int threads : {1, 2, 4}) {
+        ThreadPool pool(threads);
+        for (std::size_t n : {0u, 1u, 5u}) {
+            int beside_calls = 0;
+            std::thread::id beside_thread;
+            std::vector<std::atomic<int>> hits(n);
+            const auto body = [&](std::size_t i) { hits[i]++; };
+            const auto beside = [&] {
+                ++beside_calls;
+                beside_thread = std::this_thread::get_id();
+            };
+            pool.parallelFor(n, body, beside);
+            EXPECT_EQ(beside_calls, 1)
+                << "threads=" << threads << " n=" << n;
+            EXPECT_EQ(beside_thread, caller);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+        }
+    }
+}
+
+TEST(ThreadPool, SerialPoolRunsBesideFirst)
+{
+    ThreadPool pool(1);
+    std::vector<int> order;
+    const auto body = [&](std::size_t i) {
+        order.push_back(static_cast<int>(i));
+    };
+    pool.parallelFor(5, body, [&] { order.push_back(-1); });
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
+}
+
+TEST(ThreadPool, BesideAndBodyExceptionsWaitForTheLoop)
+{
+    ThreadPool pool(4);
+    const std::size_t n = 12;
+    const auto slow_body = [](std::atomic<std::size_t> &finished,
+                              std::size_t throw_at) {
+        return [&finished, throw_at](std::size_t i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            ++finished;
+            if (i == throw_at)
+                throw std::runtime_error("task " + std::to_string(i));
+        };
+    };
+
+    // beside throws at once; the loop still drains before the rethrow,
+    // and beside's exception ranks ahead of every index's.
+    std::atomic<std::size_t> finished{0};
+    try {
+        pool.parallelFor(n, slow_body(finished, 2),
+                         [] { throw std::logic_error("beside"); });
+        FAIL() << "parallelFor swallowed the exception";
+    } catch (const std::logic_error &e) {
+        EXPECT_STREQ(e.what(), "beside");
+        EXPECT_EQ(finished.load(), n);
+    }
+
+    // A body exception is rethrown after every claimed index finished.
+    finished = 0;
+    try {
+        pool.parallelFor(n, slow_body(finished, 0), [] {});
+        FAIL() << "parallelFor swallowed the exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "task 0");
+        EXPECT_EQ(finished.load(), n);
+    }
+}
+
+TEST(ThreadPool, NestedBesideCallRunsInline)
+{
+    ThreadPool pool(4);
+    const std::size_t outer = 8;
+    const std::size_t inner = 6;
+    std::vector<std::atomic<int>> hits(outer * inner);
+    std::atomic<int> off_thread{0};
+    pool.parallelFor(outer, [&](std::size_t o) {
+        const auto worker = std::this_thread::get_id();
+        int beside_calls = 0;
+        const auto body = [&](std::size_t i) {
+            if (std::this_thread::get_id() != worker)
+                ++off_thread;
+            hits[o * inner + i]++;
+        };
+        const auto beside = [&] {
+            if (std::this_thread::get_id() != worker)
+                ++off_thread;
+            ++beside_calls;
+        };
+        pool.parallelFor(inner, body, beside);
+        EXPECT_EQ(beside_calls, 1);
+    });
+    EXPECT_EQ(off_thread.load(), 0);
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i].load(), 1) << "slot " << i;
 }
