@@ -579,9 +579,7 @@ RunSession::run(InputPath &input) const
         }
         for (int g = 0; g < gpus; ++g) {
             for (int j = 0; j < n; ++j) {
-                auto event = sim::makeEvent(
-                    "input.g" + std::to_string(g) + "." +
-                    std::to_string(j));
+                auto event = sim::makeEvent();
                 if (!barriers.empty())
                     barriers[static_cast<std::size_t>(j)]->addTarget(
                         event);
@@ -609,8 +607,7 @@ RunSession::run(InputPath &input) const
     const bool traced = !config.tracePath.empty();
     for (int g = 0; g < cluster.gpuCount(); ++g) {
         auto &trace = cluster.device(g).trace();
-        trace.setRecordKernels(traced);
-        trace.setRecordSegments(traced);
+        trace.setRecording(traced);
         trace.armWindow(span_start, span_end);
     }
     RunContext context{cluster, driver, ready, barriers};
@@ -858,10 +855,8 @@ TorchArrowInput::wire(RunContext &run)
             "gpu" + std::to_string(g) + ".h2d_queue");
         std::vector<sim::SimEventPtr> cpu_done(
             static_cast<std::size_t>(n));
-        for (int j = 0; j < n; ++j) {
-            cpu_done[static_cast<std::size_t>(j)] = sim::makeEvent(
-                "cpu.g" + std::to_string(g) + "." + std::to_string(j));
-        }
+        for (auto &event : cpu_done)
+            event = sim::makeEvent();
         for (int w = 0; w < workers; ++w) {
             auto &worker_stream = run.cluster.host().newStream(
                 "ta.g" + std::to_string(g) + ".w" + std::to_string(w));
@@ -1105,7 +1100,7 @@ GpuInput::wire(RunContext &run)
     ticks_.reserve(static_cast<std::size_t>(tick_count));
     for (int j = 0; j < tick_count; ++j) {
         auto tick = std::make_unique<InputBarrier>(engine, gpus);
-        auto fired = sim::makeEvent("monitor." + std::to_string(j));
+        auto fired = sim::makeEvent();
         tick->addTarget(fired);
         fired->addWaiter(engine, [this, j] { monitorTick(j); });
         for (int g = 0; g < gpus; ++g) {
@@ -1136,8 +1131,7 @@ GpuInput::pushBatch(int g, int j)
     auto &pre_stream = *lane.pre;
 
     // --- Host data preparation + H2D staging for batch j. ---
-    auto prep_done = sim::makeEvent(
-        "prep.g" + std::to_string(g) + "." + std::to_string(j));
+    auto prep_done = sim::makeEvent();
     // Interleaving starts the next batch's preparation one iteration
     // early (§6.3); without it, preparation waits for the iteration
     // the kernels will co-run with.
@@ -1147,8 +1141,7 @@ GpuInput::pushBatch(int g, int j)
         prep_stream.pushWait(driver.opStart(g, prep_gate_iter, 0));
     if (traits_.sequential && j >= 1)
         prep_stream.pushWait(driver.iterEnd(g, j - 1));
-    auto cpu_done = sim::makeEvent(
-        "prepcpu.g" + std::to_string(g) + "." + std::to_string(j));
+    auto cpu_done = sim::makeEvent();
     prep_stream.pushCpuTask(lane.prepCpu, 1);
     prep_stream.pushRecord(cpu_done);
     copy_stream.pushWait(cpu_done);
@@ -1176,11 +1169,9 @@ GpuInput::pushBatch(int g, int j)
     }
 
     // --- Input communication + readiness barrier. ---
-    auto batch_done = sim::makeEvent(
-        "batch.g" + std::to_string(g) + "." + std::to_string(j));
+    auto batch_done = sim::makeEvent();
     if (!lane.messages.empty()) {
-        auto kernels_done = sim::makeEvent(
-            "kdone.g" + std::to_string(g) + "." + std::to_string(j));
+        auto kernels_done = sim::makeEvent();
         pre_stream.pushRecord(kernels_done);
         copy_stream.pushWait(kernels_done);
         for (Bytes message : lane.messages)
@@ -1201,8 +1192,7 @@ GpuInput::pushBatch(int g, int j)
             &run_->cluster.host().newStream("hybrid.g" + std::to_string(g));
     }
     auto &worker = *lane.hybrid;
-    auto hybrid_cpu_done = sim::makeEvent(
-        "hybridcpu.g" + std::to_string(g) + "." + std::to_string(j));
+    auto hybrid_cpu_done = sim::makeEvent();
     const int gate_iter = j - 2;
     if (gate_iter >= 0)
         worker.pushWait(driver.opStart(g, gate_iter, 0));
@@ -1212,8 +1202,7 @@ GpuInput::pushBatch(int g, int j)
         lane.joins.emplace_back(std::make_unique<InputBarrier>(engine, 2))
             .get();
     // The joint completion reports to the global barrier.
-    auto joined = sim::makeEvent(
-        "hybridjoin.g" + std::to_string(g) + "." + std::to_string(j));
+    auto joined = sim::makeEvent();
     join->addTarget(joined);
     batch_done->addWaiter(engine, [join] { join->arrive(); });
     hybrid_cpu_done->addWaiter(engine, [join] { join->arrive(); });

@@ -30,12 +30,12 @@
 
 #include "common/json.hpp"
 #include "common/thread_pool.hpp"
+#include "common/validation.hpp"
 #include "core/capacity.hpp"
 #include "core/checkpoint.hpp"
 #include "core/corun_scheduler.hpp"
 #include "core/latency_predictor.hpp"
 #include "core/mapping.hpp"
-#include "core/validation.hpp"
 #include "ingest/config.hpp"
 #include "preproc/plan.hpp"
 #include "sim/fault.hpp"

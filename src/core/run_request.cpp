@@ -108,10 +108,9 @@ SystemConfig::validate() const
     }
 
     if (ingest) {
-        for (const auto &issue :
-             ingest::validateIngestConfig(*ingest)) {
-            result.addError("ingest." + issue.first, issue.second);
-        }
+        const auto ingest_result = ingest::validateIngestConfig(*ingest);
+        for (const auto &error : ingest_result.errors())
+            result.addError("ingest." + error.field, error.message);
         if (system == System::TorchArrowCpu) {
             result.addError("ingest",
                             "TorchArrowCpu models its own CPU input "

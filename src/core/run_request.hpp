@@ -2,7 +2,7 @@
  * @file
  * The validated run API: RunRequest is a fluent builder over
  * SystemConfig that validates at build() time and returns structured
- * errors (core/validation.hpp) instead of asserting mid-run.
+ * errors (common/validation.hpp) instead of asserting mid-run.
  *
  *   auto request = RunRequest(System::Rap)
  *                      .gpus(4)

@@ -43,8 +43,7 @@ iterationExclusiveLatency(const std::vector<TrainOp> &ops,
             sim::Engine scratch;
             sim::Collective collective(
                 scratch, op.collectiveKind, op.commBytes, gpu_count,
-                cluster_spec.nvlinkBandwidth, cluster_spec.nvlinkLatency,
-                op.name);
+                cluster_spec.nvlinkBandwidth, cluster_spec.nvlinkLatency);
             total += collective.duration();
         } else {
             total += op.kernel.exclusiveLatency +

@@ -62,9 +62,8 @@ TrainingDriver::pushIterations(int count)
         for (std::size_t k = 0; k < op_count; ++k) {
             const auto &op = opsPerGpu_.front()[k];
             if (op.comm) {
-                colls[k] = cluster_.makeCollective(
-                    op.collectiveKind, op.commBytes,
-                    op.name + "#" + std::to_string(iter));
+                colls[k] = cluster_.makeCollective(op.collectiveKind,
+                                                   op.commBytes);
             }
         }
         pushOneIteration(iter, colls);
@@ -82,8 +81,7 @@ TrainingDriver::pushOneIteration(
         auto &rec = per_gpu.back();
         const auto &ops = opsPerGpu_[static_cast<std::size_t>(g)];
         rec.opSpans.resize(ops.size());
-        rec.end = sim::makeEvent("iter_end.g" + std::to_string(g) + "." +
-                                 std::to_string(iter));
+        rec.end = sim::makeEvent();
         auto &stream = *streams_[static_cast<std::size_t>(g)];
 
         if (inputGate_) {
@@ -98,9 +96,7 @@ TrainingDriver::pushOneIteration(
         });
 
         for (std::size_t k = 0; k < ops.size(); ++k) {
-            auto start = sim::makeEvent(
-                ops[k].name + ".start.g" + std::to_string(g) + "." +
-                std::to_string(iter));
+            auto start = sim::makeEvent();
             rec.opStarts.push_back(start);
             stream.pushCallback([this, g, iter, k, &engine] {
                 opSpanMutable(g, iter, k).start = engine.now();

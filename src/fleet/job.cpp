@@ -11,9 +11,12 @@ namespace rap::fleet {
 
 namespace {
 
-/** Pick a GPU request: skewed toward small jobs, capped at the node. */
+/** Largest GPU request a synthesised job may make (the node size). */
+constexpr int kMaxGpusPerJob = 8;
+
+/** Pick a GPU request in {1, 2, 4, 8}, skewed toward small jobs. */
 int
-drawGpuRequest(Rng &rng, int max_gpus)
+drawGpuRequest(Rng &rng)
 {
     // Weights over {1, 2, 4, 8}: most jobs are small, which is where
     // envelope-shared placement wins; the occasional full-node job
@@ -30,7 +33,7 @@ drawGpuRequest(Rng &rng, int max_gpus)
             break;
         }
     }
-    return std::min(pick, max_gpus);
+    return pick;
 }
 
 } // namespace
@@ -152,8 +155,6 @@ std::vector<JobSpec>
 makeArrivalTrace(const ArrivalTraceOptions &options)
 {
     RAP_ASSERT(options.jobCount >= 1, "trace needs at least one job");
-    RAP_ASSERT(options.maxGpusPerJob >= 1,
-               "jobs need at least one GPU");
     Rng rng(options.seed);
     std::vector<JobSpec> jobs;
     jobs.reserve(static_cast<std::size_t>(options.jobCount));
@@ -172,7 +173,7 @@ makeArrivalTrace(const ArrivalTraceOptions &options)
             clock = std::nextafter(
                 prev, std::numeric_limits<double>::infinity());
         spec.arrival = clock;
-        spec.gpusRequested = drawGpuRequest(rng, options.maxGpusPerJob);
+        spec.gpusRequested = drawGpuRequest(rng);
         spec.planId = static_cast<int>(
             rng.uniformInt(0, options.tiny ? 1 : 3));
         spec.batchPerGpu = rng.bernoulli(0.5) ? 2048 : 4096;
@@ -190,7 +191,7 @@ makeArrivalTrace(const ArrivalTraceOptions &options)
     if (options.serving.jobCount > 0) {
         const auto &serving = options.serving;
         RAP_ASSERT(serving.gpusPerJob >= 1 &&
-                       serving.gpusPerJob <= options.maxGpusPerJob,
+                       serving.gpusPerJob <= kMaxGpusPerJob,
                    "inference jobs must fit the node");
         // Inference submissions ride their own Poisson stream (own
         // seed, own clock) and are merged by arrival: the serving mix

@@ -143,8 +143,6 @@ struct ArrivalTraceOptions
      */
     Seconds meanInterarrival = 0.005;
     std::uint64_t seed = 0xf1ee70001ULL;
-    /** Largest GPU request a job may make (the node size). */
-    int maxGpusPerJob = 8;
     /** Smaller jobs everywhere (CI determinism mode). */
     bool tiny = false;
     /** Checkpoint interval stamped on every synthesised job. */

@@ -6,10 +6,10 @@
 
 namespace rap::fleet {
 
-core::ValidationResult
+ValidationResult
 FleetRequest::validate() const
 {
-    core::ValidationResult result;
+    ValidationResult result;
     const int gpu_count = options_.node.gpuCount;
     if (gpu_count < 1)
         result.addError("node.gpuCount", "node needs at least one GPU");

@@ -2,7 +2,7 @@
  * @file
  * The validated fleet API: FleetRequest is a fluent builder over
  * FleetOptions that validates at run() time and returns structured
- * errors (core/validation.hpp) instead of asserting mid-run — the
+ * errors (common/validation.hpp) instead of asserting mid-run — the
  * fleet-level twin of core::RunRequest.
  *
  *   auto request = FleetRequest(makeArrivalTrace(trace))
@@ -22,7 +22,7 @@
 #ifndef RAP_FLEET_REQUEST_HPP
 #define RAP_FLEET_REQUEST_HPP
 
-#include "core/validation.hpp"
+#include "common/validation.hpp"
 #include "ctrl/catalog.hpp"
 #include "fleet/scheduler.hpp"
 
@@ -174,7 +174,7 @@ class FleetRequest
     const std::vector<JobSpec> &jobs() const { return jobs_; }
 
     /** @return The validation outcome for the current request. */
-    core::ValidationResult validate() const;
+    ValidationResult validate() const;
 
     /**
      * Validate and execute; fatal (with the full rendered error list)

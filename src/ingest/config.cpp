@@ -31,72 +31,67 @@ parseBackpressurePolicy(std::string_view text, BackpressurePolicy &out)
     return false;
 }
 
-std::vector<ConfigIssue>
+ValidationResult
 validateIngestConfig(const IngestConfig &config)
 {
-    std::vector<ConfigIssue> issues;
+    ValidationResult result;
     if (config.streams < 1 || config.streams > 4096) {
-        issues.emplace_back("streams",
-                            "need 1..4096 logical streams");
+        result.addError("streams", "need 1..4096 logical streams");
     }
     if (config.producers < 0) {
-        issues.emplace_back(
+        result.addError(
             "producers",
             "generation thread count cannot be negative "
             "(0 = one per stream)");
     }
     if (config.duration <= 0.0)
-        issues.emplace_back("duration", "emission horizon must be > 0");
+        result.addError("duration", "emission horizon must be > 0");
     if (config.batchRows < 1)
-        issues.emplace_back("batchRows", "batches need at least 1 row");
+        result.addError("batchRows", "batches need at least 1 row");
     if (config.windowEvents < 1) {
-        issues.emplace_back(
+        result.addError(
             "windowEvents",
             "a generation window must hold at least 1 event");
     }
     if (config.stagingEventsPerSec <= 0.0) {
-        issues.emplace_back("stagingEventsPerSec",
-                            "staging service rate must be > 0");
+        result.addError("stagingEventsPerSec",
+                        "staging service rate must be > 0");
     }
     if (config.policy != BackpressurePolicy::Block &&
         config.stagingQueueCap < 1) {
-        issues.emplace_back(
+        result.addError(
             "stagingQueueCap",
             "drop/spill policies need a queue capacity >= 1");
     }
-    if (config.depthSampleEvery < 1) {
-        issues.emplace_back("depthSampleEvery",
-                            "queue-depth sampling stride must be >= 1");
-    }
     if (config.profile.eventsPerSec <= 0.0) {
-        issues.emplace_back("profile.eventsPerSec",
-                            "base emission rate must be > 0");
+        result.addError("profile.eventsPerSec",
+                        "base emission rate must be > 0");
     }
     if (config.profile.kind == RateProfileKind::Diurnal &&
         (config.profile.amplitude < 0.0 ||
          config.profile.amplitude >= 1.0)) {
-        issues.emplace_back(
+        result.addError(
             "profile.amplitude",
             "diurnal amplitude must be in [0, 1) so the rate stays "
             "positive");
     }
     if (config.profile.kind != RateProfileKind::Steady &&
         config.profile.period <= 0.0) {
-        issues.emplace_back("profile.period",
-                            "rate modulation needs a positive period");
+        result.addError("profile.period",
+                        "rate modulation needs a positive period");
     }
     if (config.profile.kind == RateProfileKind::Burst) {
         if (config.profile.burstFactor < 1.0) {
-            issues.emplace_back("profile.burstFactor",
-                                "burst peak multiplier must be >= 1");
+            result.addError("profile.burstFactor",
+                            "burst peak multiplier must be >= 1");
         }
         if (config.profile.burstFraction <= 0.0 ||
             config.profile.burstFraction > 1.0) {
-            issues.emplace_back("profile.burstFraction",
-                                "burst duty cycle must be in (0, 1]");
+            result.addError("profile.burstFraction",
+                            "burst duty cycle must be in (0, 1]");
         }
     }
-    return issues;
+    return result;
 }
 
 } // namespace rap::ingest

@@ -23,11 +23,10 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "common/io.hpp"
 #include "common/units.hpp"
+#include "common/validation.hpp"
 #include "data/criteo.hpp"
 #include "ingest/rate_profile.hpp"
 
@@ -81,8 +80,6 @@ struct IngestConfig
     BackpressurePolicy policy = BackpressurePolicy::Block;
     /** Spill log path; "" auto-creates one under the temp dir. */
     std::string spillPath;
-    /** Sample ingest.queue_depth every N-th arrival. */
-    int depthSampleEvery = 64;
     /**
      * Fault-injection context for the spill log (non-owning; null =
      * plain POSIX). When the spill disk dies past the retry budget,
@@ -91,12 +88,11 @@ struct IngestConfig
     io::IoContext *io = nullptr;
 };
 
-/** One rejected knob: (field, why). Folded into core validation. */
-using ConfigIssue = std::pair<std::string, std::string>;
-
-/** @return Every invalid knob in @p config (empty = valid). */
-std::vector<ConfigIssue> validateIngestConfig(
-    const IngestConfig &config);
+/**
+ * @return Every invalid knob in @p config, each named by its field.
+ * SystemConfig::validate folds them in under the "ingest." prefix.
+ */
+ValidationResult validateIngestConfig(const IngestConfig &config);
 
 } // namespace rap::ingest
 

@@ -109,11 +109,9 @@ IngestPipeline::IngestPipeline(IngestConfig config)
     : config_(std::move(config)),
       schema_(data::makePresetSchema(config_.preset))
 {
-    const auto issues = validateIngestConfig(config_);
-    if (!issues.empty()) {
-        RAP_FATAL("invalid ingest config: ", issues.front().first,
-                  ": ", issues.front().second);
-    }
+    const auto result = validateIngestConfig(config_);
+    if (!result.ok())
+        RAP_FATAL("invalid ingest config:\n", result.render());
 }
 
 IngestReport

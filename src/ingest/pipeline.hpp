@@ -68,7 +68,10 @@ struct IngestReport
 class IngestPipeline
 {
   public:
-    /** @p config must be valid (validateIngestConfig empty). */
+    /**
+     * Exits with every error rendered unless validateIngestConfig
+     * accepts @p config.
+     */
     explicit IngestPipeline(IngestConfig config);
 
     const data::Schema &schema() const { return schema_; }

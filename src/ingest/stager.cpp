@@ -10,6 +10,9 @@ namespace rap::ingest {
 
 namespace {
 
+/** Sample ingest.queue_depth every this many arrivals. */
+constexpr std::uint64_t kDepthSampleEvery = 64;
+
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -105,9 +108,7 @@ Stager::push(const Event &event)
 
     ++arrivalTick_;
     if (metrics_.queueDepth != nullptr &&
-        arrivalTick_ %
-                static_cast<std::uint64_t>(config_.depthSampleEvery) ==
-            0) {
+        arrivalTick_ % kDepthSampleEvery == 0) {
         metrics_.queueDepth->append(
             event.emitTime, static_cast<double>(waiting_.size()));
     }

@@ -105,13 +105,12 @@ Cluster::exportMetrics(obs::MetricRegistry &registry,
 }
 
 CollectivePtr
-Cluster::makeCollective(CollectiveKind kind, Bytes bytes_per_gpu,
-                        std::string name)
+Cluster::makeCollective(CollectiveKind kind, Bytes bytes_per_gpu)
 {
     return std::make_shared<Collective>(
         engine_, kind, bytes_per_gpu, gpuCount(),
         spec_.nvlinkBandwidth * collectiveBandwidthScale_,
-        spec_.nvlinkLatency, std::move(name));
+        spec_.nvlinkLatency);
 }
 
 } // namespace rap::sim

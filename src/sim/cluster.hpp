@@ -7,7 +7,6 @@
 #define RAP_SIM_CLUSTER_HPP
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/device.hpp"
@@ -74,10 +73,8 @@ class Cluster
      *
      * @param kind Collective flavour.
      * @param bytes_per_gpu Payload contributed by each GPU.
-     * @param name Diagnostic name.
      */
-    CollectivePtr makeCollective(CollectiveKind kind, Bytes bytes_per_gpu,
-                                 std::string name);
+    CollectivePtr makeCollective(CollectiveKind kind, Bytes bytes_per_gpu);
 
     /**
      * Scale the NVSwitch fabric bandwidth used by collectives created

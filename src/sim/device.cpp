@@ -19,10 +19,8 @@ Device::Device(Engine &engine, GpuSpec spec, int id,
                BytesPerSecond h2d_bandwidth, Seconds h2d_latency,
                BytesPerSecond p2p_bandwidth, Seconds p2p_latency)
     : engine_(engine), spec_(std::move(spec)), id_(id),
-      h2d_(engine, h2d_bandwidth, h2d_latency,
-           "gpu" + std::to_string(id) + ".h2d"),
-      p2p_(engine, p2p_bandwidth, p2p_latency,
-           "gpu" + std::to_string(id) + ".p2p")
+      h2d_(engine, h2d_bandwidth, h2d_latency),
+      p2p_(engine, p2p_bandwidth, p2p_latency)
 {
 }
 
@@ -191,7 +189,7 @@ Device::refresh()
             record.exclusiveLatency = finished.desc->exclusiveLatency;
             ++kernelsRetired_;
             stallSeconds_ += std::max(record.stretch(), 0.0);
-            if (trace_.recordsKernels()) {
+            if (trace_.recording()) {
                 record.name = finished.desc->name;
                 record.stream = finished.stream->name();
                 trace_.addKernel(std::move(record));
@@ -292,7 +290,6 @@ Device::addResident(KernelPtr desc, const Stream &stream,
     r.stream = &stream;
     r.priority = stream.priority();
     r.done = std::move(done);
-    r.id = nextKernelId_++;
     resident_.push_back(std::move(r));
     ++kernelsLaunched_;
     maxResident_ = std::max(maxResident_, resident_.size());

@@ -171,7 +171,6 @@ class Device
         const Stream *stream = nullptr;
         int priority = 0;
         std::function<void()> done;
-        std::uint64_t id = 0;
     };
 
     /** Advance resident kernels' progress up to the current time. */
@@ -199,7 +198,6 @@ class Device
     std::map<int, Seconds> launchFree_;
     Seconds lastUpdate_ = 0.0;
     std::uint64_t wakeGeneration_ = 0;
-    std::uint64_t nextKernelId_ = 0;
     double currentSmUsage_ = 0.0;
     double currentBwUsage_ = 0.0;
     double smCapacity_ = 1.0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -18,8 +19,16 @@ Engine::schedule(Seconds t, EventCallback fn)
 {
     RAP_ASSERT(t >= now_ - kTimeEps, "cannot schedule into the past: t=", t,
                " now=", now_);
-    const EventHandle handle = pool_.acquire(std::move(fn));
-    queue_.push(Ref{std::max(t, now_), nextSeq_++, handle});
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(slots_.size());
+        slots_.push_back(std::move(fn));
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        slots_[slot] = std::move(fn);
+    }
+    queue_.push(Ref{std::max(t, now_), nextSeq_++, slot});
     maxDepth_ = std::max(maxDepth_, queue_.size());
 }
 
@@ -30,33 +39,24 @@ Engine::scheduleAfter(Seconds dt, EventCallback fn)
 }
 
 void
-Engine::drain(Seconds limit)
+Engine::run()
 {
     RAP_ASSERT(!running_, "Engine::run is not reentrant");
     running_ = true;
-    while (!queue_.empty() && queue_.top().time <= limit) {
+    // An event at +infinity never fires: it marks "never", not a time.
+    while (!queue_.empty() &&
+           queue_.top().time <= std::numeric_limits<Seconds>::max()) {
         const Ref ref = queue_.top();
         queue_.pop();
         now_ = ref.time;
         ++executed_;
-        EventCallback fn = pool_.take(ref.handle);
+        // Free the slot before the call, so the callback's own
+        // schedule() calls may reuse it.
+        EventCallback fn = std::exchange(slots_[ref.slot], nullptr);
+        freeSlots_.push_back(ref.slot);
         fn();
     }
     running_ = false;
-}
-
-void
-Engine::run()
-{
-    // An event at +infinity never fires: it marks "never", not a time.
-    drain(std::numeric_limits<Seconds>::max());
-}
-
-void
-Engine::runUntil(Seconds t)
-{
-    drain(t);
-    now_ = std::max(now_, t);
 }
 
 void
@@ -82,9 +82,9 @@ SimEvent::fire(Engine &engine)
 }
 
 SimEventPtr
-makeEvent(std::string name)
+makeEvent()
 {
-    return std::make_shared<SimEvent>(std::move(name));
+    return std::make_shared<SimEvent>();
 }
 
 } // namespace rap::sim

@@ -7,7 +7,7 @@
  * in one queue ordered on (time, sequence number), and run() drains
  * it. Events scheduled for the same instant fire in scheduling order,
  * which keeps every simulation fully deterministic. Pending callbacks
- * live in an EventPool (recycled slab nodes), so the steady-state
+ * sit in slots the engine owns and recycles, so the steady-state
  * queue churn allocates nothing.
  */
 
@@ -18,13 +18,13 @@
 #include <functional>
 #include <memory>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "common/units.hpp"
-#include "sim/event_pool.hpp"
 
 namespace rap::sim {
+
+using EventCallback = std::function<void()>;
 
 /** The discrete-event engine: one time-ordered callback queue. */
 class Engine
@@ -44,14 +44,11 @@ class Engine
     /** Schedule @p fn to run @p dt seconds from now. */
     void scheduleAfter(Seconds dt, EventCallback fn);
 
-    /** Run until the event queue drains. */
-    void run();
-
     /**
-     * Run until the queue drains or the next event lies past @p t,
-     * then advance the clock to @p t.
+     * Run until the event queue drains. Events at +infinity mark
+     * "never" and are left pending.
      */
-    void runUntil(Seconds t);
+    void run();
 
     /** @return Total number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed_; }
@@ -60,11 +57,12 @@ class Engine
     std::size_t maxQueueDepth() const { return maxDepth_; }
 
   private:
+    /** A pending event: its order key and the slot of its callback. */
     struct Ref
     {
         Seconds time;
         std::uint64_t seq;
-        EventHandle handle;
+        std::uint32_t slot;
     };
 
     struct RefCompare
@@ -78,11 +76,10 @@ class Engine
         }
     };
 
-    /** Execute every pending event with time <= @p limit, in order. */
-    void drain(Seconds limit);
-
     std::priority_queue<Ref, std::vector<Ref>, RefCompare> queue_;
-    EventPool pool_;
+    /** Callbacks of pending events; a freed slot is reused. */
+    std::vector<EventCallback> slots_;
+    std::vector<std::uint32_t> freeSlots_;
     Seconds now_ = 0.0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
@@ -99,14 +96,10 @@ class Engine
 class SimEvent
 {
   public:
-    explicit SimEvent(std::string name) : name_(std::move(name)) {}
-
     bool fired() const { return fired_; }
 
     /** @return The simulated time the event fired (valid once fired). */
     Seconds fireTime() const { return fireTime_; }
-
-    const std::string &name() const { return name_; }
 
     /**
      * Register a continuation to run when the event fires. If already
@@ -118,7 +111,6 @@ class SimEvent
     void fire(Engine &engine);
 
   private:
-    std::string name_;
     bool fired_ = false;
     Seconds fireTime_ = 0.0;
     std::vector<std::function<void()>> waiters_;
@@ -126,8 +118,8 @@ class SimEvent
 
 using SimEventPtr = std::shared_ptr<SimEvent>;
 
-/** @return A fresh named SimEvent. */
-SimEventPtr makeEvent(std::string name);
+/** @return A fresh, unfired SimEvent. */
+SimEventPtr makeEvent();
 
 } // namespace rap::sim
 

@@ -66,31 +66,10 @@ FaultEvent::deviceCrash(int device, Seconds time)
     return e;
 }
 
-FaultEvent
-FaultEvent::hostCrash(Seconds time)
-{
-    FaultEvent e;
-    e.kind = FaultKind::HostCrash;
-    e.device = -1;
-    e.time = time;
-    return e;
-}
-
-FaultEvent
-FaultEvent::jobKill(Seconds time)
-{
-    FaultEvent e;
-    e.kind = FaultKind::JobKill;
-    e.device = -1;
-    e.time = time;
-    return e;
-}
-
 bool
 FaultEvent::isFailStop() const
 {
-    return kind == FaultKind::DeviceCrash ||
-           kind == FaultKind::HostCrash || kind == FaultKind::JobKill;
+    return kind == FaultKind::DeviceCrash;
 }
 
 bool
@@ -173,10 +152,6 @@ FaultInjector::FaultInjector(FaultSpec spec)
                        "a device crash must target one GPU");
             RAP_ASSERT(e.time >= 0.0, "crash time must be >= 0");
             break;
-          case FaultKind::HostCrash:
-          case FaultKind::JobKill:
-            RAP_ASSERT(e.time >= 0.0, "crash time must be >= 0");
-            break;
         }
     }
 }
@@ -218,8 +193,6 @@ FaultInjector::arm(Cluster &cluster)
                     }
                     break;
                   case FaultKind::DeviceCrash:
-                  case FaultKind::HostCrash:
-                  case FaultKind::JobKill:
                     device.crash();
                     break;
                   case FaultKind::TransientKernel:

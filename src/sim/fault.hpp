@@ -44,10 +44,6 @@ enum class FaultKind {
     TransientKernel,
     /** One GPU goes permanently offline (fail-stop). */
     DeviceCrash,
-    /** The host dies, taking every GPU down with it (fail-stop). */
-    HostCrash,
-    /** The job is killed externally; all its devices stop (fail-stop). */
-    JobKill,
 };
 
 /** @return Stable machine token ("sm_degrade") for JSON / labels. */
@@ -113,10 +109,8 @@ struct FaultEvent
                                       Seconds until,
                                       double probability);
     static FaultEvent deviceCrash(int device, Seconds time);
-    static FaultEvent hostCrash(Seconds time);
-    static FaultEvent jobKill(Seconds time);
 
-    /** @return True for DeviceCrash / HostCrash / JobKill. */
+    /** @return True for DeviceCrash. */
     bool isFailStop() const;
 
     /**

@@ -7,9 +7,8 @@
 namespace rap::sim {
 
 LinkServer::LinkServer(Engine &engine, BytesPerSecond bandwidth,
-                       Seconds latency, std::string name)
-    : engine_(engine), bandwidth_(bandwidth), latency_(latency),
-      name_(std::move(name))
+                       Seconds latency)
+    : engine_(engine), bandwidth_(bandwidth), latency_(latency)
 {
     RAP_ASSERT(bandwidth_ > 0, "link bandwidth must be positive");
 }
@@ -37,11 +36,10 @@ LinkServer::submit(Bytes bytes, std::function<void()> done)
 
 Collective::Collective(Engine &engine, CollectiveKind kind,
                        Bytes bytes_per_gpu, int participants,
-                       BytesPerSecond bandwidth, Seconds latency,
-                       std::string name)
+                       BytesPerSecond bandwidth, Seconds latency)
     : engine_(engine), kind_(kind), bytesPerGpu_(bytes_per_gpu),
       participants_(participants), bandwidth_(bandwidth),
-      latency_(latency), name_(std::move(name))
+      latency_(latency)
 {
     RAP_ASSERT(participants_ >= 1, "collective needs >= 1 participant");
     RAP_ASSERT(bytesPerGpu_ >= 0, "collective payload must be >= 0");
@@ -69,7 +67,7 @@ void
 Collective::arrive(std::function<void()> done)
 {
     RAP_ASSERT(arrived_ < participants_,
-               "collective ", name_, " got more arrivals than participants");
+               "collective got more arrivals than participants");
     callbacks_.push_back(std::move(done));
     if (++arrived_ < participants_)
         return;

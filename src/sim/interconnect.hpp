@@ -9,7 +9,7 @@
 
 #include <functional>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "common/units.hpp"
 #include "sim/engine.hpp"
@@ -29,10 +29,8 @@ class LinkServer
      * @param engine Owning simulation engine.
      * @param bandwidth Link bandwidth in bytes/second.
      * @param latency Fixed per-transfer startup latency.
-     * @param name Diagnostic name.
      */
-    LinkServer(Engine &engine, BytesPerSecond bandwidth, Seconds latency,
-               std::string name);
+    LinkServer(Engine &engine, BytesPerSecond bandwidth, Seconds latency);
 
     /**
      * Submit a transfer of @p bytes; @p done runs at completion.
@@ -40,9 +38,6 @@ class LinkServer
      * @return The absolute completion time.
      */
     Seconds submit(Bytes bytes, std::function<void()> done);
-
-    /** @return Time the link next becomes free. */
-    Seconds nextFree() const { return nextFree_; }
 
     /** @return Total bytes moved so far. */
     Bytes totalBytes() const { return totalBytes_; }
@@ -54,13 +49,10 @@ class LinkServer
      */
     void setRateScale(double scale);
 
-    const std::string &name() const { return name_; }
-
   private:
     Engine &engine_;
     BytesPerSecond bandwidth_;
     Seconds latency_;
-    std::string name_;
     Seconds nextFree_ = 0.0;
     Bytes totalBytes_ = 0.0;
     double rateScale_ = 1.0;
@@ -90,19 +82,15 @@ class Collective
      * @param participants Number of GPUs taking part.
      * @param bandwidth Per-GPU unidirectional NVLink bandwidth.
      * @param latency Per-hop NVLink latency.
-     * @param name Diagnostic name.
      */
     Collective(Engine &engine, CollectiveKind kind, Bytes bytes_per_gpu,
-               int participants, BytesPerSecond bandwidth, Seconds latency,
-               std::string name);
+               int participants, BytesPerSecond bandwidth, Seconds latency);
 
     /** Register one participant's arrival; @p done runs at completion. */
     void arrive(std::function<void()> done);
 
     /** @return The modelled busy duration of the collective. */
     Seconds duration() const;
-
-    const std::string &name() const { return name_; }
 
   private:
     Engine &engine_;
@@ -111,7 +99,6 @@ class Collective
     int participants_;
     BytesPerSecond bandwidth_;
     Seconds latency_;
-    std::string name_;
     int arrived_ = 0;
     std::vector<std::function<void()>> callbacks_;
 };

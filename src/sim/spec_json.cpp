@@ -26,8 +26,6 @@ constexpr std::pair<FaultKind, const char *> kFaultKindIds[] = {
     {FaultKind::LinkSlow, "link_slow"},
     {FaultKind::TransientKernel, "transient_kernel"},
     {FaultKind::DeviceCrash, "device_crash"},
-    {FaultKind::HostCrash, "host_crash"},
-    {FaultKind::JobKill, "job_kill"},
 };
 
 constexpr std::pair<FaultLink, const char *> kFaultLinkIds[] = {

@@ -49,7 +49,7 @@ Trace::addSegment(const UtilSegment &segment)
         return;
     if (windowStart_ != nullptr)
         accumulate(segment);
-    if (recordSegments_)
+    if (recording_)
         segments_.push_back(segment);
 }
 
@@ -83,7 +83,7 @@ Trace::isArmedWindow(Seconds t0, Seconds t1) const
 void
 Trace::addKernel(KernelRecord record)
 {
-    if (!recordKernels_)
+    if (!recording_)
         return;
     kernels_.push_back(std::move(record));
 }
@@ -92,7 +92,7 @@ double
 Trace::integrate(Seconds t0, Seconds t1,
                  double (*value)(const UtilSegment &)) const
 {
-    RAP_ASSERT(recordSegments_,
+    RAP_ASSERT(recording_,
                "averaging a window other than the armed one needs "
                "recorded segments");
     if (t1 <= t0)

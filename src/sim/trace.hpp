@@ -47,19 +47,24 @@ struct KernelRecord
  * Per-device trace accumulating utilisation segments and kernel records.
  *
  * A run that only needs the averages over one window arms that window
- * and turns segment recording off: the trace then integrates each
- * segment as it arrives and holds three sums instead of one segment per
- * device state change.
+ * and turns recording off: the trace then integrates each segment as
+ * it arrives and holds three sums instead of one segment per device
+ * state change.
  */
 class Trace
 {
   public:
     /**
-     * Enable/disable segment recording (on by default). Only the
-     * Chrome trace export and averages over windows other than the
-     * armed one read the stored segments.
+     * Enable/disable keeping segments and kernel records (on by
+     * default). Only the Chrome trace export and averages over windows
+     * other than the armed one read them, so runs that write no trace
+     * turn recording off; the device's own retire and stall tallies do
+     * not depend on it.
      */
-    void setRecordSegments(bool on) { recordSegments_ = on; }
+    void setRecording(bool on) { recording_ = on; }
+
+    /** @return Whether addSegment and addKernel keep what they get. */
+    bool recording() const { return recording_; }
 
     /**
      * Arm the window [@p start, @p end] whose averages are accumulated
@@ -71,17 +76,6 @@ class Trace
      * the final window, bit for bit.
      */
     void armWindow(const Seconds &start, const Seconds &end);
-
-    /**
-     * Enable/disable kernel records (on by default). Only the Chrome
-     * trace export reads them, so runs that write no trace turn them
-     * off; the device's own retire and stall tallies do not depend on
-     * them.
-     */
-    void setRecordKernels(bool on) { recordKernels_ = on; }
-
-    /** @return Whether addKernel keeps its record. */
-    bool recordsKernels() const { return recordKernels_; }
 
     /** Append a utilisation segment (called by Device). */
     void addSegment(const UtilSegment &segment);
@@ -127,8 +121,7 @@ class Trace
     const Seconds *windowStart_ = nullptr;
     const Seconds *windowEnd_ = nullptr;
     WindowAreas window_;
-    bool recordSegments_ = true;
-    bool recordKernels_ = true;
+    bool recording_ = true;
 };
 
 } // namespace rap::sim

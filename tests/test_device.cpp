@@ -171,12 +171,17 @@ TEST(Device, ResidentDemandTracksKernels)
     Cluster cluster(oneGpu());
     auto &stream = cluster.device(0).newStream("s");
     stream.pushKernel(KernelDesc::synthetic("k", 100e-6, {0.5, 0.25}));
-    cluster.engine().runUntil(50e-6);
-    EXPECT_EQ(cluster.device(0).residentCount(), 1u);
-    const auto demand = cluster.device(0).residentDemand();
+    // Probe mid-kernel from an event of the run itself.
+    std::size_t resident = 0;
+    ResourceDemand demand;
+    cluster.engine().schedule(50e-6, [&] {
+        resident = cluster.device(0).residentCount();
+        demand = cluster.device(0).residentDemand();
+    });
+    cluster.run();
+    EXPECT_EQ(resident, 1u);
     EXPECT_DOUBLE_EQ(demand.sm, 0.5);
     EXPECT_DOUBLE_EQ(demand.bw, 0.25);
-    cluster.run();
     EXPECT_EQ(cluster.device(0).residentCount(), 0u);
 }
 
@@ -196,7 +201,7 @@ TEST(Stream, WaitBlocksUntilRecord)
     Cluster cluster(oneGpu());
     auto &a = cluster.device(0).newStream("a");
     auto &b = cluster.device(0).newStream("b", 1);
-    auto event = makeEvent("sync");
+    auto event = makeEvent();
     Seconds end_b = -1.0;
     b.pushWait(event);
     b.pushCallback([&] { end_b = cluster.engine().now(); });

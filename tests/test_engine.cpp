@@ -5,9 +5,53 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <new>
 #include <vector>
 
 #include "sim/engine.hpp"
+
+namespace {
+
+/** Every allocation this binary makes through operator new. */
+std::atomic<std::uint64_t> gAllocations{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    gAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size == 0 ? 1 : size))
+        return p;
+    throw std::bad_alloc();
+}
+
+// GCC flags free() on what it knows came from operator new; here the
+// replacement operator new above allocated it with malloc.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace rap::sim {
 namespace {
@@ -56,17 +100,41 @@ TEST(Engine, EventsMayScheduleMoreEvents)
     EXPECT_DOUBLE_EQ(engine.now(), 1.5);
 }
 
-TEST(Engine, RunUntilStopsAtDeadline)
+TEST(Engine, EventAtInfinityNeverFires)
 {
     Engine engine;
     int fired = 0;
     engine.schedule(1.0, [&] { ++fired; });
-    engine.schedule(5.0, [&] { ++fired; });
-    engine.runUntil(2.0);
-    EXPECT_EQ(fired, 1);
-    EXPECT_DOUBLE_EQ(engine.now(), 2.0);
+    engine.schedule(std::numeric_limits<Seconds>::infinity(),
+                    [&] { ++fired; });
     engine.run();
-    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(fired, 1);
+    EXPECT_DOUBLE_EQ(engine.now(), 1.0);
+    EXPECT_EQ(engine.eventsExecuted(), 1u);
+}
+
+TEST(Engine, SteadyStateChurnAllocatesNothing)
+{
+    // Once a round has sized the heap and the callback slots, a round
+    // of small-capture events allocates nothing, including the events
+    // that callbacks schedule into the slot just freed.
+    Engine engine;
+    std::uint64_t fired = 0;
+    auto round = [&] {
+        for (int i = 0; i < 500; ++i) {
+            engine.scheduleAfter(1e-6 * (i % 7), [&engine, &fired] {
+                ++fired;
+                engine.scheduleAfter(0.0, [&fired] { ++fired; });
+            });
+        }
+        engine.run();
+    };
+    round();
+    const std::uint64_t before = gAllocations.load();
+    round();
+    const std::uint64_t allocations = gAllocations.load() - before;
+    EXPECT_EQ(allocations, 0u);
+    EXPECT_EQ(fired, 2000u);
 }
 
 TEST(EngineDeath, SchedulingInThePastPanics)
@@ -79,19 +147,15 @@ TEST(EngineDeath, SchedulingInThePastPanics)
 
 TEST(EngineDeath, RunIsNotReentrant)
 {
-    Engine run_engine;
-    run_engine.schedule(1.0, [&] { run_engine.run(); });
-    EXPECT_DEATH(run_engine.run(), "not reentrant");
-
-    Engine until_engine;
-    until_engine.schedule(1.0, [&] { until_engine.runUntil(2.0); });
-    EXPECT_DEATH(until_engine.run(), "not reentrant");
+    Engine engine;
+    engine.schedule(1.0, [&] { engine.run(); });
+    EXPECT_DEATH(engine.run(), "not reentrant");
 }
 
 TEST(SimEvent, FireReleasesWaiters)
 {
     Engine engine;
-    auto event = makeEvent("e");
+    auto event = makeEvent();
     int released = 0;
     event->addWaiter(engine, [&] { ++released; });
     event->addWaiter(engine, [&] { ++released; });
@@ -106,7 +170,7 @@ TEST(SimEvent, FireReleasesWaiters)
 TEST(SimEvent, LateWaiterPassesThrough)
 {
     Engine engine;
-    auto event = makeEvent("e");
+    auto event = makeEvent();
     engine.schedule(1.0, [&] { event->fire(engine); });
     engine.run();
     int released = 0;
@@ -118,7 +182,7 @@ TEST(SimEvent, LateWaiterPassesThrough)
 TEST(SimEvent, DoubleFireIsIdempotent)
 {
     Engine engine;
-    auto event = makeEvent("e");
+    auto event = makeEvent();
     engine.schedule(1.0, [&] { event->fire(engine); });
     engine.schedule(2.0, [&] { event->fire(engine); });
     engine.run();

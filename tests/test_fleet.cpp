@@ -862,7 +862,7 @@ TEST(FleetMetrics, SnapshotIsThreadCountInvariant)
 }
 
 bool
-hasError(const core::ValidationResult &result,
+hasError(const ValidationResult &result,
          const std::string &field)
 {
     for (const auto &error : result.errors())

@@ -135,14 +135,14 @@ TEST(RowCodec, ReportsMalformedFields)
 
 TEST(Config, DefaultIsValid)
 {
-    EXPECT_TRUE(validateIngestConfig(IngestConfig{}).empty());
+    EXPECT_TRUE(validateIngestConfig(IngestConfig{}).ok());
 }
 
 TEST(Config, RejectsBadKnobs)
 {
     const auto field = [](const IngestConfig &config) {
-        const auto issues = validateIngestConfig(config);
-        return issues.empty() ? std::string() : issues.front().first;
+        const auto result = validateIngestConfig(config);
+        return result.ok() ? std::string() : result.errors().front().field;
     };
 
     IngestConfig config;
@@ -153,7 +153,7 @@ TEST(Config, RejectsBadKnobs)
     config.windowEvents = 0;
     EXPECT_EQ(field(config), "windowEvents");
     config.windowEvents = 3; // any size >= 1, no power-of-two rule
-    EXPECT_TRUE(validateIngestConfig(config).empty());
+    EXPECT_TRUE(validateIngestConfig(config).ok());
 
     config = IngestConfig{};
     config.stagingEventsPerSec = 0.0;
@@ -167,6 +167,15 @@ TEST(Config, RejectsBadKnobs)
     config = IngestConfig{};
     config.duration = 0.0;
     EXPECT_EQ(field(config), "duration");
+}
+
+TEST(ConfigDeath, PipelineNamesEveryBadField)
+{
+    IngestConfig config;
+    config.streams = 0;
+    config.batchRows = 0;
+    EXPECT_DEATH(IngestPipeline{config},
+                 "invalid ingest config:\nstreams: .*\nbatchRows: ");
 }
 
 TEST(Config, IdsRoundTrip)

@@ -14,7 +14,7 @@ namespace {
 TEST(LinkServer, SingleTransferTiming)
 {
     Engine engine;
-    LinkServer link(engine, 100e9, 5e-6, "l");
+    LinkServer link(engine, 100e9, 5e-6);
     Seconds end = -1.0;
     link.submit(100e9 * 2e-3, [&] { end = engine.now(); }); // 2ms payload
     engine.run();
@@ -25,7 +25,7 @@ TEST(LinkServer, SingleTransferTiming)
 TEST(LinkServer, TransfersQueueFifo)
 {
     Engine engine;
-    LinkServer link(engine, 1e9, 1e-6, "l");
+    LinkServer link(engine, 1e9, 1e-6);
     std::vector<Seconds> ends;
     for (int i = 0; i < 3; ++i)
         link.submit(1e9 * 1e-3, [&] { ends.push_back(engine.now()); });
@@ -39,7 +39,7 @@ TEST(LinkServer, TransfersQueueFifo)
 TEST(LinkServer, ZeroByteTransferCostsLatency)
 {
     Engine engine;
-    LinkServer link(engine, 1e9, 7e-6, "l");
+    LinkServer link(engine, 1e9, 7e-6);
     Seconds end = -1.0;
     link.submit(0.0, [&] { end = engine.now(); });
     engine.run();
@@ -49,8 +49,7 @@ TEST(LinkServer, ZeroByteTransferCostsLatency)
 TEST(Collective, SingleParticipantIsCheap)
 {
     Engine engine;
-    Collective c(engine, CollectiveKind::AllToAll, 1e9, 1, 300e9, 3e-6,
-                 "a2a");
+    Collective c(engine, CollectiveKind::AllToAll, 1e9, 1, 300e9, 3e-6);
     EXPECT_NEAR(c.duration(), 3e-6, 1e-12);
 }
 
@@ -59,7 +58,7 @@ TEST(Collective, AllToAllDurationFormula)
     Engine engine;
     const Bytes per_gpu = 54e6;
     Collective c(engine, CollectiveKind::AllToAll, per_gpu, 8, 300e9,
-                 3e-6, "a2a");
+                 3e-6);
     EXPECT_NEAR(c.duration(), 3e-6 + per_gpu * 7.0 / 8.0 / 300e9, 1e-12);
 }
 
@@ -68,7 +67,7 @@ TEST(Collective, AllReduceDurationFormula)
     Engine engine;
     const Bytes per_gpu = 10e6;
     Collective c(engine, CollectiveKind::AllReduce, per_gpu, 4, 300e9,
-                 3e-6, "ar");
+                 3e-6);
     EXPECT_NEAR(c.duration(),
                 3e-6 * 3.0 + 2.0 * per_gpu * 3.0 / 4.0 / 300e9, 1e-12);
 }
@@ -77,7 +76,7 @@ TEST(Collective, WaitsForAllParticipants)
 {
     Engine engine;
     Collective c(engine, CollectiveKind::AllToAll, 300e9 * 1e-3, 2,
-                 300e9, 0.0, "a2a");
+                 300e9, 0.0);
     std::vector<Seconds> ends;
     engine.schedule(1e-3, [&] {
         c.arrive([&] { ends.push_back(engine.now()); });
@@ -96,8 +95,7 @@ TEST(Collective, WaitsForAllParticipants)
 TEST(CollectiveDeath, OverArrivalPanics)
 {
     Engine engine;
-    Collective c(engine, CollectiveKind::AllToAll, 1.0, 1, 1e9, 0.0,
-                 "a2a");
+    Collective c(engine, CollectiveKind::AllToAll, 1.0, 1, 1e9, 0.0);
     c.arrive({});
     EXPECT_DEATH(c.arrive({}), "more arrivals");
 }
@@ -105,8 +103,7 @@ TEST(CollectiveDeath, OverArrivalPanics)
 TEST(Cluster, CollectiveSpansAllGpus)
 {
     Cluster cluster(dgxA100Spec(4));
-    auto coll = cluster.makeCollective(CollectiveKind::AllReduce, 1e6,
-                                       "ar");
+    auto coll = cluster.makeCollective(CollectiveKind::AllReduce, 1e6);
     std::vector<Seconds> ends;
     for (int g = 0; g < 4; ++g) {
         auto &stream = cluster.device(g).newStream("comm");

@@ -50,7 +50,7 @@ TEST(Trace, ZeroLengthSegmentsIgnored)
 TEST(Trace, DisableSegmentRecording)
 {
     Trace trace;
-    trace.setRecordSegments(false);
+    trace.setRecording(false);
     trace.addSegment({0.0, 1.0, 0.5, 0.5, 1});
     EXPECT_TRUE(trace.segments().empty());
 }
@@ -63,7 +63,7 @@ TEST(Trace, ArmedWindowEqualsIntegratingStoredSegments)
     Seconds t0 = -1.0;
     Seconds t1 = -1.0;
     Trace armed;
-    armed.setRecordSegments(false);
+    armed.setRecording(false);
     armed.armWindow(t0, t1);
     Trace recorded;
     auto arrive = [&](const UtilSegment &segment) {
@@ -96,7 +96,7 @@ TEST(TraceDeathTest, OtherWindowsNeedRecordedSegments)
     Seconds t0 = 0.0;
     Seconds t1 = 1.0;
     Trace trace;
-    trace.setRecordSegments(false);
+    trace.setRecording(false);
     trace.armWindow(t0, t1);
     trace.addSegment({0.0, 1.0, 0.5, 0.5, 1});
     EXPECT_EQ(trace.avgSmUsage(t0, t1), 0.5);
@@ -110,7 +110,7 @@ TEST(Trace, KernelRecordsOffKeepDeviceTallies)
     auto run = [](bool record) {
         auto cluster = std::make_unique<Cluster>(dgxA100Spec(1));
         auto &device = cluster->device(0);
-        device.trace().setRecordKernels(record);
+        device.trace().setRecording(record);
         device.newStream("a").pushKernel(
             KernelDesc::synthetic("k1", 100e-6, {0.8, 0.6}));
         device.newStream("b").pushKernel(
@@ -124,6 +124,7 @@ TEST(Trace, KernelRecordsOffKeepDeviceTallies)
     const auto &dev_off = off->device(0);
     EXPECT_EQ(dev_on.trace().kernels().size(), 2u);
     EXPECT_TRUE(dev_off.trace().kernels().empty());
+    EXPECT_TRUE(dev_off.trace().segments().empty());
     EXPECT_EQ(dev_off.kernelsRetired(), 2u);
     EXPECT_GT(dev_on.contentionStallSeconds(), 0.0);
     EXPECT_EQ(dev_off.contentionStallSeconds(),

@@ -106,7 +106,7 @@ TEST(Trainer, InputGateDelaysIteration)
 {
     Fixture f(2);
     TrainingDriver driver(f.cluster, f.config, f.sharding);
-    auto gate = sim::makeEvent("input");
+    auto gate = sim::makeEvent();
     driver.setInputGate([&](int, int iter) {
         return iter == 0 ? gate : nullptr;
     });
