@@ -21,7 +21,9 @@
  * bytes — prints DIVERGED and fails the process.
  *
  * Stdout is deterministic: the same seed produces the same table for
- * any --jobs, which is what the CI storage-chaos job diffs.
+ * any --jobs, which the storage_chaos ctest diffs. Catalogs go under
+ * the system temp root (TMPDIR). The bench writes no metrics, so
+ * --metrics is an unknown flag.
  */
 
 #include <filesystem>
@@ -121,7 +123,8 @@ main(int argc, char **argv)
         "storage-fault soak: crash-tail mutations and live fault "
         "injection across the durable fleet catalog, asserting "
         "byte-identical recovery, structured refusal, or flagged "
-        "degradation on every case");
+        "degradation on every case",
+        bench::ArgParser::Metrics::None);
     int &seed = args.addInt("--seed", 7, "fault-schedule RNG seed");
     args.parse(argc, argv);
     ThreadPool pool(args.jobThreads());

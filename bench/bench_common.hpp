@@ -8,12 +8,15 @@
  *   --jobs N / -j N   worker threads for independent sweep points
  *                     (0 = all hardware threads; default 1)
  *   --tiny            smaller sweep for CI determinism jobs
- *   --trace PATH      Chrome-trace JSON output path (or prefix)
  *   --metrics PATH    deterministic metrics-snapshot JSON output
+ *                     (unless the bench writes no metrics)
  *
- * plus --help. Unknown flags are an error (exit 1) unless the bench
- * opts into allowUnknown() — the google-benchmark mains do, and hand
- * the unconsumed arguments on via remainingArgv().
+ * plus --help. A bench registers any other flag itself (bench_fig09
+ * and bench_fleet take `--trace PREFIX` for Chrome traces), so every
+ * flag a bench accepts does something. Unknown flags are an error
+ * (exit 1) unless the bench opts into allowUnknown() — the
+ * google-benchmark mains do, and hand the unconsumed arguments on
+ * via remainingArgv().
  *
  * Output stays deterministic: sweep points are computed into
  * submission-indexed slots and rendered in point order, so `--jobs 8`
@@ -48,21 +51,27 @@ namespace rap::bench {
 class ArgParser
 {
   public:
+    /** Whether the bench writes a `--metrics` snapshot. */
+    enum class Metrics { Written, None };
+
     /**
      * @param program Bench name for the usage line ("bench_fig09...").
      * @param summary One-line description printed by --help.
+     * @param metrics Metrics::None leaves `--metrics` unregistered,
+     *        so passing it is an unknown-flag error.
      */
-    ArgParser(std::string program, std::string summary)
+    ArgParser(std::string program, std::string summary,
+              Metrics metrics = Metrics::Written)
         : program_(std::move(program)), summary_(std::move(summary))
     {
         jobs_ = &addInt("--jobs", 1,
                         "worker threads for sweep points "
                         "(0 = all hardware threads; alias -j)");
         tiny_ = &addFlag("--tiny", "smaller sweep (CI mode)");
-        trace_ = &addString("--trace", "",
-                            "Chrome-trace JSON output path/prefix");
-        metrics_ = &addString("--metrics", "",
-                              "metrics snapshot JSON output path");
+        if (metrics == Metrics::Written) {
+            metrics_ = &addString("--metrics", "",
+                                  "metrics snapshot JSON output path");
+        }
     }
 
     /** Register a boolean flag; @return its (false-initial) storage. */
@@ -175,8 +184,13 @@ class ArgParser
     }
 
     bool tiny() const { return *tiny_; }
-    const std::string &tracePath() const { return *trace_; }
-    const std::string &metricsPath() const { return *metrics_; }
+
+    const std::string &
+    metricsPath() const
+    {
+        RAP_ASSERT(metrics_ != nullptr, program_, " writes no metrics");
+        return *metrics_;
+    }
 
     /**
      * @return argv (program name + unconsumed arguments) for handing
@@ -276,7 +290,6 @@ class ArgParser
     bool allowUnknown_ = false;
     int *jobs_ = nullptr;
     bool *tiny_ = nullptr;
-    std::string *trace_ = nullptr;
     std::string *metrics_ = nullptr;
 };
 

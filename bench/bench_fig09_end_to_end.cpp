@@ -52,7 +52,7 @@ void
 runForGpuCount(int gpus, const std::vector<int> &plan_ids,
                const std::vector<std::int64_t> &batches,
                std::map<std::string, RunningStat> &speedups,
-               const bench::ArgParser &args, ThreadPool &pool,
+               const std::string &trace_prefix, ThreadPool &pool,
                obs::MetricRegistry *metrics)
 {
     std::cout << "=== Figure 9: end-to-end throughput on " << gpus
@@ -89,10 +89,10 @@ runForGpuCount(int gpus, const std::vector<int> &plan_ids,
                 config.metrics = metrics;
                 config.metricsScope =
                     cell_scope + "." + core::systemId(system);
-                if (!args.tracePath().empty() &&
+                if (!trace_prefix.empty() &&
                     system == core::System::Rap) {
                     config.tracePath =
-                        args.tracePath() + "." + cell_scope + ".json";
+                        trace_prefix + "." + cell_scope + ".json";
                 }
                 tput[system] = core::RunRequest(config).run(plan).throughput;
             }
@@ -137,6 +137,8 @@ main(int argc, char **argv)
         "Figure 9: end-to-end training throughput grid");
     const std::string &gpus_arg =
         args.addPositional("gpus", "restrict to one node size (2/4/8)");
+    const std::string &trace_prefix = args.addString(
+        "--trace", "", "Chrome-trace JSON output prefix (RAP cells)");
     args.parse(argc, argv);
     ThreadPool pool(args.jobThreads());
     obs::MetricRegistry registry;
@@ -158,7 +160,7 @@ main(int argc, char **argv)
     bench::WallTimer timer;
     std::uint64_t cells = 0;
     for (int gpus : gpu_counts) {
-        runForGpuCount(gpus, plan_ids, batches, speedups, args, pool,
+        runForGpuCount(gpus, plan_ids, batches, speedups, trace_prefix, pool,
                        metrics);
         cells += plan_ids.size() * batches.size() * kSystems.size();
     }

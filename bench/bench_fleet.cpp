@@ -127,9 +127,10 @@ main(int argc, char **argv)
     const int &compact_every = args.addInt(
         "--compact-every", 0,
         "compact the catalog snapshot every N commits (0 = never)");
+    const std::string &trace_prefix = args.addString(
+        "--trace", "", "Chrome-trace JSON output prefix (shared arm)");
     args.parse(argc, argv);
     const bool tiny = args.tiny();
-    const std::string &trace_prefix = args.tracePath();
     ThreadPool pool(args.jobThreads());
     obs::MetricRegistry registry;
     obs::MetricRegistry *metrics =

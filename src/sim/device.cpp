@@ -22,6 +22,12 @@ Device::Device(Engine &engine, GpuSpec spec, int id,
       h2d_(engine, h2d_bandwidth, h2d_latency),
       p2p_(engine, p2p_bandwidth, p2p_latency)
 {
+    wake_ = engine_.addTimer([this] {
+        if (offline_)
+            return; // crash() discarded what the wake was armed for
+        advanceToNow();
+        refresh();
+    });
 }
 
 Stream &
@@ -37,58 +43,70 @@ void
 Device::launchKernel(const Stream &stream, KernelPtr desc,
                      std::function<void()> done)
 {
-    queueLaunch(stream, std::move(desc), std::move(done), /*attempt=*/1);
+    queueLaunch(PendingLaunch{&stream, std::move(desc), std::move(done),
+                              /*attempt=*/1});
 }
 
 void
-Device::queueLaunch(const Stream &stream, KernelPtr desc,
-                    std::function<void()> done, int attempt)
+Device::queueLaunch(PendingLaunch launch)
 {
     if (offline_)
         return; // crashed devices drop launches on the floor
-    auto &free_at = launchFree_[stream.launchGroup()];
-    const Seconds start = std::max(engine_.now(), free_at);
+    const int id = launch.stream->launchGroup();
+    std::size_t g = 0;
+    while (g < launchGroups_.size() && launchGroups_[g].id != id)
+        ++g;
+    if (g == launchGroups_.size())
+        launchGroups_.push_back(LaunchGroup{id, 0.0, {}, 0});
+    LaunchGroup &group = launchGroups_[g];
+    const Seconds start = std::max(engine_.now(), group.freeAt);
     const Seconds resident_at = start + spec_.kernelLaunchOverhead;
-    free_at = resident_at;
-    engine_.schedule(resident_at,
-                     [this, &stream, desc = std::move(desc),
-                      done = std::move(done), attempt]() mutable {
-                         admitKernel(stream, std::move(desc), std::move(done),
-                                     attempt);
-                     });
+    group.freeAt = resident_at;
+    group.pending.push_back(std::move(launch));
+    engine_.schedule(resident_at, [this, g] { admitKernel(g); });
 }
 
 void
-Device::admitKernel(const Stream &stream, KernelPtr desc,
-                    std::function<void()> done, int attempt)
+Device::admitKernel(std::size_t g)
 {
+    LaunchGroup &group = launchGroups_[g];
+    PendingLaunch launch = std::move(group.pending[group.head++]);
+    // Drop the taken prefix once it is half the buffer: amortised
+    // O(1), and the buffer stops growing once it fits the group's
+    // deepest backlog.
+    if (2 * group.head >= group.pending.size()) {
+        group.pending.erase(group.pending.begin(),
+                            group.pending.begin() +
+                                static_cast<std::ptrdiff_t>(group.head));
+        group.head = 0;
+    }
     if (offline_)
         return; // crashed between launch and admission
+    const Stream &stream = *launch.stream;
     if (injector_ != nullptr &&
-        injector_->shouldFailLaunch(engine_.now(), id_, attempt)) {
+        injector_->shouldFailLaunch(engine_.now(), id_, launch.attempt)) {
         // The attempt dies after the detection fraction of its work,
         // waits out the backoff, then relaunches through the regular
         // launch path (charging launch overhead again). All of it is
         // charged to the timeline, so faults are visible in makespan.
-        auto probe = std::make_shared<KernelDesc>(*desc);
-        probe->name += ".fault" + std::to_string(attempt);
+        auto probe = std::make_shared<KernelDesc>(*launch.desc);
+        probe->name += ".fault" + std::to_string(launch.attempt);
         probe->exclusiveLatency *= injector_->retry().detectFraction;
-        const Seconds backoff = injector_->backoff(attempt);
+        const Seconds backoff = injector_->backoff(launch.attempt);
         ++kernelRetries_;
         retryBackoff_ += backoff;
-        auto relaunch = [this, &stream, desc = std::move(desc),
-                         done = std::move(done), attempt, backoff]() mutable {
+        ++launch.attempt;
+        auto relaunch = [this, launch = std::move(launch),
+                         backoff]() mutable {
             engine_.scheduleAfter(
-                backoff, [this, &stream, desc = std::move(desc),
-                          done = std::move(done), attempt]() mutable {
-                    queueLaunch(stream, std::move(desc), std::move(done),
-                                attempt + 1);
+                backoff, [this, launch = std::move(launch)]() mutable {
+                    queueLaunch(std::move(launch));
                 });
         };
         addResident(std::move(probe), stream, std::move(relaunch));
         return;
     }
-    addResident(std::move(desc), stream, std::move(done));
+    addResident(std::move(launch.desc), stream, std::move(launch.done));
 }
 
 void
@@ -121,7 +139,7 @@ Device::crash()
     // callbacks: dependent ops stall, mirroring a real fail-stop.
     discardedKernels_ += resident_.size();
     resident_.clear();
-    ++wakeGeneration_; // invalidate any pending refresh wake
+    // An armed wake stays armed and fires as a no-op.
     currentSmUsage_ = 0.0;
     currentBwUsage_ = 0.0;
     offline_ = true;
@@ -208,21 +226,21 @@ Device::refresh()
     // Recompute progress rates: priority classes are served from
     // highest (0) to lowest; within a class kernels scale
     // proportionally when the class oversubscribes what is available.
-    std::vector<int> classes;
+    classes_.clear();
     for (const auto &r : resident_) {
-        if (std::find(classes.begin(), classes.end(), r.priority) ==
-            classes.end()) {
-            classes.push_back(r.priority);
+        if (std::find(classes_.begin(), classes_.end(), r.priority) ==
+            classes_.end()) {
+            classes_.push_back(r.priority);
         }
     }
-    std::sort(classes.begin(), classes.end());
+    std::sort(classes_.begin(), classes_.end());
 
     // A degraded device starts the priority walk with less to give.
     double avail_sm = smCapacity_;
     double avail_bw = bwCapacity_;
     currentSmUsage_ = 0.0;
     currentBwUsage_ = 0.0;
-    for (int cls : classes) {
+    for (int cls : classes_) {
         double class_sm = 0.0;
         double class_bw = 0.0;
         for (const auto &r : resident_) {
@@ -267,15 +285,12 @@ Device::refresh()
             next_done = t;
     }
 
-    if (next_done >= 0) {
-        const std::uint64_t generation = ++wakeGeneration_;
-        engine_.schedule(engine_.now() + next_done, [this, generation] {
-            if (generation != wakeGeneration_)
-                return;
-            advanceToNow();
-            refresh();
-        });
-    }
+    // Re-arming replaces the pending wake, which no longer marks a
+    // retirement. With nothing resident the pending wake, if any, is
+    // left to fire: it runs an empty refresh, and disarming it could
+    // pull the end of the run earlier.
+    if (next_done >= 0)
+        engine_.arm(wake_, engine_.now() + next_done);
 }
 
 void

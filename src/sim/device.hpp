@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -173,31 +172,59 @@ class Device
         std::function<void()> done;
     };
 
+    /** A launch attempt waiting out the launch overhead of its group. */
+    struct PendingLaunch
+    {
+        const Stream *stream = nullptr;
+        KernelPtr desc;
+        std::function<void()> done;
+        int attempt = 1;
+    };
+
+    /**
+     * One kernel-launch serialisation group. Its admits are scheduled
+     * at non-decreasing times in push order, and the engine breaks
+     * ties by push order too, so they fire first in, first out and
+     * the scheduled admit names only the group.
+     */
+    struct LaunchGroup
+    {
+        int id = 0;
+        Seconds freeAt = 0.0;
+        /** Launches in admit order; the first `head` are taken. */
+        std::vector<PendingLaunch> pending;
+        std::size_t head = 0;
+    };
+
     /** Advance resident kernels' progress up to the current time. */
     void advanceToNow();
 
-    /** Recompute rates, retire finished kernels, schedule next wake. */
+    /** Recompute rates, retire finished kernels, arm the next wake. */
     void refresh();
 
     void addResident(KernelPtr desc, const Stream &stream,
                      std::function<void()> done);
 
-    /** Occupy the launch path, then admit attempt @p attempt. */
-    void queueLaunch(const Stream &stream, KernelPtr desc,
-                     std::function<void()> done, int attempt);
+    /** Occupy @p launch's launch group, then admit it. */
+    void queueLaunch(PendingLaunch launch);
 
-    /** Make the kernel resident, or fail it and chain the retry. */
-    void admitKernel(const Stream &stream, KernelPtr desc,
-                     std::function<void()> done, int attempt);
+    /**
+     * Take launch group @p group's oldest pending launch and make it
+     * resident, or fail it and chain the retry.
+     */
+    void admitKernel(std::size_t group);
 
     Engine &engine_;
     GpuSpec spec_;
     int id_;
     std::vector<std::unique_ptr<Stream>> streams_;
     std::vector<Resident> resident_;
-    std::map<int, Seconds> launchFree_;
+    std::vector<LaunchGroup> launchGroups_;
+    /** Priority classes of the residents; refresh's scratch. */
+    std::vector<int> classes_;
+    /** Fires at the next retirement; see refresh(). */
+    TimerId wake_;
     Seconds lastUpdate_ = 0.0;
-    std::uint64_t wakeGeneration_ = 0;
     double currentSmUsage_ = 0.0;
     double currentBwUsage_ = 0.0;
     double smCapacity_ = 1.0;

@@ -9,6 +9,13 @@
  * which keeps every simulation fully deterministic. Pending callbacks
  * sit in slots the engine owns and recycles, so the steady-state
  * queue churn allocates nothing.
+ *
+ * Beside the queue sit re-armable timers: a client whose next firing
+ * keeps moving (a device's next kernel retirement) registers one
+ * callback once and re-arms it, so a superseded firing is replaced
+ * instead of left in the queue to fire stale. Arming takes the next
+ * sequence number exactly as schedule() would, so a timer ties with
+ * queued events as the equivalent schedule() call would have.
  */
 
 #ifndef RAP_SIM_ENGINE_HPP
@@ -25,6 +32,9 @@
 namespace rap::sim {
 
 using EventCallback = std::function<void()>;
+
+/** Handle of a timer registered with Engine::addTimer. */
+using TimerId = std::uint32_t;
 
 /** The discrete-event engine: one time-ordered callback queue. */
 class Engine
@@ -45,15 +55,31 @@ class Engine
     void scheduleAfter(Seconds dt, EventCallback fn);
 
     /**
-     * Run until the event queue drains. Events at +infinity mark
-     * "never" and are left pending.
+     * Register a re-armable timer that runs @p fn each time it fires.
+     * It starts disarmed; register every timer before run().
+     */
+    TimerId addTimer(EventCallback fn);
+
+    /**
+     * Arm @p timer to fire at absolute time @p t (>= now()), replacing
+     * its pending firing if it has one. The callback may re-arm its
+     * own timer.
+     */
+    void arm(TimerId timer, Seconds t);
+
+    /** Cancel @p timer's pending firing, if any. */
+    void disarm(TimerId timer);
+
+    /**
+     * Run until the event queue drains and no timer is armed. Events
+     * and timers at +infinity mark "never" and are left pending.
      */
     void run();
 
     /** @return Total number of events executed so far. */
     std::uint64_t eventsExecuted() const { return executed_; }
 
-    /** @return Largest pending-event depth observed. */
+    /** @return Largest pending-event depth (armed timers included). */
     std::size_t maxQueueDepth() const { return maxDepth_; }
 
   private:
@@ -76,10 +102,33 @@ class Engine
         }
     };
 
+    struct Timer
+    {
+        Seconds time = 0.0;
+        std::uint64_t seq = 0;
+        bool armed = false;
+        EventCallback fn;
+    };
+
+    static constexpr TimerId kNoTimer = ~TimerId{0};
+
+    /** Point earliest_ at the first armed timer in (time, seq). */
+    void findEarliestTimer();
+
+    /** Raise maxDepth_ to the current pending count. */
+    void noteDepth();
+
     std::priority_queue<Ref, std::vector<Ref>, RefCompare> queue_;
     /** Callbacks of pending events; a freed slot is reused. */
     std::vector<EventCallback> slots_;
     std::vector<std::uint32_t> freeSlots_;
+    /**
+     * Few timers exist (one per device), so a linear scan finds the
+     * earliest one on each arm instead of a second heap.
+     */
+    std::vector<Timer> timers_;
+    TimerId earliest_ = kNoTimer;
+    std::size_t armedTimers_ = 0;
     Seconds now_ = 0.0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;

@@ -1,5 +1,7 @@
 #include "sim/stream.hpp"
 
+#include <utility>
+
 #include "common/log.hpp"
 #include "sim/device.hpp"
 #include "sim/host.hpp"
@@ -120,10 +122,11 @@ Stream::push(Op op)
 }
 
 void
-Stream::opDone(std::function<void()> user_cb)
+Stream::opDone()
 {
-    if (user_cb)
-        user_cb();
+    // Take the callback out first: it may push work onto this stream.
+    if (auto cb = std::exchange(inFlight_, nullptr))
+        cb();
     busy_ = false;
     maybeStart();
 }
@@ -159,38 +162,35 @@ Stream::maybeStart()
 
           case Op::Kind::Kernel:
             busy_ = true;
+            inFlight_ = std::move(op.callback);
             device_->launchKernel(*this,
                                   std::get<KernelPtr>(std::move(op.handle)),
-                                  [this, cb = std::move(op.callback)] {
-                                      opDone(cb);
-                                  });
+                                  [this] { opDone(); });
             return;
 
           case Op::Kind::Copy:
             busy_ = true;
+            inFlight_ = std::move(op.callback);
             device_->submitCopy(static_cast<CopyKind>(op.aux), op.amount,
-                                [this, cb = std::move(op.callback)] {
-                                    opDone(cb);
-                                });
+                                [this] { opDone(); });
             return;
 
           case Op::Kind::CpuTask:
             busy_ = true;
-            host_->submit(op.amount, op.aux,
-                          [this, cb = std::move(op.callback)] {
-                              opDone(cb);
-                          });
+            inFlight_ = std::move(op.callback);
+            host_->submit(op.amount, op.aux, [this] { opDone(); });
             return;
 
           case Op::Kind::Collective:
             busy_ = true;
+            inFlight_ = std::move(op.callback);
             std::get<CollectivePtr>(op.handle)->arrive(
-                [this, cb = std::move(op.callback)] { opDone(cb); });
+                [this] { opDone(); });
             return;
 
           case Op::Kind::Delay:
             busy_ = true;
-            engine_.scheduleAfter(op.amount, [this] { opDone({}); });
+            engine_.scheduleAfter(op.amount, [this] { opDone(); });
             return;
         }
     }

@@ -144,7 +144,9 @@ class Stream
 
     void push(Op op);
     void maybeStart();
-    void opDone(std::function<void()> user_cb);
+
+    /** Finish the in-flight op: run its callback, start the next. */
+    void opDone();
 
     Engine &engine_;
     std::string name_;
@@ -154,6 +156,12 @@ class Stream
     int priority_;
     std::deque<Op> queue_;
     bool busy_ = false;
+    /**
+     * The in-flight op's callback. At most one op is in flight, so
+     * the device, link, host or collective running it is handed a
+     * `[this]` continuation that fits std::function's local buffer.
+     */
+    std::function<void()> inFlight_;
     std::size_t pushedOps_ = 0;
 };
 

@@ -1,13 +1,16 @@
 /**
  * @file
  * Tests for the GPU contention model: exclusive execution, fair-share
- * and priority-class sharing, launch groups, and stream semantics.
+ * and priority-class sharing, launch groups, stream semantics, and
+ * the cost of the kernel path in events and allocations.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 
+#include "allocation_counter.hpp"
 #include "sim/cluster.hpp"
 
 namespace rap::sim {
@@ -183,6 +186,64 @@ TEST(Device, ResidentDemandTracksKernels)
     EXPECT_DOUBLE_EQ(demand.sm, 0.5);
     EXPECT_DOUBLE_EQ(demand.bw, 0.25);
     EXPECT_EQ(cluster.device(0).residentCount(), 0u);
+}
+
+TEST(Device, KernelPathAllocatesNothing)
+{
+    // Once a round has sized the engine's slots and heap, the launch
+    // group's buffer and the residents, launching, admitting,
+    // retiring and completing kernels allocates nothing: every
+    // closure on the path fits std::function's local buffer.
+    constexpr int kPushes = 20;
+    Cluster cluster(oneGpu());
+    auto &device = cluster.device(0);
+    device.trace().setRecording(false);
+    auto &high = device.newStream("high", 0, /*priority=*/0);
+    auto &low = device.newStream("low", 0, /*priority=*/1);
+    const auto kh = std::make_shared<const KernelDesc>(
+        KernelDesc::synthetic("kh", 30e-6, {0.7, 0.4}));
+    const auto kl = std::make_shared<const KernelDesc>(
+        KernelDesc::synthetic("kl", 20e-6, {0.6, 0.5}));
+    int done = 0;
+    auto push = [&] {
+        for (int i = 0; i < kPushes; ++i) {
+            high.pushKernel(kh, [&done] { ++done; });
+            low.pushKernel(kl, [&done] { ++done; });
+        }
+    };
+    push();
+    cluster.run();
+    push();
+    const std::uint64_t before = test::gAllocations.load();
+    cluster.run();
+    const std::uint64_t allocations = test::gAllocations.load() - before;
+    EXPECT_EQ(allocations, 0u);
+    EXPECT_EQ(done, 4 * kPushes);
+    EXPECT_EQ(device.kernelsRetired(), 4u * kPushes);
+}
+
+TEST(Device, SupersededWakesNeverFire)
+{
+    // Each short kernel's admission and retirement moves the device's
+    // next wake. A moved wake is replaced, not left to fire stale, so
+    // each kernel costs exactly an admit, a wake and a completion,
+    // and the queue stays shallow however many kernels overlap.
+    constexpr int kShort = 50;
+    Cluster cluster(oneGpu());
+    auto &device = cluster.device(0);
+    auto &a = device.newStream("long", 0);
+    auto &b = device.newStream("short", 1);
+    a.pushKernel(KernelDesc::synthetic("long", 5e-3, {0.6, 0.1}));
+    const auto desc = std::make_shared<const KernelDesc>(
+        KernelDesc::synthetic("short", 10e-6, {0.6, 0.1}));
+    for (int i = 0; i < kShort; ++i)
+        b.pushKernel(desc);
+    cluster.run();
+    ASSERT_EQ(device.kernelsRetired(), kShort + 1u);
+    // The long kernel outlived every short one.
+    EXPECT_EQ(device.trace().kernels().back().name, "long");
+    EXPECT_EQ(cluster.engine().eventsExecuted(), 3u * (kShort + 1));
+    EXPECT_LE(cluster.engine().maxQueueDepth(), 4u);
 }
 
 TEST(Stream, DelayOccupiesStream)

@@ -1,57 +1,17 @@
 /**
  * @file
- * Unit tests for the discrete-event engine and SimEvent.
+ * Unit tests for the discrete-event engine, its re-armable timers and
+ * SimEvent.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
-#include <new>
 #include <vector>
 
+#include "allocation_counter.hpp"
 #include "sim/engine.hpp"
-
-namespace {
-
-/** Every allocation this binary makes through operator new. */
-std::atomic<std::uint64_t> gAllocations{0};
-
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    gAllocations.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size == 0 ? 1 : size))
-        return p;
-    throw std::bad_alloc();
-}
-
-// GCC flags free() on what it knows came from operator new; here the
-// replacement operator new above allocated it with malloc.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 namespace rap::sim {
 namespace {
@@ -130,11 +90,128 @@ TEST(Engine, SteadyStateChurnAllocatesNothing)
         engine.run();
     };
     round();
-    const std::uint64_t before = gAllocations.load();
+    const std::uint64_t before = test::gAllocations.load();
     round();
-    const std::uint64_t allocations = gAllocations.load() - before;
+    const std::uint64_t allocations = test::gAllocations.load() - before;
     EXPECT_EQ(allocations, 0u);
     EXPECT_EQ(fired, 2000u);
+}
+
+TEST(EngineTimer, RearmingReplacesThePendingFiring)
+{
+    Engine engine;
+    std::vector<Seconds> fired;
+    const TimerId timer =
+        engine.addTimer([&] { fired.push_back(engine.now()); });
+    engine.arm(timer, 1.0);
+    engine.arm(timer, 2.0); // later: the 1.0 firing is gone
+    engine.run();
+    engine.arm(timer, 5.0);
+    engine.arm(timer, 3.0); // earlier: the 5.0 firing is gone
+    engine.run();
+    EXPECT_EQ(fired, (std::vector<Seconds>{2.0, 3.0}));
+    EXPECT_EQ(engine.eventsExecuted(), 2u);
+    EXPECT_EQ(engine.maxQueueDepth(), 1u);
+}
+
+TEST(EngineTimer, TiesWithScheduledEventsFollowArmingOrder)
+{
+    // Arming takes a sequence number as schedule() does, so at one
+    // instant the timer fires after what was scheduled before it was
+    // armed and before what was scheduled after.
+    Engine engine;
+    std::vector<int> order;
+    const TimerId timer = engine.addTimer([&] { order.push_back(0); });
+    engine.schedule(1.0, [&] { order.push_back(1); });
+    engine.arm(timer, 1.0);
+    engine.schedule(1.0, [&] { order.push_back(2); });
+    engine.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+
+    // Re-arming at the same instant moves the timer behind events
+    // scheduled in between.
+    order.clear();
+    engine.arm(timer, 2.0);
+    engine.schedule(2.0, [&] { order.push_back(1); });
+    engine.arm(timer, 2.0);
+    engine.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 0}));
+    EXPECT_EQ(engine.maxQueueDepth(), 3u);
+}
+
+TEST(EngineTimer, EarliestOfSeveralTimersFiresFirst)
+{
+    Engine engine;
+    std::vector<int> order;
+    const TimerId a = engine.addTimer([&] { order.push_back(0); });
+    const TimerId b = engine.addTimer([&] { order.push_back(1); });
+    const TimerId c = engine.addTimer([&] { order.push_back(2); });
+    engine.arm(a, 3.0);
+    engine.arm(b, 1.0);
+    engine.arm(c, 2.0);
+    engine.arm(b, 4.0); // the earliest moves later: c takes over
+    engine.run();
+    EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+}
+
+TEST(EngineTimer, DisarmCancelsTheFiring)
+{
+    Engine engine;
+    int fired = 0;
+    const TimerId timer = engine.addTimer([&] { ++fired; });
+    engine.arm(timer, 1.0);
+    engine.schedule(0.5, [&] { engine.disarm(timer); });
+    engine.run();
+    engine.disarm(timer); // disarming a disarmed timer is a no-op
+    engine.run();
+    EXPECT_EQ(fired, 0);
+    EXPECT_DOUBLE_EQ(engine.now(), 0.5);
+    EXPECT_EQ(engine.eventsExecuted(), 1u);
+}
+
+TEST(EngineTimer, CallbackMayRearmItsOwnTimer)
+{
+    Engine engine;
+    std::vector<Seconds> fired;
+    TimerId timer = 0;
+    timer = engine.addTimer([&] {
+        fired.push_back(engine.now());
+        if (fired.size() < 3)
+            engine.arm(timer, engine.now() + 1.0);
+    });
+    engine.arm(timer, 1.0);
+    engine.run();
+    EXPECT_EQ(fired, (std::vector<Seconds>{1.0, 2.0, 3.0}));
+    EXPECT_EQ(engine.eventsExecuted(), 3u);
+}
+
+TEST(EngineTimer, TimerAtInfinityNeverFires)
+{
+    Engine engine;
+    int fired = 0;
+    const TimerId timer = engine.addTimer([&] { ++fired; });
+    engine.arm(timer, std::numeric_limits<Seconds>::infinity());
+    engine.schedule(1.0, [&] { ++fired; });
+    engine.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_DOUBLE_EQ(engine.now(), 1.0);
+    EXPECT_EQ(engine.eventsExecuted(), 1u);
+}
+
+TEST(EngineDeath, ArmingInThePastPanics)
+{
+    Engine engine;
+    const TimerId timer = engine.addTimer([] {});
+    engine.schedule(2.0, [] {});
+    engine.run();
+    EXPECT_DEATH(engine.arm(timer, 1.0), "past");
+}
+
+TEST(EngineDeath, AddingATimerWhileRunningPanics)
+{
+    Engine engine;
+    engine.schedule(1.0, [&] { engine.addTimer([] {}); });
+    EXPECT_DEATH(engine.run(), "before Engine::run");
 }
 
 TEST(EngineDeath, SchedulingInThePastPanics)
