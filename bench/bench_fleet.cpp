@@ -36,7 +36,9 @@
  * the run from the catalog's genesis record, byte-verifies the
  * re-executed frames against the recovered WAL tail, and finishes the
  * run. `--fsync` turns on fsync-per-commit, `--compact-every N`
- * periodic snapshot compaction.
+ * periodic snapshot compaction. `--trace <prefix>` traces a fresh
+ * catalog run; the genesis record persists the prefix, so a resumed
+ * run traces under it and `--resume` refuses `--trace`.
  */
 
 #include <iostream>
@@ -68,6 +70,7 @@ int
 runCatalogMode(const bench::ArgParser &args,
                const std::string &catalog_dir, bool resume,
                int stop_after, bool fsync, int compact_every,
+               const std::string &trace_prefix,
                const std::string &report_path, ThreadPool &pool,
                obs::MetricRegistry &registry)
 {
@@ -75,6 +78,11 @@ runCatalogMode(const bench::ArgParser &args,
         args.metricsPath().empty() ? nullptr : &registry;
     fleet::FleetReport report;
     if (resume) {
+        if (!trace_prefix.empty()) {
+            RAP_FATAL("bench_fleet: --trace cannot be combined with "
+                      "--resume; the catalog's genesis record fixes "
+                      "the trace prefix");
+        }
         ctrl::CatalogOptions catalog_options;
         catalog_options.dir = catalog_dir;
         catalog_options.fsyncOnCommit = fsync;
@@ -90,6 +98,7 @@ runCatalogMode(const bench::ArgParser &args,
             .catalogDir(catalog_dir)
             .fsyncOnCommit(fsync)
             .compactEvery(compact_every)
+            .tracePrefix(trace_prefix)
             .metrics(metrics);
         if (stop_after > 0) {
             // The process dies inside run() — SIGKILL, exit 137 —
@@ -138,8 +147,8 @@ main(int argc, char **argv)
 
     if (!catalog_dir.empty()) {
         return runCatalogMode(args, catalog_dir, resume, stop_after,
-                              fsync, compact_every, report_path, pool,
-                              registry);
+                              fsync, compact_every, trace_prefix,
+                              report_path, pool, registry);
     }
 
     const auto trace = fleet::makeArrivalTrace(traceOptions(tiny));

@@ -13,9 +13,7 @@
  * never change a byte (the serial_parallel_determinism ctest diffs a
  * `--producers 1` run against `--producers 4`).
  *
- * Wall clock goes to stderr only, including a sharded-vs-mutex counter
- * A/B microbenchmark that justifies the wait-free metric shards
- * (obs/metrics.hpp) on the ingest hot path.
+ * Wall clock goes to stderr only.
  *
  * Flags beyond the common set (bench_common.hpp):
  *
@@ -27,9 +25,7 @@
 
 #include <cstdint>
 #include <iostream>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -88,66 +84,6 @@ std::string
 us(double seconds)
 {
     return AsciiTable::num(seconds * 1e6, 2);
-}
-
-/**
- * A/B microbenchmark behind the wait-free metric refactor: the same
- * increment storm against a sharded obs::Counter and a mutex-guarded
- * counter. Wall clock only — results go to stderr.
- */
-void
-counterShowdown(int threads, std::uint64_t incs_per_thread)
-{
-    const std::uint64_t total =
-        static_cast<std::uint64_t>(threads) * incs_per_thread;
-
-    obs::MetricRegistry registry;
-    auto &sharded =
-        registry.counter("ingest.events", {{"run", "ab"}});
-    bench::WallTimer sharded_timer;
-    {
-        std::vector<std::thread> pool;
-        for (int t = 0; t < threads; ++t) {
-            pool.emplace_back([&sharded, incs_per_thread] {
-                for (std::uint64_t i = 0; i < incs_per_thread; ++i)
-                    sharded.inc();
-            });
-        }
-        for (auto &thread : pool)
-            thread.join();
-    }
-    const double sharded_ms = sharded_timer.elapsedMs();
-    RAP_ASSERT(sharded.value() == total, "sharded counter lost ",
-               total - sharded.value(), " increments");
-
-    struct
-    {
-        std::mutex mutex;
-        std::uint64_t value = 0;
-    } locked;
-    bench::WallTimer mutex_timer;
-    {
-        std::vector<std::thread> pool;
-        for (int t = 0; t < threads; ++t) {
-            pool.emplace_back([&locked, incs_per_thread] {
-                for (std::uint64_t i = 0; i < incs_per_thread; ++i) {
-                    const std::lock_guard<std::mutex> guard(
-                        locked.mutex);
-                    ++locked.value;
-                }
-            });
-        }
-        for (auto &thread : pool)
-            thread.join();
-    }
-    const double mutex_ms = mutex_timer.elapsedMs();
-    RAP_ASSERT(locked.value == total, "mutex counter lost ",
-               total - locked.value, " increments");
-
-    std::cerr << "[wall] counter_sharded "
-              << AsciiTable::num(sharded_ms, 1) << " ms, counter_mutex "
-              << AsciiTable::num(mutex_ms, 1) << " ms (" << threads
-              << " threads x " << incs_per_thread << " incs)\n";
 }
 
 } // namespace
@@ -228,9 +164,6 @@ main(int argc, char **argv)
     std::cout << table.render() << "\n";
     std::cout << "results are byte-identical at any --producers "
                  "value; wall clock is on stderr\n";
-
-    counterShowdown(/*threads=*/4,
-                    /*incs_per_thread=*/tiny ? 1u << 18 : 1u << 20);
 
     if (!report_path.empty()) {
         Json artifact = Json::object();

@@ -22,8 +22,8 @@
  *    inline execution on the worker thread, which keeps the pool
  *    deadlock-free without a work-stealing scheduler;
  *  - the `beside` overload runs its serial task on the calling thread
- *    only, so state that must stay on one thread (the ingest stager,
- *    whose histogram shards are per-thread) can overlap a loop.
+ *    only, so state that must stay on one thread (the ingest stager)
+ *    can overlap a loop.
  */
 
 #ifndef RAP_COMMON_THREAD_POOL_HPP

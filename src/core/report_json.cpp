@@ -119,21 +119,12 @@ RunReport::fromJson(const Json &json)
     report.lostWork = getNumber(json, "lostWork");
     report.checkpointOverhead = getNumber(json, "checkpointOverhead");
     report.recoveries = serial::getInt(json, "recoveries");
-    // Ingest fields postdate older stored reports; default to zero.
-    const auto counter = [&json](const char *key) {
-        const Json *value = json.find(key);
-        return value == nullptr
-                   ? std::uint64_t{0}
-                   : static_cast<std::uint64_t>(value->asDouble());
-    };
-    report.ingestEvents = counter("ingestEvents");
-    report.ingestDropped = counter("ingestDropped");
-    report.ingestSpilled = counter("ingestSpilled");
-    report.ingestBatches = counter("ingestBatches");
-    report.ingestStagingP99 =
-        getOptionalNumber(json, "ingestStagingP99").value_or(0.0);
-    report.ingestLastReadyAt =
-        getOptionalNumber(json, "ingestLastReadyAt").value_or(0.0);
+    report.ingestEvents = serial::getUint64(json, "ingestEvents");
+    report.ingestDropped = serial::getUint64(json, "ingestDropped");
+    report.ingestSpilled = serial::getUint64(json, "ingestSpilled");
+    report.ingestBatches = serial::getUint64(json, "ingestBatches");
+    report.ingestStagingP99 = getNumber(json, "ingestStagingP99");
+    report.ingestLastReadyAt = getNumber(json, "ingestLastReadyAt");
     report.submittedAt = getOptionalNumber(json, "submittedAt");
     report.startedAt = getOptionalNumber(json, "startedAt");
     report.finishedAt = getOptionalNumber(json, "finishedAt");

@@ -153,9 +153,7 @@ FleetReport::fromJson(const Json &json)
     report.crashRequeues = serial::getInt(json, "crashRequeues");
     report.simulationsRun = serial::getInt(json, "simulationsRun");
     report.busyGpuSeconds = json.at("busyGpuSeconds").asDouble();
-    // Reports serialized before the flag existed read as not-degraded.
-    if (const Json *degraded = json.find("catalogDegraded"))
-        report.catalogDegraded = degraded->asBool();
+    report.catalogDegraded = json.at("catalogDegraded").asBool();
     report.meanJct = json.at("meanJct").asDouble();
     report.p50Jct = json.at("p50Jct").asDouble();
     report.p95Jct = json.at("p95Jct").asDouble();

@@ -14,9 +14,8 @@
  * task), then joins the pool. Slab events are reused, so steady-state
  * generation allocates nothing.
  *
- * The Stager and the sink stay on the calling thread: the
- * ingest.staging_latency histogram sums per-thread shards, so staging
- * on a worker would change the last digit of its sum.
+ * The Stager and the sink stay on the calling thread, so each ingest
+ * metric instrument has one writing thread.
  *
  * Determinism: every window's events precede the next window's, and
  * the merge orders a window by the total event key, so the merged

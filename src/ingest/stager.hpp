@@ -14,7 +14,7 @@
  *
  * Per-event staging latency (completion − emission) feeds the
  * ingest.staging_latency histogram; queue depth is sampled into the
- * ingest.queue_depth series; drops/spills/replays hit wait-free
+ * ingest.queue_depth series; drops/spills/replays hit lock-free
  * counters (obs/metrics.hpp).
  */
 
@@ -53,7 +53,7 @@ struct StagedBatch
 
 using BatchSink = std::function<void(StagedBatch &&)>;
 
-/** Cached wait-free instrument references for the ingest hot path. */
+/** Cached instrument references for the ingest hot path. */
 struct IngestMetrics
 {
     obs::Counter *events = nullptr;
@@ -66,7 +66,7 @@ struct IngestMetrics
     obs::Series *queueDepth = nullptr;
 
     /** Resolve all instruments once (registry lookup takes a lock;
-     *  the returned references are then update-wait-free). */
+     *  updates through the returned references take none). */
     static IngestMetrics create(obs::MetricRegistry &registry,
                                 const obs::Labels &labels);
 };

@@ -6,15 +6,6 @@
 
 namespace rap::obs {
 
-std::size_t
-threadMetricShard()
-{
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t slot =
-        next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-    return slot;
-}
-
 Labels::Labels(
     std::initializer_list<std::pair<std::string, std::string>> pairs)
 {
@@ -61,12 +52,9 @@ Histogram::Histogram(std::vector<double> edges)
                        edges_.end(),
                "histogram edges must be strictly increasing");
     const std::size_t buckets = edges_.size() + 1;
-    for (auto &shard : shards_) {
-        shard.buckets =
-            std::make_unique<std::atomic<std::uint64_t>[]>(buckets);
-        for (std::size_t i = 0; i < buckets; ++i)
-            shard.buckets[i].store(0, std::memory_order_relaxed);
-    }
+    buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(buckets);
+    for (std::size_t i = 0; i < buckets; ++i)
+        buckets_[i].store(0, std::memory_order_relaxed);
 }
 
 void
@@ -76,49 +64,21 @@ Histogram::observe(double v)
     // edges[i]; last bucket: v >= edges.back().
     const auto it = std::upper_bound(edges_.begin(), edges_.end(), v);
     const auto bucket = static_cast<std::size_t>(it - edges_.begin());
-    Shard &shard = shards_[threadMetricShard()];
-    shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-    shard.count.fetch_add(1, std::memory_order_relaxed);
-    // The CAS loop only retries against a thread sharing this slot;
-    // under the single-strand contract it never loops.
-    double cur = shard.sum.load(std::memory_order_relaxed);
-    while (!shard.sum.compare_exchange_weak(
-        cur, cur + v, std::memory_order_relaxed)) {
+    buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    double cur = sum_.load(std::memory_order_relaxed);
+    while (!sum_.compare_exchange_weak(cur, cur + v,
+                                       std::memory_order_relaxed)) {
     }
 }
 
 std::vector<std::uint64_t>
 Histogram::bucketCounts() const
 {
-    std::vector<std::uint64_t> folded(edges_.size() + 1, 0);
-    for (const auto &shard : shards_) {
-        for (std::size_t i = 0; i < folded.size(); ++i) {
-            folded[i] +=
-                shard.buckets[i].load(std::memory_order_relaxed);
-        }
-    }
-    return folded;
-}
-
-std::uint64_t
-Histogram::count() const
-{
-    std::uint64_t total = 0;
-    for (const auto &shard : shards_)
-        total += shard.count.load(std::memory_order_relaxed);
-    return total;
-}
-
-double
-Histogram::sum() const
-{
-    // Fold in slot order: with all observations in one shard (the
-    // determinism contract) this adds exact zeros around the one
-    // program-order partial sum, so snapshots stay byte-identical.
-    double total = 0.0;
-    for (const auto &shard : shards_)
-        total += shard.sum.load(std::memory_order_relaxed);
-    return total;
+    std::vector<std::uint64_t> counts(edges_.size() + 1);
+    for (std::size_t i = 0; i < counts.size(); ++i)
+        counts[i] = buckets_[i].load(std::memory_order_relaxed);
+    return counts;
 }
 
 void

@@ -9,27 +9,22 @@
  * matter what the outer run records. Instruments identify themselves
  * by (name, labels), e.g. `sim.device.kernels{gpu=3}`.
  *
- * Hot-path cost: Counter::inc and Histogram::observe are wait-free —
- * each thread updates its own cache-line-padded shard (a relaxed
- * fetch_add; no mutex, no CAS retry against other threads on the
- * counter path), and shards are folded only at snapshot time. The
- * streaming ingest stager puts metric updates on its per-event path,
- * which is what forced the mutex out; every bench's worker threads
- * benefit the same way.
+ * Hot-path cost: Counter::inc and Histogram::observe are lock-free
+ * updates of one relaxed-atomic cell per instrument (a fetch_add, plus
+ * a CAS on the histogram sum); only instrument lookup takes the
+ * registry mutex.
  *
  * Determinism contract (what lets CI diff snapshots across --jobs):
  *  - counters are unsigned integers and gauges taking max/set are
  *    order-insensitive, so concurrent recording from thread-pool
  *    workers still sums/maxes to the same value;
- *  - one histogram or series instance must only be fed from a single
- *    logical strand (the simulation thread, or one sweep point): its
- *    double accumulations then happen in program order within one
- *    shard, and the shard fold adds the other shards' exact zeros.
- *    Sweep benches get this by scoping instruments with a per-point
- *    `run=` label;
- *  - wall-clock quantities (span durations) are recorded but NEVER
- *    enter the deterministic snapshot unless explicitly requested
- *    (SnapshotOptions::includeWallTime).
+ *  - one histogram or series instance must only be fed by one strand
+ *    at a time (the simulation thread, or one sweep point): its double
+ *    accumulations then happen in observation order, whichever thread
+ *    each observation runs on. Sweep benches get this by scoping
+ *    instruments with a per-point `run=` label;
+ *  - wall-clock quantities (span durations) are recorded for the
+ *    Chrome-trace export but never enter the snapshot.
  * Exporters sort instruments by (name, labels), so registry creation
  * order — which does vary across thread interleavings — is never
  * observable.
@@ -38,7 +33,6 @@
 #ifndef RAP_OBS_METRICS_HPP
 #define RAP_OBS_METRICS_HPP
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -50,17 +44,6 @@
 #include <vector>
 
 namespace rap::obs {
-
-/**
- * Shard count for wait-free Counter/Histogram updates. Threads are
- * assigned shard slots round-robin at first use; two threads may
- * share a slot (updates stay atomic, they just contend on the line),
- * so this bounds memory per instrument, not the thread count.
- */
-inline constexpr std::size_t kMetricShards = 16;
-
-/** @return The calling thread's shard slot in [0, kMetricShards). */
-std::size_t threadMetricShard();
 
 /**
  * Instrument labels: key-value pairs, kept sorted by key so equal
@@ -95,35 +78,25 @@ class Labels
 };
 
 /**
- * Monotonic unsigned counter. inc() is wait-free (one relaxed
- * fetch_add on the calling thread's shard); value() folds the shards
- * in slot order. Addition commutes, so concurrent increments from any
- * number of threads sum to the same total.
+ * Monotonic unsigned counter. Addition commutes, so concurrent
+ * increments from any number of threads sum to the same total.
  */
 class Counter
 {
   public:
     void inc(std::uint64_t delta = 1)
     {
-        shards_[threadMetricShard()].value.fetch_add(
-            delta, std::memory_order_relaxed);
+        value_.fetch_add(delta, std::memory_order_relaxed);
     }
 
     std::uint64_t
     value() const
     {
-        std::uint64_t total = 0;
-        for (const auto &shard : shards_)
-            total += shard.value.load(std::memory_order_relaxed);
-        return total;
+        return value_.load(std::memory_order_relaxed);
     }
 
   private:
-    struct Shard
-    {
-        alignas(64) std::atomic<std::uint64_t> value{0};
-    };
-    std::array<Shard, kMetricShards> shards_;
+    std::atomic<std::uint64_t> value_{0};
 };
 
 /** Last-written double value (set from one strand at a time). */
@@ -156,13 +129,9 @@ class Gauge
  * bucket counts v >= edges.back(). Edges are fixed at creation so
  * snapshots from different runs line up bucket-for-bucket.
  *
- * observe() is wait-free with respect to other threads: it touches
- * only the calling thread's shard (relaxed fetch_add per bucket and
- * count, a CAS loop on the shard-local sum that can only retry
- * against a slot-sharing thread). Accessors fold the shards in slot
- * order and return by value. Under the single-strand determinism
- * contract every observation lands in one shard, so the fold adds
- * exact zeros and reproduces the program-order sum bit-for-bit.
+ * observe() is lock-free: a relaxed fetch_add on its bucket and the
+ * count, and a CAS loop on the sum that can only retry against a
+ * concurrent observer, which the determinism contract rules out.
  */
 class Histogram
 {
@@ -172,22 +141,20 @@ class Histogram
     void observe(double v);
 
     const std::vector<double> &edges() const { return edges_; }
-    /** @return Folded per-bucket counts (edges.size() + 1 entries). */
+    /** @return Per-bucket counts (edges.size() + 1 entries). */
     std::vector<std::uint64_t> bucketCounts() const;
-    std::uint64_t count() const;
-    double sum() const;
+    std::uint64_t count() const
+    {
+        return count_.load(std::memory_order_relaxed);
+    }
+    double sum() const { return sum_.load(std::memory_order_relaxed); }
 
   private:
-    struct Shard
-    {
-        alignas(64) std::atomic<std::uint64_t> count{0};
-        std::atomic<double> sum{0.0};
-        /** edges.size() + 1 buckets, heap-allocated per shard. */
-        std::unique_ptr<std::atomic<std::uint64_t>[]> buckets;
-    };
-
     std::vector<double> edges_;
-    std::array<Shard, kMetricShards> shards_;
+    /** edges.size() + 1 buckets. */
+    std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
+    std::atomic<std::uint64_t> count_{0};
+    std::atomic<double> sum_{0.0};
 };
 
 /**
@@ -230,7 +197,7 @@ struct SpanRecord
  * The per-run instrument registry. Lookup creates on first use;
  * returned references stay valid for the registry's lifetime. Lookup
  * takes the registry mutex — hot paths cache the returned reference
- * once and then update it wait-free.
+ * once and then update it lock-free.
  */
 class MetricRegistry
 {

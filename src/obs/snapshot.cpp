@@ -1,10 +1,7 @@
 #include "obs/snapshot.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
-
-#include "common/log.hpp"
 
 namespace rap::obs {
 
@@ -26,14 +23,12 @@ struct SpanAggregate
     int maxDepth = 0;
     double simSeconds = 0.0;
     bool hasSim = false;
-    double wallSeconds = 0.0;
-    bool hasWall = false;
 };
 
 } // namespace
 
 Json
-snapshotJson(const MetricRegistry &registry, SnapshotOptions options)
+snapshotJson(const MetricRegistry &registry)
 {
     Json doc = Json::object();
     doc.set("schema", Json("rap.metrics.v1"));
@@ -106,10 +101,6 @@ snapshotJson(const MetricRegistry &registry, SnapshotOptions options)
             agg.hasSim = true;
             agg.simSeconds += record.simEnd - record.simBegin;
         }
-        if (record.hasWall) {
-            agg.hasWall = true;
-            agg.wallSeconds += record.wallEnd - record.wallBegin;
-        }
     }
     Json spans = Json::array();
     for (const auto &[key, agg] : aggregates) {
@@ -121,9 +112,6 @@ snapshotJson(const MetricRegistry &registry, SnapshotOptions options)
                                   agg.maxDepth)));
         entry.set("simSeconds",
                   agg.hasSim ? Json(agg.simSeconds) : Json());
-        if (options.includeWallTime)
-            entry.set("wallSeconds",
-                      agg.hasWall ? Json(agg.wallSeconds) : Json());
         spans.push(std::move(entry));
     }
     doc.set("spans", std::move(spans));
@@ -131,51 +119,10 @@ snapshotJson(const MetricRegistry &registry, SnapshotOptions options)
     return doc;
 }
 
-std::string
-renderSnapshot(const MetricRegistry &registry, SnapshotOptions options)
-{
-    return snapshotJson(registry, options).dump(2) + "\n";
-}
-
 void
-writeSnapshot(const MetricRegistry &registry, const std::string &path,
-              SnapshotOptions options)
+writeSnapshot(const MetricRegistry &registry, const std::string &path)
 {
-    writeJsonFile(snapshotJson(registry, options), path);
-}
-
-std::string
-seriesCsv(const MetricRegistry &registry)
-{
-    std::string out = "name,labels,x,y\n";
-    for (const auto &[key, series] : registry.seriesEntries()) {
-        const std::string labels = key.second.render();
-        for (const auto &[x, y] : series->points()) {
-            out += key.first;
-            out += ',';
-            // Label text may contain commas; CSV-quote it.
-            out += '"' + labels + '"';
-            out += ',';
-            out += Json(x).dump();
-            out += ',';
-            out += Json(y).dump();
-            out += '\n';
-        }
-    }
-    return out;
-}
-
-void
-writeSeriesCsv(const MetricRegistry &registry, const std::string &path)
-{
-    std::ofstream file(path);
-    if (!file)
-        RAP_FATAL("cannot open '", path, "' for writing");
-    const std::string text = seriesCsv(registry);
-    file.write(text.data(),
-               static_cast<std::streamsize>(text.size()));
-    if (!file)
-        RAP_FATAL("failed writing '", path, "'");
+    writeJsonFile(snapshotJson(registry), path);
 }
 
 } // namespace rap::obs

@@ -8,7 +8,9 @@
 # power cut leaving only the catalog's durable prefix), and resumed
 # over the killed catalog. The resumed FleetReport must be
 # byte-identical to the reference, with and without fsync-per-commit
-# and compaction, and catalog_dump must read the catalogs back.
+# and compaction, and catalog_dump must read the catalogs back. A
+# catalog run with --trace must write its traces, and --resume must
+# refuse --trace (the genesis record fixes the prefix).
 
 foreach(var BENCH_FLEET CATALOG_DUMP WORK_DIR)
     if(NOT DEFINED ${var})
@@ -62,6 +64,14 @@ run(137 ${under_shell} "${BENCH_FLEET}" --tiny --catalog cat-killed2
 run(0 "${BENCH_FLEET}" --tiny --catalog cat-killed2 --fsync
     --compact-every 5 --resume --report resumed2.json)
 cmp(ref.json resumed2.json)
+
+run(0 "${BENCH_FLEET}" --tiny --catalog cat-traced --trace traced)
+if(NOT EXISTS "${WORK_DIR}/traced.job0.seg0.json")
+    message(FATAL_ERROR
+        "fleet_kill_resume: --catalog --trace wrote no traced.job0.seg0.json")
+endif()
+run(1 "${BENCH_FLEET}" --tiny --catalog cat-traced --resume
+    --trace traced)
 
 run(0 "${CATALOG_DUMP}" cat-ref)
 run(0 "${CATALOG_DUMP}" cat-killed --state)

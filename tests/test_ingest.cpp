@@ -6,7 +6,7 @@
  * for every backpressure policy, spill-log round-trips, the
  * producer-count and window-size invariance of the full pipeline, and
  * the core-run integration (SystemConfig.ingest gating + report
- * fields).
+ * fields, which a stored report must carry).
  */
 
 #include <gtest/gtest.h>
@@ -585,6 +585,18 @@ TEST(CoreIntegration, IngestGatesTheRun)
     EXPECT_EQ(back.ingestBatches, gated.ingestBatches);
     EXPECT_DOUBLE_EQ(back.ingestLastReadyAt, gated.ingestLastReadyAt);
     EXPECT_DOUBLE_EQ(back.ingestStagingP99, gated.ingestStagingP99);
+}
+
+TEST(CoreIntegrationDeath, ReportWithoutIngestFieldsIsRefused)
+{
+    const Json full = core::RunReport{}.toJson();
+    Json stripped = Json::object();
+    for (const auto &[key, value] : full.members()) {
+        if (key != "ingestEvents")
+            stripped.set(key, value);
+    }
+    EXPECT_DEATH((void)core::RunReport::fromJson(stripped),
+                 "missing JSON object key: ingestEvents");
 }
 
 TEST(CoreIntegration, RapRunsWithIngest)

@@ -2,10 +2,12 @@
  * @file
  * Concurrency stress for the ingest hot paths, run under TSan by the
  * sanitize CI job (`ctest -L thread-stress`): many threads hammering
- * the sharded wait-free Counter/Histogram (obs/metrics.hpp) with
- * exact-total assertions, concurrent snapshot folds racing the
+ * one lock-free Counter/Histogram cell (obs/metrics.hpp) with
+ * exact-total assertions, concurrent snapshot reads racing the
  * writers, and the whole pipeline generating windows on a pool while
- * the calling thread stages the previous one.
+ * the calling thread stages the previous one. (No caller writes one
+ * instrument from several threads at once; the stress pins down that
+ * the cells stay exact and race-free if one ever does.)
  */
 
 #include <gtest/gtest.h>
