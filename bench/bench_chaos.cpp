@@ -137,17 +137,28 @@ main(int argc, char **argv)
     trace_options.seed = 0xc4a05ULL + static_cast<unsigned>(seed);
     const auto trace = fleet::makeArrivalTrace(trace_options);
 
-    const auto runWithCatalogDir = [&](const std::string &dir) {
-        return fleet::FleetRequest(trace)
-            .policy(fleet::PlacementPolicy::ExclusiveFirstFit)
-            .catalogDir(dir)
-            .run();
+    // One run over a fresh catalog at @p dir; a positive @p stop_after
+    // abandons it after that many committed frames.
+    const auto runWithCatalogDir = [&](const std::string &dir,
+                                       std::int64_t stop_after) {
+        ctrl::CatalogOptions options;
+        options.dir = dir;
+        const auto catalog = ctrl::Catalog::open(options);
+        fleet::FleetRequest request(trace);
+        request.policy(fleet::PlacementPolicy::ExclusiveFirstFit)
+            .catalog(catalog.get());
+        if (stop_after > 0)
+            request.stopAfterEvents(stop_after, fleet::StopMode::Abandon);
+        auto report = request.run();
+        RAP_ASSERT(stop_after == 0 || request.stopped(), "stop point ",
+                   stop_after, " beyond the run");
+        return report;
     };
 
     // The uninterrupted catalog run is the byte-for-byte reference.
     const std::string ref_dir = freshDir("ref");
     const std::string want =
-        runWithCatalogDir(ref_dir).toJson().dump(2);
+        runWithCatalogDir(ref_dir, 0).toJson().dump(2);
 
     std::uint64_t total_frames = 0;
     {
@@ -190,17 +201,7 @@ main(int argc, char **argv)
             const std::string name = std::string(damageName(damage)) +
                                      "@" + std::to_string(n);
             const std::string dir = freshDir("tail_" + name);
-            {
-                fleet::FleetRequest request(trace);
-                request
-                    .policy(fleet::PlacementPolicy::ExclusiveFirstFit)
-                    .catalogDir(dir)
-                    .stopAfterEvents(static_cast<std::int64_t>(n),
-                                     fleet::StopMode::Abandon);
-                request.run();
-                RAP_ASSERT(request.stopped(), "stop point ", n,
-                           " beyond the run");
-            }
+            runWithCatalogDir(dir, static_cast<std::int64_t>(n));
             applyDamage(ctrl::Catalog::walPath(dir), damage);
 
             ctrl::CatalogOptions options;

@@ -43,6 +43,7 @@
 
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -76,28 +77,27 @@ runCatalogMode(const bench::ArgParser &args,
 {
     obs::MetricRegistry *metrics =
         args.metricsPath().empty() ? nullptr : &registry;
+    if (resume && !trace_prefix.empty()) {
+        RAP_FATAL("bench_fleet: --trace cannot be combined with "
+                  "--resume; the catalog's genesis record fixes the "
+                  "trace prefix");
+    }
+    ctrl::CatalogOptions catalog_options;
+    catalog_options.dir = catalog_dir;
+    catalog_options.fsyncOnCommit = fsync;
+    catalog_options.compactEvery = compact_every;
+    catalog_options.metrics = metrics;
+    const auto catalog = ctrl::Catalog::open(catalog_options);
     fleet::FleetReport report;
     if (resume) {
-        if (!trace_prefix.empty()) {
-            RAP_FATAL("bench_fleet: --trace cannot be combined with "
-                      "--resume; the catalog's genesis record fixes "
-                      "the trace prefix");
-        }
-        ctrl::CatalogOptions catalog_options;
-        catalog_options.dir = catalog_dir;
-        catalog_options.fsyncOnCommit = fsync;
-        catalog_options.compactEvery = compact_every;
-        catalog_options.metrics = metrics;
-        report = fleet::resumeFleet(catalog_options, &pool);
+        report = fleet::resumeFleet(*catalog, &pool);
         std::cout << "resumed catalog " << catalog_dir << "\n";
     } else {
         const auto trace =
             fleet::makeArrivalTrace(traceOptions(args.tiny()));
         fleet::FleetRequest request(trace);
         request.policy(fleet::PlacementPolicy::RapShared)
-            .catalogDir(catalog_dir)
-            .fsyncOnCommit(fsync)
-            .compactEvery(compact_every)
+            .catalog(catalog.get())
             .tracePrefix(trace_prefix)
             .metrics(metrics);
         if (stop_after > 0) {
@@ -145,7 +145,19 @@ main(int argc, char **argv)
     obs::MetricRegistry *metrics =
         args.metricsPath().empty() ? nullptr : &registry;
 
-    if (!catalog_dir.empty()) {
+    if (catalog_dir.empty()) {
+        // The catalog flags act on nothing without a catalog; ignoring
+        // them would run the policy sweep the caller did not ask for.
+        const std::pair<bool, const char *> catalog_only[] = {
+            {resume, "--resume"},
+            {stop_after != 0, "--stop-after"},
+            {fsync, "--fsync"},
+            {compact_every != 0, "--compact-every"}};
+        for (const auto &[set, flag] : catalog_only) {
+            if (set)
+                RAP_FATAL("bench_fleet: ", flag, " needs --catalog");
+        }
+    } else {
         return runCatalogMode(args, catalog_dir, resume, stop_after,
                               fsync, compact_every, trace_prefix,
                               report_path, pool, registry);

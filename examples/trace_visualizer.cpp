@@ -65,8 +65,7 @@ exportCoRunTimeline(const std::string &path, bool fused)
     }
     cluster.run();
 
-    sim::TraceExportOptions options;
-    sim::writeChromeTrace(cluster, path, options);
+    sim::writeChromeTrace(cluster, path);
     std::cout << "wrote " << path << " ("
               << cluster.device(0).trace().kernels().size()
               << " kernels on GPU 0)\n";

@@ -1,11 +1,11 @@
 /**
  * @file
  * Structured configuration validation: SystemConfig::validate(), the
- * fleet request and the ingest config report problems as a list of
- * (field, message) errors instead of asserting, so callers — the
- * RunRequest builder, bench flag parsing, fleet admission, the ingest
- * pipeline — can surface every problem at once and decide whether to
- * abort.
+ * fleet request, the fault spec and the ingest config report problems
+ * as a list of (field, message) errors instead of asserting, so
+ * callers — the RunRequest builder, bench flag parsing, fleet
+ * admission, the ingest pipeline — can surface every problem at once
+ * and decide whether to abort.
  */
 
 #ifndef RAP_COMMON_VALIDATION_HPP
@@ -38,6 +38,19 @@ class ValidationResult
     {
         errors_.push_back(
             ConfigError{std::move(field), std::move(message)});
+    }
+
+    /**
+     * Append @p other's errors with their fields nested under
+     * @p prefix ("faults" + "events[0].time" -> "faults.events[0].time").
+     * Takes the nested result by reference, so a temporary passed in
+     * lives until the fold is done.
+     */
+    void
+    addErrors(const std::string &prefix, const ValidationResult &other)
+    {
+        for (const auto &error : other.errors_)
+            addError(prefix + "." + error.field, error.message);
     }
 
     /** @return All errors as "field: message" lines (one per error). */

@@ -238,11 +238,9 @@ maybeWriteTrace(const sim::Cluster &cluster, const SystemConfig &config)
 {
     if (config.tracePath.empty())
         return;
-    sim::TraceExportOptions options;
     // Recorded spans (planner phases, per-iteration sim spans) render
     // into the trace alongside the kernel tracks.
-    options.spans = config.metrics;
-    sim::writeChromeTrace(cluster, config.tracePath, options);
+    sim::writeChromeTrace(cluster, config.tracePath, config.metrics);
 }
 
 /** Embedding-table placement shared by every system variant. */

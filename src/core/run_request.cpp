@@ -107,10 +107,11 @@ SystemConfig::validate() const
                         "checkpoint; disable checkpointing");
     }
 
+    if (faults)
+        result.addErrors("faults", faults->validate(gpuCount));
+
     if (ingest) {
-        const auto ingest_result = ingest::validateIngestConfig(*ingest);
-        for (const auto &error : ingest_result.errors())
-            result.addError("ingest." + error.field, error.message);
+        result.addErrors("ingest", ingest::validateIngestConfig(*ingest));
         if (system == System::TorchArrowCpu) {
             result.addError("ingest",
                             "TorchArrowCpu models its own CPU input "

@@ -11,8 +11,11 @@
  *                      .metrics(&registry, "fig09.b2048");
  *   RunReport report = request.run(plan);   // fatal on invalid config
  *
- * run() is the only way to run a system (core/pipeline.cpp); it
- * validates once. planOffline validates the same way.
+ * Knobs without a setter (faults, gpuSubset, tracePath, …) are set
+ * on config(). run() is the only way to run a system
+ * (core/pipeline.cpp); it validates once, fault specs included, so a
+ * bad configuration exits before planning. planOffline validates the
+ * same way.
  */
 
 #ifndef RAP_CORE_RUN_REQUEST_HPP
@@ -57,46 +60,11 @@ class RunRequest
         return *this;
     }
 
-    RunRequest &
-    envelopes(std::vector<GpuEnvelope> shares)
-    {
-        config_.envelopes = std::move(shares);
-        return *this;
-    }
-
-    RunRequest &
-    gpuSubset(std::vector<int> physical_ids)
-    {
-        config_.gpuSubset = std::move(physical_ids);
-        return *this;
-    }
-
-    RunRequest &
-    faults(sim::FaultSpec spec)
-    {
-        config_.faults = std::move(spec);
-        return *this;
-    }
-
     /** Gate each iteration on a streaming ingestion front-end. */
     RunRequest &
     ingest(ingest::IngestConfig config)
     {
         config_.ingest = std::move(config);
-        return *this;
-    }
-
-    RunRequest &
-    replanOnDrift(bool on)
-    {
-        config_.replanOnDrift = on;
-        return *this;
-    }
-
-    RunRequest &
-    tracePath(std::string path)
-    {
-        config_.tracePath = std::move(path);
         return *this;
     }
 

@@ -86,15 +86,22 @@ Catalog::~Catalog()
 std::unique_ptr<Catalog>
 Catalog::tryOpen(CatalogOptions options, std::string *error)
 {
-    RAP_ASSERT(!options.dir.empty(), "catalog needs a directory");
+    const auto refuse = [error](std::string message) {
+        if (error != nullptr)
+            *error = std::move(message);
+        return nullptr;
+    };
+    if (options.dir.empty())
+        return refuse("dir: a catalog needs a directory");
+    if (options.compactEvery < 0) {
+        return refuse("compactEvery: must be >= 0 (0 = never), got " +
+                      std::to_string(options.compactEvery));
+    }
     std::error_code ec;
     std::filesystem::create_directories(options.dir, ec);
     if (ec) {
-        if (error != nullptr) {
-            *error = "cannot create catalog directory '" +
-                     options.dir + "': " + ec.message();
-        }
-        return nullptr;
+        return refuse("cannot create catalog directory '" + options.dir +
+                      "': " + ec.message());
     }
     std::unique_ptr<Catalog> catalog(new Catalog(std::move(options)));
     if (!catalog->recover(error))

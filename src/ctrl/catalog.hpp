@@ -127,8 +127,9 @@ class Catalog
   public:
     /**
      * Open (creating the directory when missing) and recover. On
-     * failure — notably when another open catalog holds the lock —
-     * returns nullptr and stores a message in @p error when non-null.
+     * failure — an empty dir, a negative compactEvery, or notably
+     * another open catalog holding the lock — returns nullptr and
+     * stores a message in @p error when non-null.
      */
     static std::unique_ptr<Catalog> tryOpen(CatalogOptions options,
                                             std::string *error = nullptr);

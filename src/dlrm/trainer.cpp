@@ -8,8 +8,7 @@
 namespace rap::dlrm {
 
 TrainingDriver::TrainingDriver(sim::Cluster &cluster, DlrmConfig config,
-                               EmbeddingSharding sharding,
-                               int launch_group)
+                               EmbeddingSharding sharding)
     : cluster_(cluster), config_(std::move(config)),
       sharding_(std::move(sharding))
 {
@@ -22,7 +21,7 @@ TrainingDriver::TrainingDriver(sim::Cluster &cluster, DlrmConfig config,
         opsPerGpu_.push_back(buildIteration(
             config_, sharding_, g, gpus, cluster_.spec().gpu));
         streams_.push_back(&cluster_.device(g).newStream(
-            "gpu" + std::to_string(g) + ".train", launch_group));
+            "gpu" + std::to_string(g) + ".train"));
     }
 }
 

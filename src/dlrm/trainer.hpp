@@ -47,10 +47,9 @@ class TrainingDriver
      * @param cluster Simulated node to run on.
      * @param config Model configuration.
      * @param sharding Embedding-table placement.
-     * @param launch_group Launch group of the training streams.
      */
     TrainingDriver(sim::Cluster &cluster, DlrmConfig config,
-                   EmbeddingSharding sharding, int launch_group = 0);
+                   EmbeddingSharding sharding);
 
     /** Install an input gate; must be set before pushIterations. */
     void setInputGate(InputGate gate) { inputGate_ = std::move(gate); }

@@ -65,66 +65,24 @@ FleetRequest::validate() const
         result.addError("placement.demandScale", "must be in (0, 1]");
     }
     for (std::size_t e = 0; e < options_.faults.events.size(); ++e) {
-        const auto &event = options_.faults.events[e];
-        const std::string field =
-            "faults.events[" + std::to_string(e) + "]";
-        const bool fleet_kind =
-            event.kind == sim::FaultKind::SmDegrade ||
-            event.kind == sim::FaultKind::HbmDegrade ||
-            event.kind == sim::FaultKind::DeviceCrash;
-        if (!fleet_kind) {
-            result.addError(field + ".kind",
+        const auto kind = options_.faults.events[e].kind;
+        if (kind != sim::FaultKind::SmDegrade &&
+            kind != sim::FaultKind::HbmDegrade &&
+            kind != sim::FaultKind::DeviceCrash) {
+            result.addError("faults.events[" + std::to_string(e) +
+                                "].kind",
                             "fleet-scope faults support SmDegrade/"
                             "HbmDegrade/DeviceCrash only (found " +
-                                sim::faultKindId(event.kind) + ")");
-        }
-        if (event.device >= gpu_count) {
-            result.addError(field + ".device",
-                            "targets GPU " +
-                                std::to_string(event.device) +
-                                " on a " + std::to_string(gpu_count) +
-                                "-GPU node");
-        }
-        if (!(event.time >= 0.0)) {
-            result.addError(field + ".time",
-                            "must be a non-negative fleet-clock time");
-        }
-        if (fleet_kind && event.kind != sim::FaultKind::DeviceCrash &&
-            !(event.factor > 0.0 && event.factor <= 1.0)) {
-            result.addError(field + ".factor",
-                            "degradation factor must be in (0, 1]");
+                                sim::faultKindId(kind) + ")");
         }
     }
-    if (crashFaults_) {
-        if (!(crashMtbf_ > 0.0)) {
-            result.addError("crashFaults.mtbf",
-                            "crash schedule needs a positive MTBF");
-        }
-        if (!(crashHorizon_ > 0.0)) {
-            result.addError("crashFaults.horizon",
-                            "crash schedule needs a positive horizon");
-        }
-    }
-    if (compactEvery_ < 0)
-        result.addError("compactEvery", "must be >= 0 (0 = never)");
+    result.addErrors("faults", options_.faults.validate(gpu_count));
     if (options_.stopAfterEvents < 0)
         result.addError("stopAfterEvents", "cannot be negative");
-    if (options_.stopAfterEvents > 0 &&
-        options_.catalog == nullptr && catalogDir_.empty()) {
+    if (options_.stopAfterEvents > 0 && options_.catalog == nullptr) {
         result.addError("stopAfterEvents",
                         "stopping without a catalog would just lose "
                         "the run");
-    }
-    if (options_.catalog != nullptr && !catalogDir_.empty()) {
-        result.addError("catalogDir",
-                        "mutually exclusive with an adopted catalog "
-                        "handle");
-    }
-    if ((fsyncOnCommit_ || compactEvery_ > 0) &&
-        options_.catalog == nullptr && catalogDir_.empty()) {
-        result.addError("catalogDir",
-                        "fsyncOnCommit/compactEvery need a catalog "
-                        "to act on");
     }
     return result;
 }
@@ -135,24 +93,7 @@ FleetRequest::run(ThreadPool *pool)
     const auto result = validate();
     if (!result.ok())
         RAP_FATAL("invalid fleet request:\n", result.render());
-    FleetOptions options = options_;
-    if (crashFaults_) {
-        const auto crashes =
-            sim::makeCrashTrace(crashMtbf_, crashSeed_, crashHorizon_,
-                                options.node.gpuCount);
-        options.faults.events.insert(options.faults.events.end(),
-                                     crashes.begin(), crashes.end());
-    }
-    if (!catalogDir_.empty()) {
-        ctrl::CatalogOptions catalog_options;
-        catalog_options.dir = catalogDir_;
-        catalog_options.fsyncOnCommit = fsyncOnCommit_;
-        catalog_options.compactEvery = compactEvery_;
-        catalog_options.metrics = options.metrics;
-        ownedCatalog_ = ctrl::Catalog::open(std::move(catalog_options));
-        options.catalog = ownedCatalog_.get();
-    }
-    FleetScheduler scheduler(jobs_, std::move(options), pool);
+    FleetScheduler scheduler(jobs_, options_, pool);
     auto report = scheduler.run();
     stopped_ = scheduler.stopped();
     // An abandoned run's report is partial by design; finalizing it
@@ -192,14 +133,6 @@ resumeFleet(ctrl::Catalog &catalog, ThreadPool *pool)
     request.options().metrics = catalog.options().metrics;
     request.catalog(&catalog);
     return request.run(pool);
-}
-
-FleetReport
-resumeFleet(const ctrl::CatalogOptions &catalog_options,
-            ThreadPool *pool)
-{
-    auto catalog = ctrl::Catalog::open(catalog_options);
-    return resumeFleet(*catalog, pool);
 }
 
 } // namespace rap::fleet

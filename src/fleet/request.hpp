@@ -5,18 +5,25 @@
  * errors (common/validation.hpp) instead of asserting mid-run — the
  * fleet-level twin of core::RunRequest.
  *
+ *   ctrl::CatalogOptions catalog_options;
+ *   catalog_options.dir = "runs/fleet.catalog";
+ *   catalog_options.metrics = &registry;
+ *   auto catalog = ctrl::Catalog::open(catalog_options);
  *   auto request = FleetRequest(makeArrivalTrace(trace))
  *                      .policy(PlacementPolicy::RapShared)
  *                      .restartOverhead(2.0)
- *                      .catalogDir("runs/fleet.catalog");
+ *                      .metrics(&registry)
+ *                      .catalog(catalog.get());
  *   if (auto result = request.validate(); !result.ok())
  *       die(result.render());          // every problem, at once
  *   FleetReport report = request.run(&pool);
  *
- * Bad combinations are rejected, never silently clamped: a
- * non-positive crash MTBF, a negative restart overhead, a stop point
- * without a catalog, a catalog directory *and* an adopted catalog
- * handle — each comes back as a ConfigError naming the field.
+ * A catalog is opened by the caller (ctrl::Catalog::open, which checks
+ * its own options) and adopted with catalog(). Bad knobs are rejected,
+ * never silently clamped: a negative restart overhead, a fault spec
+ * that fails sim::FaultSpec::validate, a stop point without a catalog
+ * — each comes back as a ConfigError naming the field. Seeded crash
+ * traces come from sim::makeCrashTrace, added with addFault().
  */
 
 #ifndef RAP_FLEET_REQUEST_HPP
@@ -52,46 +59,9 @@ class FleetRequest
     }
 
     FleetRequest &
-    placement(PlacementOptions placement)
-    {
-        options_.placement = std::move(placement);
-        return *this;
-    }
-
-    FleetRequest &
-    node(sim::ClusterSpec spec)
-    {
-        options_.node = std::move(spec);
-        return *this;
-    }
-
-    FleetRequest &
-    faults(sim::FaultSpec spec)
-    {
-        options_.faults = std::move(spec);
-        return *this;
-    }
-
-    FleetRequest &
     addFault(sim::FaultEvent event)
     {
         options_.faults.events.push_back(event);
-        return *this;
-    }
-
-    /**
-     * Synthesize seeded DeviceCrash events (sim::makeCrashTrace) at
-     * run() time. validate() rejects a non-positive MTBF or horizon —
-     * the crash schedule is Poisson with mean @p mtbf, so clamping
-     * would silently change the experiment.
-     */
-    FleetRequest &
-    crashFaults(Seconds mtbf, std::uint64_t seed, Seconds horizon)
-    {
-        crashMtbf_ = mtbf;
-        crashSeed_ = seed;
-        crashHorizon_ = horizon;
-        crashFaults_ = true;
         return *this;
     }
 
@@ -127,33 +97,6 @@ class FleetRequest
     }
 
     /**
-     * Open (or recover) a catalog at @p dir inside run(), owned by
-     * the request. Mutually exclusive with catalog().
-     */
-    FleetRequest &
-    catalogDir(std::string dir)
-    {
-        catalogDir_ = std::move(dir);
-        return *this;
-    }
-
-    /** fsync the catalog WAL inside every commit. */
-    FleetRequest &
-    fsyncOnCommit(bool on)
-    {
-        fsyncOnCommit_ = on;
-        return *this;
-    }
-
-    /** Compact the catalog every N commits (0 = never). */
-    FleetRequest &
-    compactEvery(int commits)
-    {
-        compactEvery_ = commits;
-        return *this;
-    }
-
-    /**
      * Stop after @p events committed frames: HardKill raises SIGKILL
      * (the resume gate's crash), Abandon returns early from run().
      * Requires a catalog.
@@ -178,8 +121,7 @@ class FleetRequest
 
     /**
      * Validate and execute; fatal (with the full rendered error list)
-     * when invalid. Opens the catalogDir() catalog first when one was
-     * requested.
+     * when invalid.
      */
     FleetReport run(ThreadPool *pool = nullptr);
 
@@ -193,31 +135,18 @@ class FleetRequest
   private:
     std::vector<JobSpec> jobs_;
     FleetOptions options_;
-    std::string catalogDir_;
-    bool fsyncOnCommit_ = false;
-    int compactEvery_ = 0;
-    bool crashFaults_ = false;
-    Seconds crashMtbf_ = 0.0;
-    std::uint64_t crashSeed_ = 0;
-    Seconds crashHorizon_ = 0.0;
-    /** Catalog opened by run() for catalogDir() requests. */
-    std::unique_ptr<ctrl::Catalog> ownedCatalog_;
     bool stopped_ = false;
 };
 
 /**
- * Resume the run persisted in @p catalog_options's directory: rebuild
- * the job trace and options from the genesis record, re-execute the
- * event loop (byte-verifying the durable frames), and finish the run
- * — committing live past the crash point. The final FleetReport is
- * byte-identical to the uninterrupted run's. The rebuilt jobs and
- * options pass FleetRequest::validate; a genesis record that fails it
- * is fatal with the rendered error list.
+ * Resume the run persisted in @p catalog: rebuild the job trace and
+ * options from the genesis record, re-execute the event loop
+ * (byte-verifying the durable frames), and finish the run — committing
+ * live past the crash point. The final FleetReport is byte-identical
+ * to the uninterrupted run's. The rebuilt jobs and options pass
+ * FleetRequest::validate; a genesis record that fails it is fatal with
+ * the rendered error list.
  */
-FleetReport resumeFleet(const ctrl::CatalogOptions &catalog_options,
-                        ThreadPool *pool = nullptr);
-
-/** resumeFleet over an already-open catalog. */
 FleetReport resumeFleet(ctrl::Catalog &catalog,
                         ThreadPool *pool = nullptr);
 

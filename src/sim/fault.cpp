@@ -105,6 +105,52 @@ FaultSpec::failStopTimes() const
     return times;
 }
 
+ValidationResult
+FaultSpec::validate(int gpu_count) const
+{
+    ValidationResult result;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const auto &e = events[i];
+        const std::string field = "events[" + std::to_string(i) + "]";
+        if (e.device < -1 || e.device >= gpu_count) {
+            result.addError(field + ".device",
+                            "targets GPU " + std::to_string(e.device) +
+                                " on " + std::to_string(gpu_count) +
+                                " GPUs (-1 = every GPU)");
+        }
+        if (!(e.time >= 0.0))
+            result.addError(field + ".time", "must be >= 0");
+        switch (e.kind) {
+          case FaultKind::SmDegrade:
+          case FaultKind::HbmDegrade:
+          case FaultKind::LinkSlow:
+            if (!(e.factor > 0.0 && e.factor <= 1.0)) {
+                result.addError(field + ".factor",
+                                "degradation factor must be in (0, 1]");
+            }
+            break;
+          case FaultKind::TransientKernel:
+            if (!(e.probability >= 0.0 && e.probability <= 1.0)) {
+                result.addError(field + ".probability",
+                                "failure probability must be in [0, 1]");
+            }
+            if (!(e.until > e.time)) {
+                result.addError(field + ".until",
+                                "failure window must end after it "
+                                "starts");
+            }
+            break;
+          case FaultKind::DeviceCrash:
+            break;
+        }
+    }
+    if (retry.maxAttempts < 1)
+        result.addError("retry.maxAttempts", "must be >= 1");
+    if (!(retry.detectFraction > 0.0 && retry.detectFraction <= 1.0))
+        result.addError("retry.detectFraction", "must be in (0, 1]");
+    return result;
+}
+
 std::vector<FaultEvent>
 makeCrashTrace(Seconds mtbf, std::uint64_t seed, Seconds horizon,
                int gpu_count)
@@ -125,42 +171,14 @@ makeCrashTrace(Seconds mtbf, std::uint64_t seed, Seconds horizon,
     return events;
 }
 
-FaultInjector::FaultInjector(FaultSpec spec)
-    : spec_(std::move(spec)), rng_(spec_.seed)
-{
-    RAP_ASSERT(spec_.retry.maxAttempts >= 1,
-               "retry policy needs at least one attempt");
-    RAP_ASSERT(spec_.retry.detectFraction > 0.0 &&
-                   spec_.retry.detectFraction <= 1.0,
-               "detect fraction must be in (0, 1]");
-    for (const auto &e : spec_.events) {
-        switch (e.kind) {
-          case FaultKind::SmDegrade:
-          case FaultKind::HbmDegrade:
-          case FaultKind::LinkSlow:
-            RAP_ASSERT(e.factor > 0.0 && e.factor <= 1.0,
-                       "degradation factor must be in (0, 1]");
-            break;
-          case FaultKind::TransientKernel:
-            RAP_ASSERT(e.probability >= 0.0 && e.probability <= 1.0,
-                       "failure probability must be in [0, 1]");
-            RAP_ASSERT(e.until > e.time,
-                       "failure window must have positive length");
-            break;
-          case FaultKind::DeviceCrash:
-            RAP_ASSERT(e.device >= 0,
-                       "a device crash must target one GPU");
-            RAP_ASSERT(e.time >= 0.0, "crash time must be >= 0");
-            break;
-        }
-    }
-}
-
 void
 FaultInjector::arm(Cluster &cluster)
 {
     RAP_ASSERT(!armed_, "fault injector armed twice");
     armed_ = true;
+    if (const auto result = spec_.validate(cluster.gpuCount());
+        !result.ok())
+        RAP_FATAL("invalid fault spec:\n", result.render());
     if (spec_.hasTransientFaults()) {
         for (int g = 0; g < cluster.gpuCount(); ++g)
             cluster.device(g).setFaultInjector(this);
@@ -169,9 +187,6 @@ FaultInjector::arm(Cluster &cluster)
     for (const auto &e : spec_.events) {
         if (e.kind == FaultKind::TransientKernel)
             continue; // consulted live at launch time
-        RAP_ASSERT(e.device < cluster.gpuCount(),
-                   "fault event targets device ", e.device,
-                   " but the cluster has ", cluster.gpuCount(), " GPUs");
         engine.schedule(e.time, [&cluster, e] {
             const int first = e.device < 0 ? 0 : e.device;
             const int last =

@@ -27,6 +27,7 @@
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "common/validation.hpp"
 
 namespace rap::sim {
 
@@ -138,6 +139,15 @@ struct FaultSpec
     /** @return Sorted times of the fail-stop events. */
     std::vector<Seconds> failStopTimes() const;
 
+    /**
+     * Check every event against a @p gpu_count-GPU target and the
+     * retry policy; fields are named "events[i].<field>" and
+     * "retry.<field>". The one fault-spec check: both request APIs
+     * fold it in under "faults", and FaultInjector::arm refuses a
+     * spec that fails it.
+     */
+    ValidationResult validate(int gpu_count) const;
+
     /** Seeds serialize as decimal strings (exact for all 64 bits). */
     Json toJson() const;
     static FaultSpec fromJson(const Json &json);
@@ -162,7 +172,10 @@ std::vector<FaultEvent> makeCrashTrace(Seconds mtbf, std::uint64_t seed,
 class FaultInjector
 {
   public:
-    explicit FaultInjector(FaultSpec spec);
+    explicit FaultInjector(FaultSpec spec)
+        : spec_(std::move(spec)), rng_(spec_.seed)
+    {
+    }
 
     FaultInjector(const FaultInjector &) = delete;
     FaultInjector &operator=(const FaultInjector &) = delete;
@@ -170,7 +183,7 @@ class FaultInjector
     /**
      * Schedule the spec's events on @p cluster's engine and install
      * the transient-failure hook on every device. Call once, before
-     * the simulation runs.
+     * the simulation runs; fatal when the spec fails validate().
      */
     void arm(Cluster &cluster);
 

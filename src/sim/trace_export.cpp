@@ -29,20 +29,10 @@ escape(const std::string &s)
     return out;
 }
 
-bool
-inWindow(const TraceExportOptions &options, Seconds start, Seconds end)
-{
-    if (end < options.begin)
-        return false;
-    if (options.end > 0.0 && start > options.end)
-        return false;
-    return true;
-}
-
 } // namespace
 
 std::string
-toChromeTraceJson(const Cluster &cluster, TraceExportOptions options)
+toChromeTraceJson(const Cluster &cluster, const obs::MetricRegistry *spans)
 {
     std::ostringstream oss;
     oss << "{\"traceEvents\":[";
@@ -72,8 +62,6 @@ toChromeTraceJson(const Cluster &cluster, TraceExportOptions options)
         // Kernel events: one thread track per stream.
         std::map<std::string, int> stream_tids;
         for (const auto &record : trace.kernels()) {
-            if (!inWindow(options, record.start, record.end))
-                continue;
             auto [it, inserted] = stream_tids.try_emplace(
                 record.stream,
                 static_cast<int>(stream_tids.size()) + 1);
@@ -97,11 +85,7 @@ toChromeTraceJson(const Cluster &cluster, TraceExportOptions options)
             emit(e.str());
         }
 
-        if (!options.includeCounters)
-            continue;
         for (const auto &segment : trace.segments()) {
-            if (!inWindow(options, segment.begin, segment.end))
-                continue;
             std::ostringstream e;
             e << "{\"name\":\"utilisation\",\"ph\":\"C\",\"pid\":"
               << pid << ",\"ts\":" << segment.begin * 1e6
@@ -111,7 +95,7 @@ toChromeTraceJson(const Cluster &cluster, TraceExportOptions options)
         }
     }
 
-    if (options.spans != nullptr) {
+    if (spans != nullptr) {
         // Sim-time spans land on their GPU's process (track 0, which
         // stream tracks never use) or on a run-wide process; planner
         // wall-clock spans get their own host process past the GPUs.
@@ -137,12 +121,10 @@ toChromeTraceJson(const Cluster &cluster, TraceExportOptions options)
         bool run_named = false;
         bool planner_named = false;
 
-        for (const auto &record : options.spans->spanRecords()) {
+        for (const auto &record : spans->spanRecords()) {
             const std::string title =
                 record.name + record.labels.render();
             if (record.hasSim) {
-                if (!inWindow(options, record.simBegin, record.simEnd))
-                    continue;
                 int pid = run_pid;
                 for (const auto &[key, value] : record.labels.pairs()) {
                     if (key != "gpu")
@@ -192,12 +174,12 @@ toChromeTraceJson(const Cluster &cluster, TraceExportOptions options)
 
 void
 writeChromeTrace(const Cluster &cluster, const std::string &path,
-                 TraceExportOptions options)
+                 const obs::MetricRegistry *spans)
 {
     std::ofstream out(path);
     if (!out)
         RAP_FATAL("cannot open trace output file: ", path);
-    out << toChromeTraceJson(cluster, options);
+    out << toChromeTraceJson(cluster, spans);
     if (!out)
         RAP_FATAL("failed writing trace output file: ", path);
 }

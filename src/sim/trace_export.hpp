@@ -18,36 +18,23 @@ class MetricRegistry;
 
 namespace rap::sim {
 
-/** Export options. */
-struct TraceExportOptions
-{
-    /** Emit SM/BW counter tracks sampled from utilisation segments. */
-    bool includeCounters = true;
-    /** Drop events ending before this time. */
-    Seconds begin = 0.0;
-    /** Drop events starting after this time (0 = no limit). */
-    Seconds end = 0.0;
-    /**
-     * Also render spans recorded in this registry: sim-time spans
-     * appear on their GPU's process (a dedicated "phases" track, or
-     * the run-wide process when the span has no `gpu` label), and
-     * wall-clock spans (planner phases) on an extra "planner (host)"
-     * process past the GPUs. Null = no span rendering.
-     */
-    const obs::MetricRegistry *spans = nullptr;
-};
-
 /**
  * Render the cluster's recorded traces as a Chrome trace-event JSON
  * document (the "traceEvents" array format). Timestamps are emitted
  * in microseconds as the format requires.
+ *
+ * @param spans When non-null, also render the spans recorded in this
+ *        registry: sim-time spans appear on their GPU's process (a
+ *        dedicated "phases" track, or the run-wide process when the
+ *        span has no `gpu` label), and wall-clock spans (planner
+ *        phases) on an extra "planner (host)" process past the GPUs.
  */
 std::string toChromeTraceJson(const Cluster &cluster,
-                              TraceExportOptions options = {});
+                              const obs::MetricRegistry *spans = nullptr);
 
 /** Convenience: write the JSON to @p path; fatal on I/O failure. */
 void writeChromeTrace(const Cluster &cluster, const std::string &path,
-                      TraceExportOptions options = {});
+                      const obs::MetricRegistry *spans = nullptr);
 
 } // namespace rap::sim
 

@@ -10,7 +10,9 @@
 # byte-identical to the reference, with and without fsync-per-commit
 # and compaction, and catalog_dump must read the catalogs back. A
 # catalog run with --trace must write its traces, and --resume must
-# refuse --trace (the genesis record fixes the prefix).
+# refuse --trace (the genesis record fixes the prefix). A negative
+# --compact-every must be refused by the catalog with the field named,
+# and the catalog-only flags must be refused without --catalog.
 
 foreach(var BENCH_FLEET CATALOG_DUMP WORK_DIR)
     if(NOT DEFINED ${var})
@@ -32,6 +34,26 @@ function(run expected)
         message(FATAL_ERROR
             "fleet_kill_resume: '${ARGN}' exited '${status}', "
             "expected '${expected}'")
+    endif()
+endfunction()
+
+# refuse(<needle> <command...>): the command must exit non-zero and
+# print <needle> on stdout or stderr.
+function(refuse needle)
+    execute_process(COMMAND ${ARGN}
+        WORKING_DIRECTORY "${WORK_DIR}"
+        RESULT_VARIABLE status
+        OUTPUT_VARIABLE out
+        ERROR_VARIABLE out)
+    if(status EQUAL 0)
+        message(FATAL_ERROR
+            "fleet_kill_resume: '${ARGN}' exited 0, expected a refusal")
+    endif()
+    string(FIND "${out}" "${needle}" at)
+    if(at EQUAL -1)
+        message(FATAL_ERROR
+            "fleet_kill_resume: '${ARGN}' did not name '${needle}':\n"
+            "${out}")
     endif()
 endfunction()
 
@@ -72,6 +94,11 @@ if(NOT EXISTS "${WORK_DIR}/traced.job0.seg0.json")
 endif()
 run(1 "${BENCH_FLEET}" --tiny --catalog cat-traced --resume
     --trace traced)
+
+refuse(compactEvery "${BENCH_FLEET}" --tiny --catalog cat-bad
+    --compact-every -1)
+refuse(--resume "${BENCH_FLEET}" --tiny --resume)
+refuse(--stop-after "${BENCH_FLEET}" --tiny --stop-after 3)
 
 run(0 "${CATALOG_DUMP}" cat-ref)
 run(0 "${CATALOG_DUMP}" cat-killed --state)

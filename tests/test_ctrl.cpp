@@ -42,6 +42,15 @@ freshDir(const std::string &name)
     return dir.string();
 }
 
+/** Default catalog options over @p dir. */
+ctrl::CatalogOptions
+catalogAt(const std::string &dir)
+{
+    ctrl::CatalogOptions options;
+    options.dir = dir;
+    return options;
+}
+
 /** Flip one payload byte in place (checksums must catch this). */
 void
 corruptByteAt(const std::string &path, std::uint64_t offset)
@@ -415,6 +424,18 @@ TEST(Catalog, SecondWriterIsRefusedWhileTheFirstLives)
     EXPECT_NE(ctrl::Catalog::tryOpen(options, &error), nullptr);
 }
 
+TEST(Catalog, BadOptionsAreRefusedWithTheFieldNamed)
+{
+    auto options = catalogAt(freshDir("catalog_bad_compact"));
+    options.compactEvery = -1;
+    std::string error;
+    EXPECT_EQ(ctrl::Catalog::tryOpen(options, &error), nullptr);
+    EXPECT_NE(error.find("compactEvery"), std::string::npos) << error;
+
+    EXPECT_EQ(ctrl::Catalog::tryOpen(catalogAt(""), &error), nullptr);
+    EXPECT_NE(error.find("dir"), std::string::npos) << error;
+}
+
 TEST(Catalog, CorruptTailIsRefusedUnlessSalvaged)
 {
     const std::string dir = freshDir("catalog_corrupt");
@@ -640,10 +661,11 @@ TEST(FleetResume, KillAtEveryFrameResumesByteIdentical)
     const std::string ref_dir = freshDir("resume_ref");
     std::string want;
     {
+        const auto catalog = ctrl::Catalog::open(catalogAt(ref_dir));
         fleet::FleetRequest request(trace);
         request.policy(fleet::PlacementPolicy::ExclusiveFirstFit)
             .addFault(fault)
-            .catalogDir(ref_dir);
+            .catalog(catalog.get());
         want = request.run().toJson().dump(2);
         EXPECT_FALSE(request.stopped());
     }
@@ -669,18 +691,18 @@ TEST(FleetResume, KillAtEveryFrameResumesByteIdentical)
             // Abandon stands in for SIGKILL: commits are
             // write-through before they apply, so stopping the loop
             // leaves the same catalog a dead process would.
+            const auto catalog = ctrl::Catalog::open(catalogAt(dir));
             fleet::FleetRequest request(trace);
             request.policy(fleet::PlacementPolicy::ExclusiveFirstFit)
                 .addFault(fault)
-                .catalogDir(dir)
+                .catalog(catalog.get())
                 .stopAfterEvents(static_cast<std::int64_t>(n),
                                  fleet::StopMode::Abandon);
             request.run();
             ASSERT_TRUE(request.stopped());
         }
-        ctrl::CatalogOptions resume_options;
-        resume_options.dir = dir;
-        const auto resumed = fleet::resumeFleet(resume_options);
+        const auto resumed =
+            fleet::resumeFleet(*ctrl::Catalog::open(catalogAt(dir)));
         EXPECT_EQ(resumed.toJson().dump(2), want);
     }
 }
@@ -696,16 +718,17 @@ TEST(FleetResume, ResumingAFinishedRunReproducesTheReport)
     const std::string dir = freshDir("resume_finished");
     std::string want;
     {
+        const auto catalog = ctrl::Catalog::open(catalogAt(dir));
         fleet::FleetRequest request(trace_options);
         request.policy(fleet::PlacementPolicy::RapShared)
-            .catalogDir(dir);
+            .catalog(catalog.get());
         want = request.run().toJson().dump(2);
     }
     // Nothing left to re-execute live: the whole run byte-verifies
     // against the recovered tail and the report comes out identical.
-    ctrl::CatalogOptions resume_options;
-    resume_options.dir = dir;
-    EXPECT_EQ(fleet::resumeFleet(resume_options).toJson().dump(2),
+    EXPECT_EQ(fleet::resumeFleet(*ctrl::Catalog::open(catalogAt(dir)))
+                  .toJson()
+                  .dump(2),
               want);
 }
 
@@ -746,7 +769,8 @@ TEST(FleetResumeDeathTest, InvalidGenesisFailsValidationOnResume)
         config.set("restartOverhead", Json(-1.0));
         genesis.set("config", std::move(config));
     });
-    EXPECT_EXIT(fleet::resumeFleet(overhead), testing::ExitedWithCode(1),
+    EXPECT_EXIT(fleet::resumeFleet(*ctrl::Catalog::open(overhead)),
+                testing::ExitedWithCode(1),
                 "restartOverhead: must be finite and non-negative");
 
     ctrl::CatalogOptions sparse;
@@ -760,7 +784,8 @@ TEST(FleetResumeDeathTest, InvalidGenesisFailsValidationOnResume)
         }
         genesis.set("jobs", std::move(jobs));
     });
-    EXPECT_EXIT(fleet::resumeFleet(sparse), testing::ExitedWithCode(1),
+    EXPECT_EXIT(fleet::resumeFleet(*ctrl::Catalog::open(sparse)),
+                testing::ExitedWithCode(1),
                 "jobs\\[0\\]\\.id: job ids must be dense");
 }
 
@@ -777,7 +802,8 @@ TEST(FleetResumeDeathTest, GenesisFieldFromAnotherBuildIsNamed)
         config.set("retiredKnob", Json(1));
         genesis.set("config", std::move(config));
     });
-    EXPECT_EXIT(fleet::resumeFleet(legacy), testing::ExitedWithCode(1),
+    EXPECT_EXIT(fleet::resumeFleet(*ctrl::Catalog::open(legacy)),
+                testing::ExitedWithCode(1),
                 "config\\.retiredKnob does not round-trip");
 }
 

@@ -283,11 +283,13 @@ TEST(DegradedFleet, RunFinishesWithTheFlagAndIdenticalNumbers)
     const auto trace = fleet::makeArrivalTrace(trace_options);
 
     // Reference: the same trace through a healthy catalog.
-    const std::string healthy_dir = freshDir("degraded_ref");
+    ctrl::CatalogOptions healthy_options;
+    healthy_options.dir = freshDir("degraded_ref");
+    const auto healthy = ctrl::Catalog::open(healthy_options);
     const std::string want =
         fleet::FleetRequest(trace)
             .policy(fleet::PlacementPolicy::ExclusiveFirstFit)
-            .catalogDir(healthy_dir)
+            .catalog(healthy.get())
             .run()
             .toJson()
             .dump(2);

@@ -19,6 +19,7 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -612,8 +613,8 @@ faultCase()
     return {"rap_shared+faults",
             trace,
             [faults](FleetRequest &request) {
+                request.options().faults = faults;
                 request.policy(PlacementPolicy::RapShared)
-                    .faults(faults)
                     .restartOverhead(0.002);
             },
             true};
@@ -655,9 +656,9 @@ fleetGoldenCases()
                      [](FleetRequest &request) {
                          PlacementOptions placement;
                          placement.minEnvelope = 0.6;
-                         request.placement(placement)
-                             .addFault(sim::FaultEvent::smDegrade(
-                                 -1, 0.0, 0.6));
+                         request.options().placement = placement;
+                         request.addFault(
+                             sim::FaultEvent::smDegrade(-1, 0.0, 0.6));
                      }});
     return cases;
 }
@@ -678,9 +679,14 @@ runGoldenCase(const FleetGoldenCase &golden_case)
         FleetRequest request(golden_case.trace);
         golden_case.configure(request);
         request.metrics(&registry, golden_case.name);
+        std::unique_ptr<ctrl::Catalog> catalog;
         if (golden_case.catalog) {
             std::filesystem::remove_all(dir);
-            request.catalogDir(dir.string());
+            ctrl::CatalogOptions options;
+            options.dir = dir.string();
+            options.metrics = &registry;
+            catalog = ctrl::Catalog::open(options);
+            request.catalog(catalog.get());
         }
         result.set("report", request.run().toJson());
     }
@@ -883,20 +889,17 @@ TEST(FleetRequestValidation, WellFormedRequestValidates)
 TEST(FleetRequestValidation, BadKnobsAreRejectedNotClamped)
 {
     FleetRequest request(makeArrivalTrace(tinyTraceOptions(2)));
-    request.restartOverhead(-1.0)
-        .crashFaults(/*mtbf=*/0.0, /*seed=*/1, /*horizon=*/-5.0);
+    request.restartOverhead(-1.0);
     request.options().placement.headroom = 1.5;
     request.options().placement.demandScale = 0.0;
 
     const auto result = request.validate();
     ASSERT_FALSE(result.ok());
     EXPECT_TRUE(hasError(result, "restartOverhead"));
-    EXPECT_TRUE(hasError(result, "crashFaults.mtbf"));
-    EXPECT_TRUE(hasError(result, "crashFaults.horizon"));
     EXPECT_TRUE(hasError(result, "placement.headroom"));
     EXPECT_TRUE(hasError(result, "placement.demandScale"));
     // Every problem surfaces at once, one rendered line each.
-    EXPECT_GE(result.errors().size(), 5u);
+    EXPECT_GE(result.errors().size(), 3u);
     EXPECT_NE(result.render().find("restartOverhead: "),
               std::string::npos);
 }
@@ -923,19 +926,6 @@ TEST(FleetRequestValidation, CatalogComboRulesAreEnforced)
     stop_without.stopAfterEvents(4);
     EXPECT_TRUE(
         hasError(stop_without.validate(), "stopAfterEvents"));
-
-    // Durability knobs with no catalog to act on.
-    FleetRequest knobs(makeArrivalTrace(tinyTraceOptions(2)));
-    knobs.fsyncOnCommit(true).compactEvery(8);
-    EXPECT_TRUE(hasError(knobs.validate(), "catalogDir"));
-
-    // An adopted handle and an owned directory cannot both win.
-    // validate() only checks the handle's presence, never
-    // dereferences it, so a sentinel address is enough here.
-    FleetRequest both(makeArrivalTrace(tinyTraceOptions(2)));
-    both.catalog(reinterpret_cast<ctrl::Catalog *>(&both))
-        .catalogDir("/tmp/unused");
-    EXPECT_TRUE(hasError(both.validate(), "catalogDir"));
 }
 
 } // namespace

@@ -163,6 +163,59 @@ TEST(Validate, AccumulatesEveryProblemAtOnce)
     EXPECT_NE(rendered.find("rowWiseThreshold:"), std::string::npos);
 }
 
+/** A valid 2-GPU RAP config carrying @p event as its only fault. */
+SystemConfig
+withFault(sim::FaultEvent event)
+{
+    SystemConfig config;
+    config.system = System::Rap;
+    config.gpuCount = 2;
+    config.faults = sim::FaultSpec{};
+    config.faults->events.push_back(event);
+    return config;
+}
+
+TEST(Validate, RejectsBadFaultSpecs)
+{
+    const struct
+    {
+        sim::FaultEvent event;
+        const char *field;
+    } cases[] = {
+        {sim::FaultEvent::smDegrade(5, 0.0, 0.5),
+         "faults.events[0].device"},
+        {sim::FaultEvent::smDegrade(0, 0.0, 1.5),
+         "faults.events[0].factor"},
+        {sim::FaultEvent::hbmDegrade(0, -1.0, 0.5),
+         "faults.events[0].time"},
+        {sim::FaultEvent::transientKernel(0, 0.0, 1.0, 2.0),
+         "faults.events[0].probability"},
+        {sim::FaultEvent::transientKernel(0, 1.0, 1.0, 0.5),
+         "faults.events[0].until"},
+    };
+    for (const auto &c : cases) {
+        const auto result = withFault(c.event).validate();
+        EXPECT_TRUE(hasError(result, c.field))
+            << c.field << "\n" << result.render();
+    }
+
+    auto config = withFault(sim::FaultEvent::smDegrade(-1, 0.0, 0.5));
+    EXPECT_TRUE(config.validate().ok()) << config.validate().render();
+    config.faults->retry.maxAttempts = 0;
+    EXPECT_TRUE(hasError(config.validate(), "faults.retry.maxAttempts"));
+}
+
+TEST(RunRequestDeathTest, BadFaultSpecExitsBeforePlanning)
+{
+    // The spec is checked with the request: run() exits with the field
+    // named instead of planning and then asserting inside the DES.
+    const RunRequest request(
+        withFault(sim::FaultEvent::smDegrade(5, 0.0, 0.5)));
+    EXPECT_EXIT(request.run(preproc::makePlan(0)),
+                testing::ExitedWithCode(1),
+                "faults\\.events\\[0\\]\\.device");
+}
+
 TEST(RunRequest, BuilderPlumbsEveryField)
 {
     obs::MetricRegistry registry;
@@ -170,9 +223,6 @@ TEST(RunRequest, BuilderPlumbsEveryField)
                             .gpus(4)
                             .batchPerGpu(2048)
                             .iterations(10, 2)
-                            .gpuSubset({4, 5, 6, 7})
-                            .replanOnDrift(true)
-                            .tracePath("/tmp/trace.json")
                             .metrics(&registry, "test.scope")
                             .build();
     EXPECT_EQ(config.system, System::Rap);
@@ -180,9 +230,6 @@ TEST(RunRequest, BuilderPlumbsEveryField)
     EXPECT_EQ(config.batchPerGpu, 2048);
     EXPECT_EQ(config.iterations, 10);
     EXPECT_EQ(config.warmup, 2);
-    EXPECT_EQ(config.gpuSubset, (std::vector<int>{4, 5, 6, 7}));
-    EXPECT_TRUE(config.replanOnDrift);
-    EXPECT_EQ(config.tracePath, "/tmp/trace.json");
     EXPECT_EQ(config.metrics, &registry);
     EXPECT_EQ(config.metricsScope, "test.scope");
 }
@@ -254,7 +301,9 @@ TEST(RunRequest, TracePathLeavesReportsByteIdentical)
         ::testing::TempDir() + "rap_trace_path_report_test.json";
     for (const auto &config : configs) {
         const auto plain = RunRequest(config).run(plan);
-        const auto traced = RunRequest(config).tracePath(path).run(plan);
+        RunRequest traced_request(config);
+        traced_request.config().tracePath = path;
+        const auto traced = traced_request.run(plan);
         EXPECT_GT(plain.avgSmUtil, 0.0);
         if (config.replanMapping) {
             EXPECT_GE(plain.replans, 1);

@@ -54,27 +54,6 @@ TEST(TraceExport, EmitsCompleteEventsWithDurations)
     EXPECT_NE(json.find("\"stretch_us\":"), std::string::npos);
 }
 
-TEST(TraceExport, CountersToggle)
-{
-    TraceExportOptions with;
-    const auto json_on = toChromeTraceJson(sampleCluster(), with);
-    EXPECT_NE(json_on.find("\"ph\":\"C\""), std::string::npos);
-
-    TraceExportOptions without;
-    without.includeCounters = false;
-    const auto json_off = toChromeTraceJson(sampleCluster(), without);
-    EXPECT_EQ(json_off.find("\"ph\":\"C\""), std::string::npos);
-}
-
-TEST(TraceExport, WindowFiltersEvents)
-{
-    TraceExportOptions window;
-    window.begin = 1.0; // everything happened before t = 1s
-    window.end = 2.0;
-    const auto json = toChromeTraceJson(sampleCluster(), window);
-    EXPECT_EQ(json.find("mlp_fwd"), std::string::npos);
-}
-
 TEST(TraceExport, BalancedJsonStructure)
 {
     const auto json = toChromeTraceJson(sampleCluster());
