@@ -16,7 +16,8 @@
  * flag a bench accepts does something. Unknown flags are an error
  * (exit 1) unless the bench opts into allowUnknown() — the
  * google-benchmark mains do, and hand the unconsumed arguments on
- * via remainingArgv().
+ * via remainingArgv(). So is an integer flag whose value is not a
+ * whole integer or falls below the flag's registered minimum.
  *
  * Output stays deterministic: sweep points are computed into
  * submission-indexed slots and rendered in point order, so `--jobs 8`
@@ -27,9 +28,11 @@
 #ifndef RAP_BENCH_COMMON_HPP
 #define RAP_BENCH_COMMON_HPP
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,7 +69,8 @@ class ArgParser
     {
         jobs_ = &addInt("--jobs", 1,
                         "worker threads for sweep points "
-                        "(0 = all hardware threads; alias -j)");
+                        "(0 = all hardware threads; alias -j)",
+                        0);
         tiny_ = &addFlag("--tiny", "smaller sweep (CI mode)");
         if (metrics == Metrics::Written) {
             metrics_ = &addString("--metrics", "",
@@ -82,12 +86,18 @@ class ArgParser
         return opt.flagValue;
     }
 
-    /** Register an integer option; @return its storage. */
+    /**
+     * Register an integer option; @return its storage. A value that
+     * is not a whole integer, or is below @p minimum, exits 1 naming
+     * the flag.
+     */
     int &
-    addInt(const std::string &name, int fallback, std::string help)
+    addInt(const std::string &name, int fallback, std::string help,
+           int minimum = std::numeric_limits<int>::min())
     {
         auto &opt = emplace(name, Kind::Int, std::move(help));
         opt.intValue = fallback;
+        opt.minimum = minimum;
         return opt.intValue;
     }
 
@@ -150,7 +160,7 @@ class ArgParser
                     value = argv[++i];
                 }
                 if (opt->kind == Kind::Int)
-                    opt->intValue = std::atoi(value.c_str());
+                    opt->intValue = parseInt(*opt, value);
                 else
                     opt->stringValue = value;
                 continue;
@@ -180,7 +190,7 @@ class ArgParser
     int
     jobThreads() const
     {
-        return *jobs_ <= 0 ? ThreadPool::hardwareThreads() : *jobs_;
+        return *jobs_ == 0 ? ThreadPool::hardwareThreads() : *jobs_;
     }
 
     bool tiny() const { return *tiny_; }
@@ -240,6 +250,7 @@ class ArgParser
         Kind kind = Kind::Flag;
         bool flagValue = false;
         int intValue = 0;
+        int minimum = 0;
         std::string stringValue;
     };
 
@@ -249,6 +260,20 @@ class ArgParser
         std::string help;
         std::string value;
     };
+
+    static int
+    parseInt(const Option &opt, const std::string &value)
+    {
+        int parsed = 0;
+        const char *end = value.data() + value.size();
+        const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+        if (ec != std::errc() || ptr != end)
+            RAP_FATAL(opt.name, " needs an integer, got '", value, "'");
+        if (parsed < opt.minimum)
+            RAP_FATAL(opt.name, " must be >= ", opt.minimum, ", got ",
+                      parsed);
+        return parsed;
+    }
 
     Option &
     emplace(const std::string &name, Kind kind, std::string help)

@@ -62,13 +62,15 @@ main(int argc, char **argv)
     int &mtbf_ms = args.addInt(
         "--mtbf", 0,
         "mean time between fail-stop crashes, simulated ms "
-        "(0 = 300000, or 60000 with --tiny)");
+        "(0 = 300000, or 60000 with --tiny)",
+        0);
     int &fault_seed =
         args.addInt("--fault-seed", 1, "crash-trace RNG seed");
     int &crash_at_ms = args.addInt(
         "--crash-at", -1,
         "replace the seeded trace with one crash at this simulated "
-        "ms (-1 = use the seeded trace)");
+        "ms (-1 = use the seeded trace)",
+        -1);
     std::string &report_path = args.addString(
         "--report", "", "arm-report JSON output path (CI diffs this)");
     args.parse(argc, argv);

@@ -61,13 +61,15 @@ main(int argc, char **argv)
     int &mtbf_ms = args.addInt(
         "--mtbf", 0,
         "append a seeded fail-stop crash scenario with this mean "
-        "time between crashes, simulated ms (0 = off)");
+        "time between crashes, simulated ms (0 = off)",
+        0);
     int &fault_seed =
         args.addInt("--fault-seed", 1, "crash-trace RNG seed");
     int &crash_at_ms = args.addInt(
         "--crash-at", -1,
         "override the fault-injection time, simulated ms "
-        "(-1 = healthy makespan / 3)");
+        "(-1 = healthy makespan / 3)",
+        -1);
     args.parse(argc, argv);
     ThreadPool pool(args.jobThreads());
     obs::MetricRegistry registry;

@@ -99,17 +99,8 @@ HorizontalFusionPlanner::plan(const preproc::PreprocGraph &graph,
     nodesExplored_.fetch_add(solution.nodesExplored,
                              std::memory_order_relaxed);
 
-    auto groups = solution.groups(problem);
-    // Launch order: ascending time step (groups() already sorts by
-    // step first); keep it stable for determinism.
-    std::stable_sort(groups.begin(), groups.end(),
-                     [&](const std::vector<int> &a,
-                         const std::vector<int> &b) {
-                         return solution.step[static_cast<std::size_t>(
-                                    a.front())] <
-                                solution.step[static_cast<std::size_t>(
-                                    b.front())];
-                     });
+    // Launch order: groups() sorts by time step, then type.
+    const auto groups = solution.groups(problem);
 
     kernels.reserve(groups.size());
     for (const auto &group : groups) {

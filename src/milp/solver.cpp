@@ -1,7 +1,6 @@
 #include "milp/solver.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 #include "common/log.hpp"
@@ -217,15 +216,10 @@ FusionSolver::solve(const FusionProblem &problem) const
         empty.optimal = true;
         return empty;
     }
-    if (problem.size() <= options_.exactLimit) {
-        auto solution = solveExact(problem);
-        if (solution.optimal)
-            return solution;
-        // Budget ran out: fall through and keep the better of the two.
-        auto heuristic = solveHeuristic(problem);
-        return heuristic.objective > solution.objective ? heuristic
-                                                        : solution;
-    }
+    // A budget-exhausted exact solve already returns the better of its
+    // best-found and the heuristic (see solveExact()).
+    if (problem.size() <= options_.exactLimit)
+        return solveExact(problem);
     return solveHeuristic(problem);
 }
 
@@ -268,12 +262,15 @@ FusionSolver::solveHeuristic(const FusionProblem &problem) const
         max_level = std::max(max_level, s);
     const int horizon =
         std::min(static_cast<int>(n), max_level + 8);
+    const auto succ = problem.successors();
+    std::vector<std::vector<int>> deps_of(n);
+    for (const auto &[op, pre] : problem.deps)
+        deps_of[static_cast<std::size_t>(op)].push_back(pre);
 
     // Second restart seed: ALAP levels (chains aligned at their
     // tails), which often escapes the ASAP seed's local optimum.
     std::vector<int> alap(n, max_level);
     {
-        const auto succ_levels = problem.successors();
         // Process in reverse topological order (ids ordered by level).
         std::vector<int> order(n);
         std::iota(order.begin(), order.end(), 0);
@@ -282,7 +279,7 @@ FusionSolver::solveHeuristic(const FusionProblem &problem) const
                    asap[static_cast<std::size_t>(b)];
         });
         for (int i : order) {
-            for (int nxt : succ_levels[static_cast<std::size_t>(i)]) {
+            for (int nxt : succ[static_cast<std::size_t>(i)]) {
                 alap[static_cast<std::size_t>(i)] = std::min(
                     alap[static_cast<std::size_t>(i)],
                     alap[static_cast<std::size_t>(nxt)] - 1);
@@ -290,151 +287,101 @@ FusionSolver::solveHeuristic(const FusionProblem &problem) const
         }
     }
 
-    std::vector<int> step = asap;
-    const auto succ = problem.successors();
-    std::vector<std::vector<int>> deps_of(n);
-    for (const auto &[op, pre] : problem.deps)
-        deps_of[static_cast<std::size_t>(op)].push_back(pre);
+    // Per-(type, step) populations in one flat table, for O(1)
+    // objective deltas.
+    std::vector<int> step;
+    std::vector<int> count(static_cast<std::size_t>(problem.typeCount()) *
+                           static_cast<std::size_t>(horizon));
+    const auto cell = [&](int type, int s) {
+        return static_cast<std::size_t>(type) *
+                   static_cast<std::size_t>(horizon) +
+               static_cast<std::size_t>(s);
+    };
+    // Narrow [lo, hi] to the steps @p op may move to.
+    const auto narrow = [&](std::size_t op, int &lo, int &hi) {
+        for (int dep : deps_of[op])
+            lo = std::max(lo, step[static_cast<std::size_t>(dep)] + 1);
+        for (int nxt : succ[op])
+            hi = std::min(hi, step[static_cast<std::size_t>(nxt)] - 1);
+    };
+    // The first step of [lo, hi] other than @p cur holding the most ops
+    // of @p type, and that population (-1 if there is no such step).
+    // Both move gains grow strictly with it, so this is the first
+    // strictly best target.
+    const auto bestStep = [&](int type, int cur, int lo, int hi) {
+        std::pair<int, int> best{cur, -1};
+        for (int s = lo; s <= hi; ++s) {
+            if (s != cur && count[cell(type, s)] > best.second)
+                best = {s, count[cell(type, s)]};
+        }
+        return best;
+    };
 
-    // Per-(type, step) population for incremental objective deltas.
-    std::map<std::pair<int, int>, int> count;
-    for (std::size_t i = 0; i < n; ++i)
-        ++count[{problem.type[i], step[i]}];
-
-    // Jointly relocate a whole (type, step) group to another step.
-    // Fixes coordination failures single-op moves cannot escape
-    // (e.g. merging a pair into another pair).
-    auto tryGroupMoves = [&]() {
-        bool improved = false;
-        std::map<std::pair<int, int>, std::vector<std::size_t>> groups;
+    // Jointly relocate each whole (type, step) group to another step.
+    // Fixes coordination failures single-op moves cannot escape (e.g.
+    // merging a pair into another pair). A counting sort over the
+    // table buckets the groups at the sweep's start, in ascending
+    // (type, step) order with members in index order.
+    std::vector<int> start;
+    std::vector<int> next;
+    std::vector<std::size_t> members(n);
+    const auto moveGroups = [&]() {
+        start.assign(count.size() + 1, 0);
+        for (std::size_t c = 0; c < count.size(); ++c)
+            start[c + 1] = start[c] + count[c];
+        next.assign(start.begin(), start.end() - 1);
         for (std::size_t i = 0; i < n; ++i)
-            groups[{problem.type[i], step[i]}].push_back(i);
-        for (auto &[key, members] : groups) {
-            const auto [type, cur] = key;
-            // Joint window of the whole group.
+            members[static_cast<std::size_t>(
+                next[cell(problem.type[i], step[i])]++)] = i;
+        bool improved = false;
+        for (std::size_t c = 0; c < count.size(); ++c) {
+            // The bucket's size at the sweep's start: ops an earlier
+            // group move brought into this cell stay behind.
+            const int size = start[c + 1] - start[c];
+            if (size == 0)
+                continue;
+            const auto first = members.begin() + start[c];
+            const int type = static_cast<int>(c) / horizon;
             int lo = 0;
             int hi = horizon - 1;
-            for (std::size_t i : members) {
-                for (int dep : deps_of[i])
-                    lo = std::max(
-                        lo, step[static_cast<std::size_t>(dep)] + 1);
-                for (int nxt : succ[i])
-                    hi = std::min(
-                        hi, step[static_cast<std::size_t>(nxt)] - 1);
-            }
-            const auto size = static_cast<int>(members.size());
-            double best_gain = 0.0;
-            int best_step = cur;
-            for (int s = lo; s <= hi; ++s) {
-                if (s == cur)
-                    continue;
-                const auto it = count.find({type, s});
-                const int target = it == count.end() ? 0 : it->second;
-                // (target + size)^2 - target^2 - size^2 = 2*target*size.
-                const double gain = 2.0 * target * size;
-                if (gain > best_gain) {
-                    best_gain = gain;
-                    best_step = s;
-                }
-            }
-            if (best_gain > 0.0) {
-                count[{type, cur}] -= size;
-                count[{type, best_step}] += size;
-                for (std::size_t i : members)
-                    step[i] = best_step;
+            for (auto it = first; it != first + size; ++it)
+                narrow(*it, lo, hi);
+            // Gain (target + size)^2 - target^2 - size^2
+            // = 2*target*size.
+            const auto [to, target] =
+                bestStep(type, static_cast<int>(c) % horizon, lo, hi);
+            if (target > 0) {
+                count[c] -= size;
+                count[cell(type, to)] += size;
+                for (auto it = first; it != first + size; ++it)
+                    step[*it] = to;
                 improved = true;
             }
         }
         return improved;
     };
 
-    for (int round = 0; round < options_.localSearchRounds; ++round) {
-        bool improved = tryGroupMoves();
-        for (std::size_t i = 0; i < n; ++i) {
-            const int type = problem.type[i];
-            int lo = 0;
-            for (int dep : deps_of[i])
-                lo = std::max(lo,
-                              step[static_cast<std::size_t>(dep)] + 1);
-            int hi = horizon - 1;
-            for (int nxt : succ[i])
-                hi = std::min(hi,
-                              step[static_cast<std::size_t>(nxt)] - 1);
-            if (lo > hi)
-                continue;
-
-            const int cur = step[i];
-            const int cur_count = count[{type, cur}];
-            double best_gain = 0.0;
-            int best_step = cur;
-            for (int s = lo; s <= hi; ++s) {
-                if (s == cur)
-                    continue;
-                const auto it = count.find({type, s});
-                const int target = it == count.end() ? 0 : it->second;
-                // Leaving a group of size c loses 2c-1; joining a group
-                // of size c' gains 2c'+1.
-                const double gain = 2.0 * (target - cur_count) + 2.0;
-                if (gain > best_gain) {
-                    best_gain = gain;
-                    best_step = s;
-                }
-            }
-            if (best_gain > 0.0) {
-                --count[{type, cur}];
-                ++count[{type, best_step}];
-                step[i] = best_step;
-                improved = true;
-            }
-        }
-        if (!improved)
-            break;
-    }
-
-    // Re-run the same local search from the ALAP seed and keep the
-    // better of the two assignments.
-    double best_objective = fusionObjective(problem, step);
-    std::vector<int> best_step = step;
-    {
-        step = alap;
-        count.clear();
+    // Group moves, then single-op relocation, until a sweep moves
+    // nothing or the rounds run out.
+    const auto localSearch = [&](std::vector<int> seed) {
+        step = std::move(seed);
+        std::fill(count.begin(), count.end(), 0);
         for (std::size_t i = 0; i < n; ++i)
-            ++count[{problem.type[i], step[i]}];
-        for (int round = 0; round < options_.localSearchRounds;
-             ++round) {
-            bool improved = tryGroupMoves();
+            ++count[cell(problem.type[i], step[i])];
+        for (int round = 0; round < options_.localSearchRounds; ++round) {
+            bool improved = moveGroups();
             for (std::size_t i = 0; i < n; ++i) {
-                const int type = problem.type[i];
                 int lo = 0;
-                for (int dep : deps_of[i])
-                    lo = std::max(
-                        lo, step[static_cast<std::size_t>(dep)] + 1);
                 int hi = horizon - 1;
-                for (int nxt : succ[i])
-                    hi = std::min(
-                        hi, step[static_cast<std::size_t>(nxt)] - 1);
-                if (lo > hi)
-                    continue;
-                const int cur = step[i];
-                const int cur_count = count[{type, cur}];
-                double best_gain = 0.0;
-                int to = cur;
-                for (int s = lo; s <= hi; ++s) {
-                    if (s == cur)
-                        continue;
-                    const auto it = count.find({type, s});
-                    const int target =
-                        it == count.end() ? 0 : it->second;
-                    const double gain =
-                        2.0 * (target - cur_count) + 2.0;
-                    if (gain > best_gain) {
-                        best_gain = gain;
-                        to = s;
-                    }
-                }
-                if (best_gain > 0.0) {
-                    --count[{type, cur}];
-                    ++count[{type, to}];
+                narrow(i, lo, hi);
+                const int type = problem.type[i];
+                const int cur_count = count[cell(type, step[i])];
+                // Leaving a group of size c loses 2c-1; joining one of
+                // size c' gains 2c'+1: a gain iff c' >= c.
+                const auto [to, target] = bestStep(type, step[i], lo, hi);
+                if (target >= cur_count) {
+                    --count[cell(type, step[i])];
+                    ++count[cell(type, to)];
                     step[i] = to;
                     improved = true;
                 }
@@ -442,17 +389,18 @@ FusionSolver::solveHeuristic(const FusionProblem &problem) const
             if (!improved)
                 break;
         }
-        const double objective = fusionObjective(problem, step);
-        if (objective > best_objective) {
-            best_objective = objective;
-            best_step = step;
-        }
-    }
+        FusionSolution solution;
+        for (int c : count)
+            solution.objective += static_cast<double>(c) * c;
+        solution.step = std::move(step);
+        return solution;
+    };
 
-    FusionSolution solution;
-    solution.step = std::move(best_step);
-    solution.objective = best_objective;
-    solution.optimal = false;
+    FusionSolution solution = localSearch(asap);
+    // The ALAP restart is kept only when strictly better.
+    FusionSolution from_alap = localSearch(std::move(alap));
+    if (from_alap.objective > solution.objective)
+        solution = std::move(from_alap);
     RAP_ASSERT(isFeasible(problem, solution.step),
                "heuristic solver produced an infeasible assignment");
     return solution;

@@ -6,12 +6,16 @@
  *  - an exact depth-first branch-and-bound over time-step assignments
  *    with an admissible join-the-biggest-group bound, used for small
  *    instances (and to certify the heuristic in tests);
- *  - a level heuristic (ASAP layering, which aligns the identical
- *    per-feature chains common in real plans) refined by single-op
- *    relocation local search, used for large instances under a node
- *    budget — mirroring Gurobi-with-a-time-limit behaviour.
+ *  - a level heuristic, used for large instances — mirroring
+ *    Gurobi-with-a-time-limit behaviour. Local search (whole-group
+ *    moves, then single-op relocation, over a flat per-(type, step)
+ *    count table) runs from the ASAP seed, which aligns the identical
+ *    per-feature chains common in real plans, and again from the ALAP
+ *    seed; the ALAP result wins only when strictly better.
  *
- * FusionSolver::solve picks a backend by instance size.
+ * FusionSolver::solve picks a backend by instance size; the exact
+ * backend under an exhausted node budget returns its best-found
+ * assignment, never worse than the heuristic that seeds it.
  */
 
 #ifndef RAP_MILP_SOLVER_HPP
@@ -46,7 +50,7 @@ class FusionSolver
     /** Exact branch-and-bound (exponential; small instances only). */
     FusionSolution solveExact(const FusionProblem &problem) const;
 
-    /** ASAP-level heuristic plus relocation local search. */
+    /** ASAP/ALAP-seeded heuristic plus relocation local search. */
     FusionSolution solveHeuristic(const FusionProblem &problem) const;
 
     const SolverOptions &options() const { return options_; }

@@ -161,5 +161,28 @@ TEST(FusionPlanner, ProblemConversionKeepsStructure)
     EXPECT_EQ(problem.deps.size(), dep_count);
 }
 
+TEST(FusionPlanner, LocalSearchObjectivesOnRandomisedPlans)
+{
+    // The ablation A4 pairs: the seeds alone (no search rounds)
+    // against the full local search.
+    milp::SolverOptions seeds_only;
+    seeds_only.localSearchRounds = 0;
+    const std::pair<int, std::pair<double, double>> expected[] = {
+        {2, {10272.0, 10542.0}}, {3, {51906.0, 53984.0}}};
+    for (const auto &[plan_id, objectives] : expected) {
+        const auto problem = HorizontalFusionPlanner::toProblem(
+            preproc::makePlan(plan_id).graph);
+        EXPECT_DOUBLE_EQ(
+            milp::FusionSolver(seeds_only).solveHeuristic(problem)
+                .objective,
+            objectives.first)
+            << "plan " << plan_id;
+        EXPECT_DOUBLE_EQ(
+            milp::FusionSolver().solveHeuristic(problem).objective,
+            objectives.second)
+            << "plan " << plan_id;
+    }
+}
+
 } // namespace
 } // namespace rap::core

@@ -131,6 +131,24 @@ TEST(HeuristicSolver, LocalSearchImprovesStaggeredChains)
     EXPECT_GE(solution.objective, 9.0);
 }
 
+TEST(HeuristicSolver, AlapRestartEscapesAsapStall)
+{
+    // Op 0 feeds ops 4 and 5; ops 1-3 are free. ASAP puts {0,1,2,3} at
+    // step 0 and {4,5} at step 1 (objective 20), and no group or
+    // single-op move improves it. ALAP moves the free ops next to 4
+    // and 5, reaching the exact optimum 1 + 5^2 = 26.
+    FusionProblem problem;
+    problem.type = {0, 0, 0, 0, 0, 0};
+    problem.deps = {{4, 0}, {5, 0}};
+    EXPECT_DOUBLE_EQ(fusionObjective(problem, problem.asapLevels()),
+                     20.0);
+    FusionSolver solver;
+    const auto solution = solver.solveHeuristic(problem);
+    EXPECT_TRUE(isFeasible(problem, solution.step));
+    EXPECT_DOUBLE_EQ(solution.objective, 26.0);
+    EXPECT_DOUBLE_EQ(solver.solveExact(problem).objective, 26.0);
+}
+
 /** Property: heuristic matches exact optimum on small random DAGs. */
 class SolverAgreementTest : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -211,6 +229,11 @@ TEST(Solver, NodeBudgetFallsBackGracefully)
     const auto solution = solver.solve(problem);
     EXPECT_TRUE(isFeasible(problem, solution.step));
     EXPECT_GT(solution.objective, 0.0);
+    // The budget-exhausted exact solve is already the best known.
+    const auto exact = solver.solveExact(problem);
+    EXPECT_FALSE(exact.optimal);
+    EXPECT_EQ(solution.step, exact.step);
+    EXPECT_DOUBLE_EQ(solution.objective, exact.objective);
 }
 
 TEST(Solver, ObjectiveNeverBelowNoFusionBaseline)
