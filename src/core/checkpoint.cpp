@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/log.hpp"
-#include "common/serial.hpp"
 
 namespace rap::core {
 
@@ -18,20 +17,6 @@ CheckpointManifest::toJson() const
     json.set("sealedAt", Json(sealedAt));
     json.set("segment", Json(segment));
     return json;
-}
-
-CheckpointManifest
-CheckpointManifest::fromJson(const Json &json)
-{
-    if (!json.isObject())
-        RAP_FATAL("CheckpointManifest JSON must be an object");
-    CheckpointManifest manifest;
-    manifest.jobId = serial::getInt(json, "jobId");
-    manifest.sequence = serial::getInt(json, "sequence");
-    manifest.fraction = serial::getNumber(json, "fraction");
-    manifest.sealedAt = serial::getNumber(json, "sealedAt");
-    manifest.segment = serial::getInt(json, "segment");
-    return manifest;
 }
 
 namespace {

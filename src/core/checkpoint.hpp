@@ -70,8 +70,8 @@ struct CheckpointPolicy
  * proof that a job's progress up to `fraction` survives preemption.
  * The fleet scheduler emits a manifest whenever a preemption credits a
  * newly durable fraction and when a checkpointing job finishes
- * (fraction 1.0). Serialized into `rap.catalog.v1` transactions via
- * the JsonSerializable convention (common/serial.hpp).
+ * (fraction 1.0). Written into `rap.catalog.v1` transactions under
+ * the common/serial.hpp convention.
  */
 struct CheckpointManifest
 {
@@ -87,7 +87,6 @@ struct CheckpointManifest
     int segment = 0;
 
     Json toJson() const;
-    static CheckpointManifest fromJson(const Json &json);
 };
 
 /**

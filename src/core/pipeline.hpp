@@ -307,12 +307,10 @@ struct RunReport
     /**
      * Serialize to JSON — the single source of truth for every
      * machine-read report artifact (bench output, CI determinism
-     * diffs). toJson/fromJson round-trip exactly.
+     * diffs). Write-only: every double is written exactly, and the
+     * artifact is compared as bytes, never read back.
      */
     Json toJson() const;
-
-    /** Rebuild a report from toJson() output; fatal on bad shape. */
-    static RunReport fromJson(const Json &json);
 };
 
 /**

@@ -1,10 +1,11 @@
 /**
  * @file
- * RunReport serialization: toJson()/fromJson() round-trip exactly
- * under the common/serial.hpp JsonSerializable convention (schema token
- * "rap.run_report.v1") and are the single source of truth for report
- * artifacts (bench output, CI determinism diffs read these, never
- * scraped stdout).
+ * RunReport serialization: toJson() writes the report artifact under
+ * the common/serial.hpp convention (schema token "rap.run_report.v1")
+ * from the exact doubles the run computed. It is the single source of
+ * truth for report artifacts: benches write it, and CI determinism
+ * diffs compare its bytes, never scraped stdout. Reports are
+ * write-only; nothing reads one back.
  */
 
 #include "core/pipeline.hpp"
@@ -31,9 +32,8 @@ constexpr std::pair<System, const char *> kSystemIds[] = {
     {System::TorchArrowCpu, "torcharrow_cpu"},
 };
 
-// The shared optional-field dialect: absent and null both read back
-// as "never measured" (common/serial.hpp).
-using serial::getOptionalNumber;
+// The shared optional-field dialect: "never measured" is an explicit
+// null (common/serial.hpp).
 using serial::setOptionalNumber;
 
 } // namespace
@@ -92,43 +92,6 @@ RunReport::toJson() const
     setOptionalNumber(json, "startedAt", startedAt);
     setOptionalNumber(json, "finishedAt", finishedAt);
     return json;
-}
-
-RunReport
-RunReport::fromJson(const Json &json)
-{
-    using serial::getNumber;
-    serial::requireSchema(json, kRunReportSchema);
-    RunReport report;
-    report.system = json.at("system").asString();
-    report.gpuCount = serial::getInt(json, "gpuCount");
-    report.batchPerGpu = serial::getInt64(json, "batchPerGpu");
-    report.avgIterationLatency = getNumber(json, "avgIterationLatency");
-    report.throughput = getNumber(json, "throughput");
-    report.avgSmUtil = getNumber(json, "avgSmUtil");
-    report.avgBwUtil = getNumber(json, "avgBwUtil");
-    report.avgGpuBusy = getNumber(json, "avgGpuBusy");
-    report.p2pBytes = getNumber(json, "p2pBytes");
-    report.preprocKernelsPerIter = getNumber(json, "preprocKernelsPerIter");
-    report.predictedExposed = getNumber(json, "predictedExposed");
-    report.preprocLatencyPerIter = getNumber(json, "preprocLatencyPerIter");
-    report.makespan = getNumber(json, "makespan");
-    report.replans = serial::getInt(json, "replans");
-    report.kernelRetries = serial::getUint64(json, "kernelRetries");
-    report.retryBackoffSeconds = getNumber(json, "retryBackoffSeconds");
-    report.lostWork = getNumber(json, "lostWork");
-    report.checkpointOverhead = getNumber(json, "checkpointOverhead");
-    report.recoveries = serial::getInt(json, "recoveries");
-    report.ingestEvents = serial::getUint64(json, "ingestEvents");
-    report.ingestDropped = serial::getUint64(json, "ingestDropped");
-    report.ingestSpilled = serial::getUint64(json, "ingestSpilled");
-    report.ingestBatches = serial::getUint64(json, "ingestBatches");
-    report.ingestStagingP99 = getNumber(json, "ingestStagingP99");
-    report.ingestLastReadyAt = getNumber(json, "ingestLastReadyAt");
-    report.submittedAt = getOptionalNumber(json, "submittedAt");
-    report.startedAt = getOptionalNumber(json, "startedAt");
-    report.finishedAt = getOptionalNumber(json, "finishedAt");
-    return report;
 }
 
 } // namespace rap::core

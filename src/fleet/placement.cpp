@@ -91,23 +91,6 @@ Placement::toJson() const
     return json;
 }
 
-Placement
-Placement::fromJson(const Json &json)
-{
-    if (!json.isObject())
-        RAP_FATAL("Placement JSON must be an object");
-    Placement placement;
-    for (const Json &id : json.at("gpuIds").elements())
-        placement.gpuIds.push_back(static_cast<int>(id.asDouble()));
-    for (const Json &entry : json.at("envelopes").elements()) {
-        core::GpuEnvelope env;
-        env.sm = entry.at("sm").asDouble();
-        env.bw = entry.at("bw").asDouble();
-        placement.envelopes.push_back(env);
-    }
-    return placement;
-}
-
 Json
 PlacementOptions::toJson() const
 {

@@ -114,7 +114,6 @@ struct Placement
 
     /** JsonSerializable: the catalog's placement-decision record. */
     Json toJson() const;
-    static Placement fromJson(const Json &json);
 };
 
 /** Placement tuning. */

@@ -150,12 +150,10 @@ struct FleetReport
     /**
      * Serialize the whole report (specs, outcomes, aggregates) — the
      * single source of truth for fleet artifacts; CI determinism diffs
-     * read this, never scraped stdout. Round-trips with fromJson.
+     * and the resume gate compare its bytes, never scraped stdout.
+     * Write-only: nothing reads a report back.
      */
     Json toJson() const;
-
-    /** Rebuild a report from toJson() output; fatal on bad shape. */
-    static FleetReport fromJson(const Json &json);
 };
 
 } // namespace rap::fleet

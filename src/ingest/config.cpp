@@ -13,24 +13,6 @@ backpressurePolicyId(BackpressurePolicy policy)
     return "?";
 }
 
-bool
-parseBackpressurePolicy(std::string_view text, BackpressurePolicy &out)
-{
-    if (text == "block") {
-        out = BackpressurePolicy::Block;
-        return true;
-    }
-    if (text == "drop-oldest") {
-        out = BackpressurePolicy::DropOldest;
-        return true;
-    }
-    if (text == "spill") {
-        out = BackpressurePolicy::Spill;
-        return true;
-    }
-    return false;
-}
-
 ValidationResult
 validateIngestConfig(const IngestConfig &config)
 {

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "common/io.hpp"
 #include "common/units.hpp"
@@ -45,10 +44,6 @@ enum class BackpressurePolicy {
 /** @return Stable lowercase id: "block" / "drop-oldest" / "spill". */
 std::string backpressurePolicyId(BackpressurePolicy policy);
 
-/** @return False when @p text names no policy (out untouched). */
-bool parseBackpressurePolicy(std::string_view text,
-                             BackpressurePolicy &out);
-
 struct IngestConfig
 {
     /** Logical substream count (the workload knob, see file docs). */
@@ -64,7 +59,7 @@ struct IngestConfig
     RateProfile profile;
     /** Emission horizon on the virtual clock. */
     Seconds duration = 0.05;
-    /** Rows per assembled RecordBatch. */
+    /** Rows per staged batch. */
     std::int64_t batchRows = 256;
     /**
      * Generation window, in events per stream at the profile's peak

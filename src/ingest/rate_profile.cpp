@@ -52,22 +52,4 @@ rateProfileId(RateProfileKind kind)
     return "?";
 }
 
-bool
-parseRateProfileKind(std::string_view text, RateProfileKind &out)
-{
-    if (text == "steady") {
-        out = RateProfileKind::Steady;
-        return true;
-    }
-    if (text == "diurnal") {
-        out = RateProfileKind::Diurnal;
-        return true;
-    }
-    if (text == "burst") {
-        out = RateProfileKind::Burst;
-        return true;
-    }
-    return false;
-}
-
 } // namespace rap::ingest

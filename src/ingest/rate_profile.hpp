@@ -12,7 +12,6 @@
 #define RAP_INGEST_RATE_PROFILE_HPP
 
 #include <string>
-#include <string_view>
 
 #include "common/units.hpp"
 
@@ -48,9 +47,6 @@ double peakRate(const RateProfile &profile);
 
 /** @return Stable lowercase id: "steady" / "diurnal" / "burst". */
 std::string rateProfileId(RateProfileKind kind);
-
-/** @return False when @p text names no profile (out untouched). */
-bool parseRateProfileKind(std::string_view text, RateProfileKind &out);
 
 } // namespace rap::ingest
 

@@ -85,9 +85,7 @@ Stager::Stager(const IngestConfig &config, data::Schema schema,
     : config_(config), schema_(std::move(schema)),
       sink_(std::move(sink)), metrics_(metrics),
       serviceTime_(1.0 / config.stagingEventsPerSec),
-      denseValues_(schema_.denseCount()),
-      denseValid_(schema_.denseCount()),
-      sparseCols_(schema_.sparseCount()), batchHash_(kFnvOffset)
+      batchHash_(kFnvOffset)
 {
     stats_.checksum = kFnvOffset;
     if (config_.policy == BackpressurePolicy::Spill &&
@@ -184,8 +182,7 @@ Stager::complete(const Pending &pending, Seconds done, bool replay)
     }
     appendRow(pending.row);
     ++stats_.rowsStaged;
-    if (builderRows_ ==
-        static_cast<std::size_t>(config_.batchRows))
+    if (batchRows_ == static_cast<std::size_t>(config_.batchRows))
         flushBatch(done);
 }
 
@@ -199,8 +196,6 @@ Stager::appendRow(std::span<const std::int64_t> row)
     const auto lengths = row.subspan(2 * dense, sparse);
     for (std::size_t f = 0; f < dense; ++f) {
         const auto value = static_cast<std::uint32_t>(bits[f]);
-        denseValues_[f].push_back(std::bit_cast<float>(value));
-        denseValid_[f].push_back(static_cast<std::uint8_t>(valid[f]));
         batchHash_ = fnv1a(batchHash_, static_cast<std::uint64_t>(valid[f]));
         batchHash_ = fnv1a(batchHash_, valid[f] != 0 ? value : 0u);
     }
@@ -208,36 +203,22 @@ Stager::appendRow(std::span<const std::int64_t> row)
     for (std::size_t s = 0; s < sparse; ++s) {
         const auto list = ids.first(static_cast<std::size_t>(lengths[s]));
         ids = ids.subspan(list.size());
-        sparseCols_[s].appendRow(list);
         batchHash_ = fnv1a(batchHash_, list.size());
         for (const auto id : list) {
             batchHash_ =
                 fnv1a(batchHash_, static_cast<std::uint64_t>(id));
         }
     }
-    ++builderRows_;
+    ++batchRows_;
 }
 
 void
 Stager::flushBatch(Seconds ready_at)
 {
-    data::RecordBatch batch(schema_, builderRows_);
-    for (std::size_t f = 0; f < schema_.denseCount(); ++f) {
-        batch.setDense(f,
-                       data::DenseColumn(std::move(denseValues_[f]),
-                                         std::move(denseValid_[f])));
-        denseValues_[f] = {};
-        denseValid_[f] = {};
-    }
-    for (std::size_t s = 0; s < schema_.sparseCount(); ++s) {
-        batch.setSparse(s, std::move(sparseCols_[s]));
-        sparseCols_[s] = {};
-    }
-
     StagedBatch staged;
-    staged.batch = std::move(batch);
     staged.index = stats_.batches;
     staged.readyAt = ready_at;
+    staged.rows = batchRows_;
     staged.checksum = batchHash_;
 
     ++stats_.batches;
@@ -246,7 +227,7 @@ Stager::flushBatch(Seconds ready_at)
     if (metrics_.batches != nullptr)
         metrics_.batches->inc();
 
-    builderRows_ = 0;
+    batchRows_ = 0;
     batchHash_ = kFnvOffset;
     if (sink_)
         sink_(std::move(staged));
@@ -279,7 +260,7 @@ Stager::finish()
     }
     spill_.removeFile();
 
-    if (builderRows_ > 0)
+    if (batchRows_ > 0)
         flushBatch(serverFreeAt_);
 }
 

@@ -1,7 +1,9 @@
 /**
  * @file
  * The staging consumer: turns the globally-ordered event stream into
- * RecordBatches under a deterministic virtual-time service model.
+ * staged batches under a deterministic virtual-time service model.
+ * A batch is its row count, its ready time and a digest of its rows;
+ * no columnar copy is assembled, since nothing downstream reads one.
  *
  * The stager models itself as a single server with a constant
  * per-event service time (1 / stagingEventsPerSec) on the same
@@ -27,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "data/batch.hpp"
 #include "data/schema.hpp"
 #include "ingest/config.hpp"
 #include "ingest/event.hpp"
@@ -39,14 +40,15 @@ namespace rap::ingest {
 /** Histogram edges for ingest.staging_latency (seconds). */
 const std::vector<double> &stagingLatencyEdges();
 
-/** One assembled batch plus its place on the virtual clock. */
+/** One staged batch: its place on the virtual clock and its rows. */
 struct StagedBatch
 {
-    data::RecordBatch batch;
     /** 0-based emission ordinal. */
     std::uint64_t index = 0;
     /** Virtual time the last row finished staging. */
     Seconds readyAt = 0.0;
+    /** Rows in the batch (batchRows, or fewer for the final flush). */
+    std::size_t rows = 0;
     /** FNV-1a digest over the batch's row contents. */
     std::uint64_t checksum = 0;
 };
@@ -137,7 +139,7 @@ class Stager
     void completeUntil(Seconds t);
     /** Account one staged row at virtual time @p done. */
     void complete(const Pending &pending, Seconds done, bool replay);
-    /** Append one flattened row to the batch under assembly. */
+    /** Fold one flattened row into the batch's digest. */
     void appendRow(std::span<const std::int64_t> row);
     void flushBatch(Seconds ready_at);
 
@@ -152,11 +154,8 @@ class Stager
     std::deque<Pending> waiting_;
     std::uint64_t arrivalTick_ = 0;
 
-    // Column builders for the batch under assembly.
-    std::vector<std::vector<float>> denseValues_;
-    std::vector<std::vector<std::uint8_t>> denseValid_;
-    std::vector<data::SparseColumn> sparseCols_;
-    std::size_t builderRows_ = 0;
+    // The batch under assembly: its row count and running digest.
+    std::size_t batchRows_ = 0;
     std::uint64_t batchHash_;
 
     StagerStats stats_;

@@ -3,10 +3,10 @@
  * Tests for the streaming ingest front-end (src/ingest): the shared
  * row codec's bit-exact round-trip, config validation, rate profiles,
  * emitter determinism, hand-computed virtual-time staging timelines
- * for every backpressure policy, spill-log round-trips, the
- * producer-count and window-size invariance of the full pipeline, and
- * the core-run integration (SystemConfig.ingest gating + report
- * fields, which a stored report must carry).
+ * for every backpressure policy, spill-log round-trips and spill-disk
+ * failures, the producer-count and window-size invariance of the full
+ * pipeline, and the core-run integration (SystemConfig.ingest gating +
+ * report fields).
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
@@ -180,22 +181,14 @@ TEST(ConfigDeath, PipelineNamesEveryBadField)
 
 TEST(Config, IdsRoundTrip)
 {
-    for (auto policy :
-         {BackpressurePolicy::Block, BackpressurePolicy::DropOldest,
-          BackpressurePolicy::Spill}) {
-        BackpressurePolicy parsed;
-        ASSERT_TRUE(parseBackpressurePolicy(
-            backpressurePolicyId(policy), parsed));
-        EXPECT_EQ(parsed, policy);
-    }
-    for (auto kind :
-         {RateProfileKind::Steady, RateProfileKind::Diurnal,
-          RateProfileKind::Burst}) {
-        RateProfileKind parsed;
-        ASSERT_TRUE(
-            parseRateProfileKind(rateProfileId(kind), parsed));
-        EXPECT_EQ(parsed, kind);
-    }
+    // The ids are what reports and bench output print; pin them.
+    EXPECT_EQ(backpressurePolicyId(BackpressurePolicy::Block), "block");
+    EXPECT_EQ(backpressurePolicyId(BackpressurePolicy::DropOldest),
+              "drop-oldest");
+    EXPECT_EQ(backpressurePolicyId(BackpressurePolicy::Spill), "spill");
+    EXPECT_EQ(rateProfileId(RateProfileKind::Steady), "steady");
+    EXPECT_EQ(rateProfileId(RateProfileKind::Diurnal), "diurnal");
+    EXPECT_EQ(rateProfileId(RateProfileKind::Burst), "burst");
 }
 
 TEST(RateProfileTest, ShapesMatchTheirDefinitions)
@@ -289,12 +282,11 @@ TEST(StagerTest, BlockTimelineIsHandComputable)
 
     ASSERT_EQ(batches.size(), 2u);
     EXPECT_EQ(batches[0].index, 0u);
-    EXPECT_EQ(batches[0].batch.rows(), 2u);
+    EXPECT_EQ(batches[0].rows, 2u);
     EXPECT_NEAR(batches[0].readyAt, 0.2, 1e-12);
-    EXPECT_EQ(batches[1].batch.rows(), 1u); // final partial flush
+    EXPECT_EQ(batches[1].index, 1u);
+    EXPECT_EQ(batches[1].rows, 1u); // final partial flush
     EXPECT_NEAR(batches[1].readyAt, 0.6, 1e-12);
-    EXPECT_EQ(batches[0].batch.denseCount(), 2u);
-    EXPECT_EQ(batches[0].batch.sparseCount(), 2u);
 }
 
 TEST(StagerTest, DropOldestShedsFromTheFront)
@@ -330,9 +322,13 @@ TEST(StagerTest, SpillDivertsAndReplaysEverything)
     std::vector<StagedBatch> batches;
     Stager stager(config, miniSchema(),
                   [&](StagedBatch &&b) { batches.push_back(std::move(b)); });
-    stager.push(miniEvent(0, 0, 0.0, 1.5f, -2.0f));
-    stager.push(miniEvent(0, 1, 0.1, 0.1f, 7.25f));
-    stager.push(miniEvent(0, 2, 0.2, -0.3f, 1e-20f));
+    const Event events[] = {
+        miniEvent(0, 0, 0.0, 1.5f, -2.0f),
+        miniEvent(0, 1, 0.1, 0.1f, 7.25f),
+        miniEvent(0, 2, 0.2, -0.3f, 1e-20f),
+    };
+    for (const auto &event : events)
+        stager.push(event);
     stager.finish();
 
     const auto &stats = stager.stats();
@@ -347,17 +343,138 @@ TEST(StagerTest, SpillDivertsAndReplaysEverything)
     EXPECT_NEAR(stats.latencies[1], 1.9, 1e-12);
     EXPECT_NEAR(stats.latencies[2], 2.8, 1e-12);
 
-    // The replayed rows land bit-exactly in the final batch.
+    // The replayed rows land bit-exactly in the final batch: its
+    // digest equals that of a Block stager fed the same events live,
+    // in staging order (A, B, C).
     ASSERT_EQ(batches.size(), 1u);
-    ASSERT_EQ(batches[0].batch.rows(), 3u);
-    EXPECT_EQ(batches[0].batch.dense(0).value(1), 0.1f);
-    EXPECT_EQ(batches[0].batch.dense(1).value(2), 1e-20f);
+    ASSERT_EQ(batches[0].rows, 3u);
+    std::vector<StagedBatch> live_batches;
+    Stager live(miniConfig(BackpressurePolicy::Block, 1.0, 1, 4),
+                miniSchema(), [&](StagedBatch &&b) {
+                    live_batches.push_back(std::move(b));
+                });
+    for (const auto &event : events)
+        live.push(event);
+    live.finish();
+    ASSERT_EQ(live_batches.size(), 1u);
+    EXPECT_EQ(live_batches[0].rows, 3u);
+    EXPECT_EQ(batches[0].checksum, live_batches[0].checksum);
 
     // The log is cleaned up after replay.
     std::FILE *file = std::fopen(config.spillPath.c_str(), "rb");
     EXPECT_EQ(file, nullptr);
     if (file != nullptr)
         std::fclose(file);
+}
+
+/** Bytes one spill line of @p event takes, probed through @p path. */
+std::uint64_t
+spillLineBytes(const std::string &path, const Event &event)
+{
+    SpillLog probe;
+    EXPECT_TRUE(probe.open(path));
+    EXPECT_TRUE(probe.append(event));
+    const auto bytes = std::filesystem::file_size(probe.path());
+    probe.removeFile();
+    return bytes;
+}
+
+TEST(StagerTest, SpillDiskFullDropsAndCountsTheRefusedEvents)
+{
+    // The spill test's overload with two more events, on a disk that
+    // holds one and a half spill lines: B spills; the writes of C, D
+    // and E each tear at the budget, are rolled back, and the events
+    // are dropped as spill failures. Only A (live) and B (replayed)
+    // stage.
+    const Event events[] = {
+        miniEvent(0, 0, 0.0), miniEvent(0, 1, 0.1), miniEvent(0, 2, 0.2),
+        miniEvent(0, 3, 0.3), miniEvent(0, 4, 0.4),
+    };
+    const auto line =
+        spillLineBytes("test_ingest_spill_enospc_probe.tsv", events[1]);
+    io::IoFaultSchedule schedule;
+    schedule.enospcAfterBytes = line + line / 2;
+    io::IoContext disk(schedule);
+    auto config = miniConfig(BackpressurePolicy::Spill, 1.0, 1, 4);
+    config.spillPath = "test_ingest_spill_enospc.tsv";
+    config.io = &disk;
+    obs::MetricRegistry registry;
+    const obs::Labels labels{{"run", "enospc"}};
+    Stager stager(config, miniSchema(), {},
+                  IngestMetrics::create(registry, labels));
+    for (const auto &event : events)
+        stager.push(event);
+    stager.finish();
+
+    const auto &stats = stager.stats();
+    EXPECT_EQ(stats.arrived, 5u);
+    EXPECT_EQ(stats.spilled, 1u);
+    EXPECT_EQ(stats.replayed, 1u);
+    EXPECT_EQ(stats.spillFailed, 3u);
+    EXPECT_EQ(stats.dropped, stats.spillFailed);
+    EXPECT_EQ(stats.rowsStaged + stats.dropped, stats.arrived);
+    EXPECT_EQ(registry.counter("ingest.spill_failed", labels).value(),
+              stats.spillFailed);
+    EXPECT_EQ(registry.counter("ingest.dropped", labels).value(),
+              stats.dropped);
+    EXPECT_FALSE(std::filesystem::exists(config.spillPath));
+}
+
+TEST(StagerTest, UnopenableSpillLogDropsEveryOverloadEvent)
+{
+    // The spill log cannot open (its directory is missing), so every
+    // overload event is dropped and counted as a spill failure.
+    auto config = miniConfig(BackpressurePolicy::Spill, 1.0, 1, 4);
+    config.spillPath = "test_ingest_no_such_dir/spill.tsv";
+    ASSERT_FALSE(std::filesystem::exists("test_ingest_no_such_dir"));
+    obs::MetricRegistry registry;
+    const obs::Labels labels{{"run", "no_log"}};
+    Stager stager(config, miniSchema(), {},
+                  IngestMetrics::create(registry, labels));
+    for (std::uint64_t seq = 0; seq < 4; ++seq)
+        stager.push(miniEvent(0, seq, 0.1 * static_cast<double>(seq)));
+    stager.finish();
+
+    const auto &stats = stager.stats();
+    EXPECT_EQ(stats.arrived, 4u);
+    EXPECT_EQ(stats.stagedLive, 1u);
+    EXPECT_EQ(stats.spilled, 0u);
+    EXPECT_EQ(stats.replayed, 0u);
+    EXPECT_EQ(stats.spillFailed, 3u);
+    EXPECT_EQ(stats.dropped, stats.spillFailed);
+    EXPECT_EQ(stats.rowsStaged + stats.dropped, stats.arrived);
+    EXPECT_EQ(registry.counter("ingest.spill_failed", labels).value(),
+              3u);
+    EXPECT_EQ(registry.counter("ingest.dropped", labels).value(), 3u);
+}
+
+TEST(SpillLogTest, FailedAppendRollsBackToTheLastLine)
+{
+    const auto first = miniEvent(0, 1, 0.1);
+    const auto line =
+        spillLineBytes("test_ingest_spill_rollback_probe.tsv", first);
+    io::IoFaultSchedule schedule;
+    schedule.enospcAfterBytes = line + line / 2;
+    io::IoContext disk(schedule);
+    SpillLog log;
+    ASSERT_TRUE(log.open("test_ingest_spill_rollback.tsv", &disk));
+    EXPECT_TRUE(log.append(first));
+    // Half of the second line reaches the disk before ENOSPC; the
+    // append fails and truncates the torn bytes away, which frees
+    // their share of the disk budget again.
+    EXPECT_FALSE(log.append(miniEvent(0, 2, 0.2)));
+    EXPECT_GT(disk.injectedFaults(), 0u);
+    EXPECT_EQ(std::filesystem::file_size(log.path()), line);
+    EXPECT_EQ(disk.bytesWritten(), line);
+    EXPECT_EQ(log.appended(), 1u);
+
+    std::vector<Event> replayed;
+    log.replay(miniSchema(),
+               [&](const Event &event) { replayed.push_back(event); });
+    ASSERT_EQ(replayed.size(), 1u);
+    EXPECT_EQ(replayed[0].seq, first.seq);
+    EXPECT_EQ(replayed[0].emitTime, first.emitTime);
+    log.removeFile();
 }
 
 TEST(SpillLogTest, RoundTripsEventsBitExactly)
@@ -579,24 +696,16 @@ TEST(CoreIntegration, IngestGatesTheRun)
     // iteration ends, which include the wait for the input gate.
     EXPECT_LT(gated.throughput, ungated.throughput);
 
-    // The new report fields survive the JSON round-trip.
-    const auto back = core::RunReport::fromJson(gated.toJson());
-    EXPECT_EQ(back.ingestEvents, gated.ingestEvents);
-    EXPECT_EQ(back.ingestBatches, gated.ingestBatches);
-    EXPECT_DOUBLE_EQ(back.ingestLastReadyAt, gated.ingestLastReadyAt);
-    EXPECT_DOUBLE_EQ(back.ingestStagingP99, gated.ingestStagingP99);
-}
-
-TEST(CoreIntegrationDeath, ReportWithoutIngestFieldsIsRefused)
-{
-    const Json full = core::RunReport{}.toJson();
-    Json stripped = Json::object();
-    for (const auto &[key, value] : full.members()) {
-        if (key != "ingestEvents")
-            stripped.set(key, value);
-    }
-    EXPECT_DEATH((void)core::RunReport::fromJson(stripped),
-                 "missing JSON object key: ingestEvents");
+    // The report artifact carries the ingest fields exactly.
+    const Json json = gated.toJson();
+    EXPECT_EQ(json.at("ingestEvents").asDouble(),
+              static_cast<double>(gated.ingestEvents));
+    EXPECT_EQ(json.at("ingestBatches").asDouble(),
+              static_cast<double>(gated.ingestBatches));
+    EXPECT_EQ(json.at("ingestLastReadyAt").asDouble(),
+              gated.ingestLastReadyAt);
+    EXPECT_EQ(json.at("ingestStagingP99").asDouble(),
+              gated.ingestStagingP99);
 }
 
 TEST(CoreIntegration, RapRunsWithIngest)
