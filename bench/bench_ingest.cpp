@@ -4,14 +4,15 @@
  * the ingest front-end (src/ingest).
  *
  * Each point runs the full pipeline — seeded stream emitters filling
- * per-window slabs on a thread pool, the k-way merge, virtual-time
- * staging — and reports the deterministic outcome: event/drop/spill
- * accounting, staging latency percentiles, and an FNV-1a digest over
- * the staged batches. Everything on stdout and in `--metrics` /
- * `--report` is a function of the logical workload only:
- * `--producers` moves row generation across pool threads and must
- * never change a byte (the serial_parallel_determinism ctest diffs a
- * `--producers 1` run against `--producers 4`).
+ * per-window slabs of event keys on a thread pool, the k-way merge,
+ * virtual-time staging — and reports the deterministic outcome:
+ * event/drop/spill accounting, staging latency percentiles, and an
+ * FNV-1a digest over the staged events' keys and emit times.
+ * Everything on stdout and in `--metrics` / `--report` is a function
+ * of the logical workload only: `--producers` moves event generation
+ * across pool threads and must never change a byte (the
+ * serial_parallel_determinism ctest diffs a `--producers 1` run
+ * against `--producers 4`).
  *
  * Wall clock goes to stderr only.
  *
@@ -19,7 +20,7 @@
  *
  *   --report PATH   rap.ingest.v1 JSON artifact (CI diffs this)
  *   --streams N     logical substreams (the workload knob)
- *   --producers N   row-generation threads (0 = one per stream;
+ *   --producers N   event-generation threads (0 = one per stream;
  *                   never affects results)
  */
 
@@ -102,7 +103,7 @@ main(int argc, char **argv)
         "--streams", 4, "logical substreams (the workload knob)");
     const int &producers = args.addInt(
         "--producers", 1,
-        "row-generation threads (0 = one per stream; results "
+        "event-generation threads (0 = one per stream; results "
         "byte-identical at any value)");
     args.parse(argc, argv);
     const bool tiny = args.tiny();

@@ -10,7 +10,9 @@
 #ifndef RAP_COMMON_RNG_HPP
 #define RAP_COMMON_RNG_HPP
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace rap {
@@ -132,6 +134,42 @@ class ZipfSampler
  * strictly positive and finite for u in [0, 1).
  */
 double exponentialGap(double u, double mean);
+
+/**
+ * One step of Lewis-Shedler thinning: advance @p clock to the next
+ * arrival of a Poisson process whose rate @p rate(t) never exceeds
+ * @p rate_max. Candidates are drawn at the peak rate with
+ * exponentialGap and each is kept with probability rate(t) / rate_max.
+ *
+ * On entry @p clock is the previous arrival (0 before the first). An
+ * accepted candidate that the clock's ulp absorbed, so that it does not
+ * lie past that arrival, moves to the next representable time, which
+ * keeps arrivals strictly increasing.
+ *
+ * @return False, with @p clock at or past @p horizon, once the process
+ *         reaches the horizon; call again only after a true return.
+ */
+template <typename RateFn>
+bool
+nextThinnedArrival(Rng &rng, double rate_max, const RateFn &rate,
+                   double horizon, double &clock)
+{
+    const double last = clock;
+    for (;;) {
+        clock += exponentialGap(rng.uniform(), 1.0 / rate_max);
+        if (clock >= horizon)
+            return false;
+        if (rng.uniform() * rate_max > rate(clock))
+            continue; // thinned out
+        if (clock <= last) {
+            clock = std::nextafter(
+                last, std::numeric_limits<double>::infinity());
+            if (clock >= horizon)
+                return false;
+        }
+        return true;
+    }
+}
 
 } // namespace rap
 

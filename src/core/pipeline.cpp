@@ -79,13 +79,15 @@ struct IngestPhase
  * staged batch's virtual ready time. The training simulation then
  * gates iteration j on readyAt[j] — input-bound stretches of the
  * stream surface as iteration-latency stalls. Fatal when the stream
- * stages fewer batches than the run consumes.
+ * stages fewer batches than the run consumes. The pre-pass is timed
+ * as the run's one ingest.run span.
  */
 std::optional<IngestPhase>
 runIngestPhase(const SystemConfig &config)
 {
     if (!config.ingest)
         return std::nullopt;
+    obs::Span span(config.metrics, "ingest.run", runLabels(config));
     IngestPhase phase;
     ingest::IngestPipeline pipeline(*config.ingest);
     phase.report = pipeline.run(

@@ -123,38 +123,6 @@ CriteoGenerator::setNullProbability(double p)
     nullProb_ = p;
 }
 
-void
-CriteoGenerator::generateRow(CriteoRow &row)
-{
-    row.clear();
-    if (row.sparse.size() != schema_.sparseCount())
-        row.sparse.resize(schema_.sparseCount());
-    for (std::size_t f = 0; f < schema_.denseCount(); ++f) {
-        if (rng_.bernoulli(nullProb_)) {
-            row.dense.push_back(0.0f);
-            row.denseValid.push_back(0);
-        } else {
-            row.dense.push_back(
-                static_cast<float>(rng_.logNormal(1.5, 1.0)));
-            row.denseValid.push_back(1);
-        }
-    }
-    for (std::size_t f = 0; f < schema_.sparseCount(); ++f) {
-        const auto &spec = schema_.sparse(f);
-        std::size_t len = 1;
-        if (spec.avgListLength > 1.0) {
-            len = static_cast<std::size_t>(rng_.uniformInt(
-                1, static_cast<std::int64_t>(
-                       2.0 * spec.avgListLength - 1.0)));
-        }
-        if (rng_.bernoulli(0.02))
-            len = 0;
-        auto &ids = row.sparse[f];
-        for (std::size_t i = 0; i < len; ++i)
-            ids.push_back(scramble(zipf_[f](rng_)));
-    }
-}
-
 RecordBatch
 CriteoGenerator::generate(std::size_t rows)
 {

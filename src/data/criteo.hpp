@@ -19,7 +19,6 @@
 
 #include "common/rng.hpp"
 #include "data/batch.hpp"
-#include "data/row_codec.hpp"
 #include "data/schema.hpp"
 
 namespace rap::data {
@@ -63,14 +62,6 @@ class CriteoGenerator
 
     /** @return One fresh batch of @p rows rows. */
     RecordBatch generate(std::size_t rows);
-
-    /**
-     * Fill @p row with one synthetic record (the streaming ingest
-     * event body). Draws row-major — all features of one row before
-     * the next — so a given seed yields a different but equally
-     * Criteo-shaped sequence than the column-major generate().
-     */
-    void generateRow(CriteoRow &row);
 
     const Schema &schema() const { return schema_; }
 

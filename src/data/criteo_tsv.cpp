@@ -48,7 +48,7 @@ readCriteoTsvChecked(std::istream &in, const Schema &schema,
     // Row staging (data/row_codec.hpp): decode into a reusable
     // CriteoRow and commit to the column builders only once the whole
     // row is clean, so a malformed field never leaves a partial row
-    // behind. The same codec backs the ingest spill log.
+    // behind.
     CriteoRow staged;
     RowError error;
 

@@ -42,24 +42,6 @@ parseDense(std::string_view field, float &value)
     return result.ec == std::errc{} && result.ptr == end;
 }
 
-void
-appendNumber(std::string &out, float value)
-{
-    char buf[32];
-    const auto result =
-        std::to_chars(buf, buf + sizeof(buf), value);
-    out.append(buf, result.ptr);
-}
-
-void
-appendNumber(std::string &out, std::int64_t value)
-{
-    char buf[32];
-    const auto result =
-        std::to_chars(buf, buf + sizeof(buf), value);
-    out.append(buf, result.ptr);
-}
-
 } // namespace
 
 void
@@ -130,25 +112,6 @@ decodeCriteoRow(std::string_view line, const Schema &schema,
         }
     }
     return true;
-}
-
-void
-encodeCriteoRow(const CriteoRow &row, std::string &out)
-{
-    for (std::size_t f = 0; f < row.dense.size(); ++f) {
-        if (f > 0)
-            out += '\t';
-        if (f < row.denseValid.size() && row.denseValid[f] != 0)
-            appendNumber(out, row.dense[f]);
-    }
-    for (const auto &ids : row.sparse) {
-        out += '\t';
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            if (i > 0)
-                out += ',';
-            appendNumber(out, ids[i]);
-        }
-    }
 }
 
 } // namespace rap::data

@@ -1,14 +1,11 @@
 /**
  * @file
- * Single-row Criteo TSV codec shared by the batch TSV reader
- * (data/criteo_tsv.hpp) and the streaming ingest spill log
- * (ingest/spill.hpp).
+ * Single-row Criteo TSV decoder behind the batch TSV reader
+ * (data/criteo_tsv.hpp), its one user.
  *
- * A row is the unit both paths care about: the TSV reader stages one
- * row at a time and commits it to column builders only when the whole
- * row is clean, and the ingest spill log persists one event (= one
- * row) per line. Factoring the field parsing here keeps the two
- * on-disk formats byte-compatible by construction.
+ * The reader stages one row at a time and commits it to column
+ * builders only when the whole row is clean, so a malformed line is
+ * diagnosed here, field by field, before any column is touched.
  */
 
 #ifndef RAP_DATA_ROW_CODEC_HPP
@@ -56,17 +53,6 @@ struct RowError
  */
 bool decodeCriteoRow(std::string_view line, const Schema &schema,
                      CriteoRow &row, RowError &error);
-
-/**
- * Append @p row to @p out as one TSV line (no trailing newline).
- * Dense values use the shortest round-trip decimal form
- * (std::to_chars), so decodeCriteoRow(encodeCriteoRow(r)) is
- * bit-exact — the property the ingest spill/replay path relies on.
- * (writeCriteoTsv keeps its historical 6-significant-digit ostream
- * formatting for interchange files; only this codec guarantees
- * round-trips.)
- */
-void encodeCriteoRow(const CriteoRow &row, std::string &out);
 
 } // namespace rap::data
 

@@ -10,7 +10,7 @@
  *    of (seed, stream), so changing the stream count changes the
  *    workload.
  *  - `producers` is the *execution* knob: how many pool threads
- *    generate the streams' rows, window by window, beside the staging
+ *    emit the streams' events, window by window, beside the staging
  *    consumer. Any producer count yields byte-identical batches,
  *    metrics, and reports — the same contract the sweep benches'
  *    `--jobs` keeps, and what the serial_parallel_determinism ctest
@@ -26,7 +26,6 @@
 #include "common/io.hpp"
 #include "common/units.hpp"
 #include "common/validation.hpp"
-#include "data/criteo.hpp"
 #include "ingest/rate_profile.hpp"
 
 namespace rap::ingest {
@@ -48,13 +47,11 @@ struct IngestConfig
 {
     /** Logical substream count (the workload knob, see file docs). */
     int streams = 4;
-    /** Row-generation threads; 0 = one per stream. Never affects
-     *  results. */
+    /** Threads that emit the streams' event keys and times; 0 = one
+     *  per stream. Never affects results. */
     int producers = 1;
     /** Root seed; stream s derives its own generator from (seed, s). */
     std::uint64_t seed = 20240408;
-    /** Schema preset the synthetic events follow. */
-    data::DatasetPreset preset = data::DatasetPreset::CriteoKaggle;
     /** Per-stream emission rate over time. */
     RateProfile profile;
     /** Emission horizon on the virtual clock. */

@@ -1,11 +1,13 @@
 /**
  * @file
- * The streaming ingest event: one Criteo-like record emitted by a
- * logical stream at a point in (simulated) time.
+ * The streaming ingest event: one record emitted by a logical stream
+ * at a point in (simulated) time, carried as its key alone. Every
+ * staging decision, and so every reported number, is a function of
+ * the key and the emit time; no record body is generated.
  *
  * Events carry their total-order key explicitly: (emitTime, stream,
  * seq). Within one stream emit times are strictly increasing (the
- * emitter enforces it, mirroring serve/request.cpp); across streams
+ * emitter enforces it, see nextThinnedArrival); across streams
  * ties break on the stream id. The staging consumer k-way-merges
  * each generation window's per-stream slabs on this key, which is
  * what makes every downstream decision independent of which thread
@@ -18,11 +20,10 @@
 #include <cstdint>
 
 #include "common/units.hpp"
-#include "data/row_codec.hpp"
 
 namespace rap::ingest {
 
-/** One emitted record, self-identifying in the global event order. */
+/** One emitted record's key in the global event order. */
 struct Event
 {
     /** Logical stream ordinal in [0, IngestConfig::streams). */
@@ -31,7 +32,6 @@ struct Event
     std::uint64_t seq = 0;
     /** Emission time on the shared virtual clock. */
     Seconds emitTime = 0.0;
-    data::CriteoRow row;
 };
 
 /** @return True when @p a precedes @p b in the global event order. */

@@ -33,54 +33,45 @@ hex(std::uint64_t value)
 class Lane
 {
   public:
-    Lane(const IngestConfig &config, const data::Schema &schema,
-         std::uint32_t stream)
-        : emitter_(config, schema, stream)
+    Lane(const IngestConfig &config, std::uint32_t stream)
+        : emitter_(config, stream)
     {
     }
 
-    /** Fill slab @p slot with the stream's events emitted before
-     *  @p end. Slab events are reused: after the first windows, the
-     *  rows only ever overwrite buffers they already own. */
+    /** Refill slab @p slot with the stream's events emitted before
+     *  @p end. */
     void
     fill(std::size_t slot, Seconds end)
     {
         auto &slab = slabs_[slot];
-        std::size_t count = 0;
+        slab.clear();
         for (;;) {
             if (!held_) {
-                if (exhausted_ || !emitter_.next(next_)) {
-                    exhausted_ = true;
+                if (!emitter_.next(next_))
                     break;
-                }
                 held_ = true;
             }
             if (next_.emitTime >= end)
                 break;
-            if (count == slab.size())
-                slab.emplace_back();
-            std::swap(slab[count++], next_);
+            slab.push_back(next_);
             held_ = false;
         }
-        counts_[slot] = count;
     }
 
     std::span<const Event>
     slab(std::size_t slot) const
     {
-        return {slabs_[slot].data(), counts_[slot]};
+        return slabs_[slot];
     }
 
     /** @return True while the stream has events no slab took yet. */
-    bool live() const { return held_ || !exhausted_; }
+    bool live() const { return held_ || !emitter_.exhausted(); }
 
   private:
     StreamEmitter emitter_;
     std::array<std::vector<Event>, 2> slabs_;
-    std::array<std::size_t, 2> counts_{};
     Event next_;
     bool held_ = false;
-    bool exhausted_ = false;
 };
 
 } // namespace
@@ -106,8 +97,7 @@ IngestReport::toJson() const
 }
 
 IngestPipeline::IngestPipeline(IngestConfig config)
-    : config_(std::move(config)),
-      schema_(data::makePresetSchema(config_.preset))
+    : config_(std::move(config))
 {
     const auto result = validateIngestConfig(config_);
     if (!result.ok())
@@ -130,14 +120,14 @@ IngestPipeline::run(const BatchSink &sink,
     IngestMetrics instruments;
     if (metrics != nullptr)
         instruments = IngestMetrics::create(*metrics, labels);
-    Stager stager(config_, schema_, sink, instruments);
+    Stager stager(config_, sink, instruments);
 
     const auto wall_begin = std::chrono::steady_clock::now();
     ThreadPool pool(static_cast<int>(producers));
     std::vector<Lane> lanes;
     lanes.reserve(streams);
     for (std::size_t s = 0; s < streams; ++s)
-        lanes.emplace_back(config_, schema_, static_cast<std::uint32_t>(s));
+        lanes.emplace_back(config_, static_cast<std::uint32_t>(s));
 
     // Window w ends at w * width, computed afresh each time so every
     // lane cuts at the same bits and no rounding accumulates.

@@ -1,6 +1,6 @@
 /**
  * @file
- * The ingest front-end driver: generates the logical streams' events
+ * The ingest front-end driver: emits the logical streams' events
  * window by window on a thread pool, k-way-merges each window back
  * into the global event order on the calling thread, and feeds the
  * Stager.
@@ -11,8 +11,8 @@
  * the first event past the window for the next one. Slabs are double
  * buffered: while the pool fills window w, the calling thread merges
  * window w-1 into the Stager (ThreadPool::parallelFor's `beside`
- * task), then joins the pool. Slab events are reused, so steady-state
- * generation allocates nothing.
+ * task), then joins the pool. Slabs keep their capacity, so
+ * steady-state generation allocates nothing.
  *
  * The Stager and the sink stay on the calling thread, so each ingest
  * metric instrument has one writing thread.
@@ -31,7 +31,6 @@
 #include <cstdint>
 
 #include "common/json.hpp"
-#include "data/schema.hpp"
 #include "ingest/config.hpp"
 #include "ingest/stager.hpp"
 #include "obs/metrics.hpp"
@@ -73,12 +72,11 @@ class IngestPipeline
      */
     explicit IngestPipeline(IngestConfig config);
 
-    const data::Schema &schema() const { return schema_; }
     const IngestConfig &config() const { return config_; }
 
     /**
      * Run the full pipeline to completion: staging on the calling
-     * thread, row generation on config.producers pool threads (the
+     * thread, event generation on config.producers pool threads (the
      * caller joins them once a window is staged).
      *
      * @param sink Receives every staged batch in order (optional).
@@ -91,7 +89,6 @@ class IngestPipeline
 
   private:
     IngestConfig config_;
-    data::Schema schema_;
 };
 
 } // namespace rap::ingest

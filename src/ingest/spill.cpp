@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include "common/log.hpp"
-#include "data/row_codec.hpp"
 
 namespace rap::ingest {
 
@@ -28,21 +27,36 @@ uniqueSpillPath()
 }
 
 void
-appendHex(std::string &out, std::uint64_t value)
+appendNumber(std::string &out, std::uint64_t value, int base = 10)
 {
-    char buf[17];
+    char buf[20];
     const auto result =
-        std::to_chars(buf, buf + sizeof(buf), value, 16);
+        std::to_chars(buf, buf + sizeof(buf), value, base);
     out.append(buf, result.ptr);
 }
 
+/**
+ * Parse one spill line (no newline) into @p event.
+ * @return False unless the line is exactly three well-formed fields.
+ */
 bool
-parseU64(std::string_view field, std::uint64_t &value, int base = 10)
+parseLine(std::string_view line, Event &event)
 {
-    const auto *begin = field.data();
-    const auto *end = field.data() + field.size();
-    const auto result = std::from_chars(begin, end, value, base);
-    return result.ec == std::errc{} && result.ptr == end;
+    const char *const end = line.data() + line.size();
+    std::uint64_t bits = 0;
+    auto result = std::from_chars(line.data(), end, event.stream);
+    if (result.ec != std::errc{} || result.ptr == end ||
+        *result.ptr != '\t')
+        return false;
+    result = std::from_chars(result.ptr + 1, end, event.seq);
+    if (result.ec != std::errc{} || result.ptr == end ||
+        *result.ptr != '\t')
+        return false;
+    result = std::from_chars(result.ptr + 1, end, bits, 16);
+    if (result.ec != std::errc{} || result.ptr != end)
+        return false;
+    event.emitTime = std::bit_cast<double>(bits);
+    return true;
 }
 
 } // namespace
@@ -76,13 +90,11 @@ SpillLog::append(const Event &event)
     if (broken_)
         return false;
     line_.clear();
-    appendHex(line_, event.stream);
+    appendNumber(line_, event.stream);
     line_ += '\t';
-    appendHex(line_, event.seq);
+    appendNumber(line_, event.seq);
     line_ += '\t';
-    appendHex(line_, std::bit_cast<std::uint64_t>(event.emitTime));
-    line_ += '\t';
-    data::encodeCriteoRow(event.row, line_);
+    appendNumber(line_, std::bit_cast<std::uint64_t>(event.emitTime), 16);
     line_ += '\n';
     const auto status = io::writeFully(*out_, line_.data(),
                                        line_.size(), retry_,
@@ -104,8 +116,7 @@ SpillLog::append(const Event &event)
 }
 
 void
-SpillLog::replay(const data::Schema &schema,
-                 const std::function<void(const Event &)> &fn)
+SpillLog::replay(const std::function<void(const Event &)> &fn)
 {
     if (out_ == nullptr)
         return;
@@ -117,38 +128,16 @@ SpillLog::replay(const data::Schema &schema,
                   read.error->message());
     std::string_view rest(raw);
     std::uint64_t replayed = 0;
-    data::RowError error;
     Event event;
     while (!rest.empty()) {
         const auto newline = rest.find('\n');
         if (newline == std::string_view::npos)
             break; // rollback failure left a torn final line
-        std::string_view view = rest.substr(0, newline);
-        rest.remove_prefix(newline + 1);
-        // Three fixed metadata fields, then the row codec's TSV.
-        std::uint64_t stream = 0, seq = 0, bits = 0;
-        bool ok = true;
-        for (int field = 0; ok && field < 3; ++field) {
-            const auto tab = view.find('\t');
-            ok = tab != std::string_view::npos;
-            if (!ok)
-                break;
-            const auto token = view.substr(0, tab);
-            view.remove_prefix(tab + 1);
-            switch (field) {
-              case 0: ok = parseU64(token, stream, 16); break;
-              case 1: ok = parseU64(token, seq, 16); break;
-              default: ok = parseU64(token, bits, 16); break;
-            }
-        }
-        if (!ok ||
-            !data::decodeCriteoRow(view, schema, event.row, error)) {
+        if (!parseLine(rest.substr(0, newline), event)) {
             RAP_FATAL("corrupt spill log line ", replayed, " in ",
                       path_);
         }
-        event.stream = static_cast<std::uint32_t>(stream);
-        event.seq = seq;
-        event.emitTime = std::bit_cast<double>(bits);
+        rest.remove_prefix(newline + 1);
         fn(event);
         ++replayed;
     }

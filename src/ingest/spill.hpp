@@ -5,11 +5,10 @@
  * live queue has drained, so no event is lost — it just pays the
  * detour in staging latency.
  *
- * Line format: `<stream>\t<seq>\t<emit-bits-hex>\t<row TSV>`. The
- * emit time is persisted as the hex of its IEEE-754 bit pattern and
- * the row via data/row_codec.hpp's round-trip-exact encoder, so a
- * replayed event is bit-identical to the one spilled — checksums over
- * replayed batches stay producer-count-invariant.
+ * Line format: `<stream>\t<seq>\t<emit-bits-hex>\n`, with stream and
+ * seq in decimal and the emit time as the lowercase hex of its IEEE-754
+ * bit pattern, so a replayed event is bit-identical to the one spilled
+ * and checksums over replayed batches stay producer-count-invariant.
  *
  * Writes go through common/io's File layer (short writes healed,
  * EINTR free, transient EIO retried within the budget). A write the
@@ -27,7 +26,6 @@
 #include <string>
 
 #include "common/io.hpp"
-#include "data/schema.hpp"
 #include "ingest/event.hpp"
 
 namespace rap::ingest {
@@ -68,13 +66,11 @@ class SpillLog
 
     /**
      * Close the writer and stream every spilled event back through
-     * @p fn in append order. Every line decodes into the same reused
-     * Event, so @p fn copies what it keeps. Fatal on a malformed
-     * line — every successful append ended on a line boundary, so the
-     * log is either clean or our accounting is buggy.
+     * @p fn in append order. Fatal on a malformed line — every
+     * successful append ended on a line boundary, so the log is
+     * either clean or our accounting is buggy.
      */
-    void replay(const data::Schema &schema,
-                const std::function<void(const Event &)> &fn);
+    void replay(const std::function<void(const Event &)> &fn);
 
     /** Best-effort unlink of the log file (idempotent). */
     void removeFile();

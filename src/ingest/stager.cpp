@@ -26,29 +26,6 @@ fnv1a(std::uint64_t hash, std::uint64_t value)
     return hash;
 }
 
-/**
- * Copy @p row into @p out as one flat buffer: the dense values' bit
- * patterns, the dense valid flags, the sparse list lengths, then every
- * sparse id in feature order.
- */
-void
-flattenRow(const data::CriteoRow &row, std::vector<std::int64_t> &out)
-{
-    std::size_t ids = 0;
-    for (const auto &list : row.sparse)
-        ids += list.size();
-    out.clear();
-    out.reserve(2 * row.dense.size() + row.sparse.size() + ids);
-    for (const float value : row.dense)
-        out.push_back(std::bit_cast<std::uint32_t>(value));
-    for (const std::uint8_t valid : row.denseValid)
-        out.push_back(valid);
-    for (const auto &list : row.sparse)
-        out.push_back(static_cast<std::int64_t>(list.size()));
-    for (const auto &list : row.sparse)
-        out.insert(out.end(), list.begin(), list.end());
-}
-
 } // namespace
 
 const std::vector<double> &
@@ -80,10 +57,9 @@ IngestMetrics::create(obs::MetricRegistry &registry,
     return metrics;
 }
 
-Stager::Stager(const IngestConfig &config, data::Schema schema,
-               BatchSink sink, IngestMetrics metrics)
-    : config_(config), schema_(std::move(schema)),
-      sink_(std::move(sink)), metrics_(metrics),
+Stager::Stager(const IngestConfig &config, BatchSink sink,
+               IngestMetrics metrics)
+    : config_(config), sink_(std::move(sink)), metrics_(metrics),
       serviceTime_(1.0 / config.stagingEventsPerSec),
       batchHash_(kFnvOffset)
 {
@@ -143,10 +119,7 @@ Stager::push(const Event &event)
         }
     }
 
-    Pending &pending = waiting_.emplace_back();
-    pending.arrival = event.emitTime;
-    pending.emit = event.emitTime;
-    flattenRow(event.row, pending.row);
+    waiting_.push_back(event);
     stats_.maxQueueDepth =
         std::max(stats_.maxQueueDepth, waiting_.size());
 }
@@ -155,8 +128,8 @@ void
 Stager::completeUntil(Seconds t)
 {
     while (!waiting_.empty()) {
-        Pending &front = waiting_.front();
-        const Seconds start = std::max(serverFreeAt_, front.arrival);
+        const Event &front = waiting_.front();
+        const Seconds start = std::max(serverFreeAt_, front.emitTime);
         const Seconds done = start + serviceTime_;
         if (done > t)
             break;
@@ -167,9 +140,9 @@ Stager::completeUntil(Seconds t)
 }
 
 void
-Stager::complete(const Pending &pending, Seconds done, bool replay)
+Stager::complete(const Event &event, Seconds done, bool replay)
 {
-    const double latency = done - pending.emit;
+    const double latency = done - event.emitTime;
     stats_.latencies.push_back(latency);
     if (metrics_.stagingLatency != nullptr)
         metrics_.stagingLatency->observe(latency);
@@ -180,36 +153,14 @@ Stager::complete(const Pending &pending, Seconds done, bool replay)
     } else {
         ++stats_.stagedLive;
     }
-    appendRow(pending.row);
+    batchHash_ = fnv1a(batchHash_, event.stream);
+    batchHash_ = fnv1a(batchHash_, event.seq);
+    batchHash_ =
+        fnv1a(batchHash_, std::bit_cast<std::uint64_t>(event.emitTime));
+    ++batchRows_;
     ++stats_.rowsStaged;
     if (batchRows_ == static_cast<std::size_t>(config_.batchRows))
         flushBatch(done);
-}
-
-void
-Stager::appendRow(std::span<const std::int64_t> row)
-{
-    const std::size_t dense = schema_.denseCount();
-    const std::size_t sparse = schema_.sparseCount();
-    const auto bits = row.subspan(0, dense);
-    const auto valid = row.subspan(dense, dense);
-    const auto lengths = row.subspan(2 * dense, sparse);
-    for (std::size_t f = 0; f < dense; ++f) {
-        const auto value = static_cast<std::uint32_t>(bits[f]);
-        batchHash_ = fnv1a(batchHash_, static_cast<std::uint64_t>(valid[f]));
-        batchHash_ = fnv1a(batchHash_, valid[f] != 0 ? value : 0u);
-    }
-    auto ids = row.subspan(2 * dense + sparse);
-    for (std::size_t s = 0; s < sparse; ++s) {
-        const auto list = ids.first(static_cast<std::size_t>(lengths[s]));
-        ids = ids.subspan(list.size());
-        batchHash_ = fnv1a(batchHash_, list.size());
-        for (const auto id : list) {
-            batchHash_ =
-                fnv1a(batchHash_, static_cast<std::uint64_t>(id));
-        }
-    }
-    ++batchRows_;
 }
 
 void
@@ -246,16 +197,11 @@ Stager::finish()
         // serverFreeAt_ on, so spilled events queue behind everything
         // live and their latency keeps counting from the original
         // emission — the cost of the detour is visible in the tail.
-        Pending pending;
-        spill_.replay(schema_, [this, &pending](const Event &event) {
-            pending.arrival = event.emitTime;
-            pending.emit = event.emitTime;
-            flattenRow(event.row, pending.row);
-            const Seconds start =
-                std::max(serverFreeAt_, pending.arrival);
-            const Seconds done = start + serviceTime_;
+        spill_.replay([this](const Event &event) {
+            const Seconds done =
+                std::max(serverFreeAt_, event.emitTime) + serviceTime_;
             serverFreeAt_ = done;
-            complete(pending, done, /*replay=*/true);
+            complete(event, done, /*replay=*/true);
         });
     }
     spill_.removeFile();

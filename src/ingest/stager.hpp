@@ -2,8 +2,8 @@
  * @file
  * The staging consumer: turns the globally-ordered event stream into
  * staged batches under a deterministic virtual-time service model.
- * A batch is its row count, its ready time and a digest of its rows;
- * no columnar copy is assembled, since nothing downstream reads one.
+ * A batch is its row count, its ready time and a digest of the keys
+ * of the events staged into it, in staging order.
  *
  * The stager models itself as a single server with a constant
  * per-event service time (1 / stagingEventsPerSec) on the same
@@ -26,10 +26,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <span>
 #include <vector>
 
-#include "data/schema.hpp"
 #include "ingest/config.hpp"
 #include "ingest/event.hpp"
 #include "ingest/spill.hpp"
@@ -40,7 +38,7 @@ namespace rap::ingest {
 /** Histogram edges for ingest.staging_latency (seconds). */
 const std::vector<double> &stagingLatencyEdges();
 
-/** One staged batch: its place on the virtual clock and its rows. */
+/** One staged batch: its place on the virtual clock and its events. */
 struct StagedBatch
 {
     /** 0-based emission ordinal. */
@@ -49,7 +47,10 @@ struct StagedBatch
     Seconds readyAt = 0.0;
     /** Rows in the batch (batchRows, or fewer for the final flush). */
     std::size_t rows = 0;
-    /** FNV-1a digest over the batch's row contents. */
+    /**
+     * FNV-1a digest over each staged event's (stream, seq, emit-time
+     * bits), in staging order.
+     */
     std::uint64_t checksum = 0;
 };
 
@@ -105,13 +106,13 @@ class Stager
      * @param sink Receives each finished batch (may be empty).
      * @param metrics Optional hot-path instruments (may be empty).
      */
-    Stager(const IngestConfig &config, data::Schema schema,
-           BatchSink sink, IngestMetrics metrics = {});
+    Stager(const IngestConfig &config, BatchSink sink,
+           IngestMetrics metrics = {});
 
     /**
      * Feed the next event in global order (nondecreasing emitTime).
-     * The stager copies what it keeps, so the caller may reuse
-     * @p event as soon as push returns.
+     * The stager keeps a copy, so the caller may reuse @p event as
+     * soon as push returns.
      */
     void push(const Event &event);
 
@@ -124,34 +125,21 @@ class Stager
     const StagerStats &stats() const { return stats_; }
 
   private:
-    /**
-     * A queued event. Its row is one flat buffer (see flattenRow in
-     * stager.cpp) rather than a CriteoRow's ~30 heap blocks.
-     */
-    struct Pending
-    {
-        Seconds arrival = 0.0;
-        Seconds emit = 0.0;
-        std::vector<std::int64_t> row;
-    };
-
     /** Complete every queued event whose service ends by @p t. */
     void completeUntil(Seconds t);
-    /** Account one staged row at virtual time @p done. */
-    void complete(const Pending &pending, Seconds done, bool replay);
-    /** Fold one flattened row into the batch's digest. */
-    void appendRow(std::span<const std::int64_t> row);
+    /** Stage @p event at virtual time @p done, folding its key into
+     *  the batch digest. */
+    void complete(const Event &event, Seconds done, bool replay);
     void flushBatch(Seconds ready_at);
 
     IngestConfig config_;
-    data::Schema schema_;
     BatchSink sink_;
     IngestMetrics metrics_;
     SpillLog spill_;
 
     Seconds serviceTime_;
     Seconds serverFreeAt_ = 0.0;
-    std::deque<Pending> waiting_;
+    std::deque<Event> waiting_;
     std::uint64_t arrivalTick_ = 0;
 
     // The batch under assembly: its row count and running digest.

@@ -1,18 +1,14 @@
 #include "ingest/stream.hpp"
 
-#include <cmath>
-#include <limits>
-
 namespace rap::ingest {
 
 namespace {
 
-/** Derive an independent per-stream seed from the root seed. */
+/** Derive an independent per-stream arrival seed from the root seed. */
 std::uint64_t
-streamSeed(std::uint64_t root, std::uint32_t stream,
-           std::uint64_t salt)
+streamSeed(std::uint64_t root, std::uint32_t stream)
 {
-    std::uint64_t v = root ^ salt;
+    std::uint64_t v = root ^ 0x717261ULL;
     v += (static_cast<std::uint64_t>(stream) + 1) *
          0x9e3779b97f4a7c15ULL;
     v ^= v >> 30;
@@ -26,12 +22,10 @@ streamSeed(std::uint64_t root, std::uint32_t stream,
 } // namespace
 
 StreamEmitter::StreamEmitter(const IngestConfig &config,
-                             const data::Schema &schema,
                              std::uint32_t stream)
-    : profile_(config.profile), duration_(config.duration),
-      stream_(stream),
-      rng_(streamSeed(config.seed, stream, 0x717261ULL)),
-      generator_(schema, streamSeed(config.seed, stream, 0x726f77ULL))
+    : profile_(config.profile), peakRate_(peakRate(config.profile)),
+      duration_(config.duration), stream_(stream),
+      rng_(streamSeed(config.seed, stream))
 {
 }
 
@@ -40,32 +34,15 @@ StreamEmitter::next(Event &out)
 {
     if (exhausted_)
         return false;
-    // Lewis-Shedler thinning against the profile's peak rate, the
-    // same open-loop arrival model the serving layer uses.
-    const double rate_max = peakRate(profile_);
-    for (;;) {
-        clock_ += exponentialGap(rng_.uniform(), 1.0 / rate_max);
-        if (clock_ >= duration_) {
-            exhausted_ = true;
-            return false;
-        }
-        if (rng_.uniform() * rate_max > rateAt(profile_, clock_))
-            continue; // thinned out
-        if (clock_ <= last_) {
-            clock_ = std::nextafter(
-                last_, std::numeric_limits<double>::infinity());
-            if (clock_ >= duration_) {
-                exhausted_ = true;
-                return false;
-            }
-        }
-        last_ = clock_;
-        out.stream = stream_;
-        out.seq = seq_++;
-        out.emitTime = clock_;
-        generator_.generateRow(out.row);
-        return true;
+    const auto rate = [this](Seconds t) { return rateAt(profile_, t); };
+    if (!nextThinnedArrival(rng_, peakRate_, rate, duration_, clock_)) {
+        exhausted_ = true;
+        return false;
     }
+    out.stream = stream_;
+    out.seq = seq_++;
+    out.emitTime = clock_;
+    return true;
 }
 
 } // namespace rap::ingest

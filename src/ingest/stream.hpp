@@ -2,9 +2,9 @@
  * @file
  * Deterministic per-stream event source. A StreamEmitter is a pure
  * function of (config.seed, stream): it owns a private Rng for
- * arrival thinning and a private CriteoGenerator for row content, so
- * the sequence it yields never depends on which pool thread drives
- * it, how fast the consumer drains, or what other streams do.
+ * arrival thinning, so the keys and emit times it yields never depend
+ * on which pool thread drives it, how fast the consumer drains, or
+ * what other streams do.
  */
 
 #ifndef RAP_INGEST_STREAM_HPP
@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "common/rng.hpp"
-#include "data/criteo.hpp"
 #include "ingest/config.hpp"
 #include "ingest/event.hpp"
 
@@ -22,30 +21,28 @@ namespace rap::ingest {
 class StreamEmitter
 {
   public:
-    /** @param schema Shared event schema (copied into the generator). */
-    StreamEmitter(const IngestConfig &config,
-                  const data::Schema &schema, std::uint32_t stream);
+    StreamEmitter(const IngestConfig &config, std::uint32_t stream);
 
     /**
      * Produce the stream's next event. Emit times are strictly
-     * increasing within the stream (serve/request.cpp's thinning
-     * loop, including the nextafter tie-break).
+     * increasing within the stream (nextThinnedArrival in
+     * common/rng.hpp, the arrival model serve/request.cpp shares).
      *
      * @return False once the emission horizon is reached; the stream
      *         is then exhausted for good.
      */
     bool next(Event &out);
 
-    std::uint32_t stream() const { return stream_; }
+    /** @return True once next() has reached the emission horizon. */
+    bool exhausted() const { return exhausted_; }
 
   private:
     RateProfile profile_;
+    double peakRate_;
     Seconds duration_;
     std::uint32_t stream_;
     Rng rng_;
-    data::CriteoGenerator generator_;
     Seconds clock_ = 0.0;
-    Seconds last_ = -1.0;
     std::uint64_t seq_ = 0;
     bool exhausted_ = false;
 };

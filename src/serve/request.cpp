@@ -1,7 +1,6 @@
 #include "serve/request.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "common/log.hpp"
 #include "common/rng.hpp"
@@ -28,33 +27,17 @@ makeRequestTrace(const RequestTraceOptions &options)
     RAP_ASSERT(options.duration > 0.0,
                "request trace needs a positive duration");
 
-    // Lewis-Shedler thinning: draw a homogeneous process at the peak
-    // rate, keep each candidate with probability rate(t) / rateMax.
-    // exponentialGap supplies the hardened inverse-transform gaps, so
-    // no uniform draw can stall the candidate clock.
+    // Lewis-Shedler thinning against the peak rate; the step is shared
+    // with the ingest emitters.
     const double rate_max = options.qps * (1.0 + options.qpsAmplitude);
     Rng rng(options.seed);
     std::vector<Seconds> arrivals;
     arrivals.reserve(static_cast<std::size_t>(
         options.qps * options.duration * 1.25) + 16);
+    const auto rate = [&options](Seconds t) { return rateAt(options, t); };
     Seconds clock = 0.0;
-    while (true) {
-        clock += exponentialGap(rng.uniform(), 1.0 / rate_max);
-        if (clock >= options.duration)
-            break;
-        if (rng.uniform() * rate_max > rateAt(options, clock))
-            continue; // thinned out
-        // Arrivals must be strictly increasing: a gap smaller than
-        // the clock's ulp would stack two requests on one timestamp
-        // and make batch boundaries ambiguous.
-        if (!arrivals.empty() && clock <= arrivals.back()) {
-            clock = std::nextafter(
-                arrivals.back(), std::numeric_limits<double>::infinity());
-            if (clock >= options.duration)
-                break;
-        }
+    while (nextThinnedArrival(rng, rate_max, rate, options.duration, clock))
         arrivals.push_back(clock);
-    }
     return arrivals;
 }
 

@@ -8,7 +8,7 @@
 #
 # Each bench runs its tiny configuration twice: once with one worker
 # and once with four (--jobs for the sweeps and the crash-recovery
-# chaos arms, --producers for the ingest row-generation threads). The
+# chaos arms, --producers for the ingest event-generation threads). The
 # stdout tables, the --metrics snapshots and, where the bench writes
 # one, the --report artifacts must come out byte-identical.
 

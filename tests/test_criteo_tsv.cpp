@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "data/criteo.hpp"
 #include "data/criteo_tsv.hpp"
+#include "data/row_codec.hpp"
 
 namespace rap::data {
 namespace {
@@ -29,6 +30,22 @@ smallSchema()
     schema.addSparse("s0", 1000, 2.0);
     schema.addSparse("s1", 1000, 1.0);
     return schema;
+}
+
+TEST(RowCodec, ReportsMalformedFields)
+{
+    const auto schema = smallSchema();
+    CriteoRow row;
+    RowError error;
+
+    EXPECT_FALSE(decodeCriteoRow("1.0\t2.0\t7", schema, row,
+                                 error)); // 3 of 4 fields
+    EXPECT_FALSE(decodeCriteoRow("1.0\tbad\t7\t42", schema, row, error));
+    EXPECT_EQ(error.field, 1u);
+    EXPECT_NE(error.message.find("'bad'"), std::string::npos);
+    EXPECT_FALSE(
+        decodeCriteoRow("1.0\t2.0\t7,x\t42", schema, row, error));
+    EXPECT_EQ(error.field, 2u);
 }
 
 TEST(CriteoTsv, RoundTripPreservesEverything)

@@ -1,12 +1,18 @@
 /**
  * @file
- * Tests for the streaming ingest front-end (src/ingest): the shared
- * row codec's bit-exact round-trip, config validation, rate profiles,
- * emitter determinism, hand-computed virtual-time staging timelines
- * for every backpressure policy, spill-log round-trips and spill-disk
- * failures, the producer-count and window-size invariance of the full
- * pipeline, and the core-run integration (SystemConfig.ingest gating +
- * report fields).
+ * Tests for the streaming ingest front-end (src/ingest): config
+ * validation, rate profiles, emitter determinism, hand-computed
+ * virtual-time staging timelines for every backpressure policy, the
+ * batch digest over event keys, the spill-log line format, round-trips
+ * and spill-disk failures, the producer-count and window-size
+ * invariance of the full pipeline, bench_ingest --tiny's reports
+ * against tests/golden/ingest_reports.json, and the core-run
+ * integration (SystemConfig.ingest gating, report fields and the
+ * ingest.run span).
+ *
+ * Regenerate the golden file after an intentional change with:
+ *
+ *   RAP_REGEN_GOLDEN=1 ./build/tests/test_ingest
  */
 
 #include <gtest/gtest.h>
@@ -14,13 +20,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
-#include <limits>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/io.hpp"
 #include "core/run_request.hpp"
-#include "data/row_codec.hpp"
 #include "ingest/pipeline.hpp"
 #include "ingest/spill.hpp"
 #include "ingest/stream.hpp"
@@ -29,38 +37,13 @@
 namespace rap::ingest {
 namespace {
 
-/** Tiny two-dense / two-sparse schema for hand-built rows. */
-data::Schema
-miniSchema()
-{
-    data::Schema schema;
-    schema.addDense("d0");
-    schema.addDense("d1");
-    schema.addSparse("s0", 1000, 1.5);
-    schema.addSparse("s1", 50, 1.0);
-    return schema;
-}
-
-/** A hand-built row matching miniSchema(). */
-data::CriteoRow
-miniRow(float a, float b)
-{
-    data::CriteoRow row;
-    row.dense = {a, b};
-    row.denseValid = {1, 1};
-    row.sparse = {{7, 13}, {42}};
-    return row;
-}
-
 Event
-miniEvent(std::uint32_t stream, std::uint64_t seq, Seconds emit,
-          float a = 1.0f, float b = 2.0f)
+miniEvent(std::uint32_t stream, std::uint64_t seq, Seconds emit)
 {
     Event event;
     event.stream = stream;
     event.seq = seq;
     event.emitTime = emit;
-    event.row = miniRow(a, b);
     return event;
 }
 
@@ -76,62 +59,6 @@ miniConfig(BackpressurePolicy policy, double events_per_sec,
     config.policy = policy;
     config.batchRows = batch_rows;
     return config;
-}
-
-TEST(RowCodec, RoundTripIsBitExact)
-{
-    const auto schema = miniSchema();
-    // Values whose decimal forms stress shortest-round-trip printing.
-    data::CriteoRow row = miniRow(0.1f, std::nextafter(1.0f, 2.0f));
-    std::string line;
-    data::encodeCriteoRow(row, line);
-
-    data::CriteoRow back;
-    data::RowError error;
-    ASSERT_TRUE(data::decodeCriteoRow(line, schema, back, error))
-        << error.message;
-    ASSERT_EQ(back.dense.size(), row.dense.size());
-    for (std::size_t i = 0; i < row.dense.size(); ++i) {
-        EXPECT_EQ(std::bit_cast<std::uint32_t>(back.dense[i]),
-                  std::bit_cast<std::uint32_t>(row.dense[i]));
-    }
-    EXPECT_EQ(back.denseValid, row.denseValid);
-    EXPECT_EQ(back.sparse, row.sparse);
-}
-
-TEST(RowCodec, RoundTripsNullsAndEmptyLists)
-{
-    const auto schema = miniSchema();
-    data::CriteoRow row;
-    row.dense = {0.0f, 3.5f};
-    row.denseValid = {0, 1}; // first dense field is null
-    row.sparse = {{}, {9}};  // first sparse list is empty
-    std::string line;
-    data::encodeCriteoRow(row, line);
-
-    data::CriteoRow back;
-    data::RowError error;
-    ASSERT_TRUE(data::decodeCriteoRow(line, schema, back, error));
-    EXPECT_EQ(back.denseValid, row.denseValid);
-    EXPECT_EQ(back.sparse, row.sparse);
-}
-
-TEST(RowCodec, ReportsMalformedFields)
-{
-    const auto schema = miniSchema();
-    data::CriteoRow row;
-    data::RowError error;
-
-    EXPECT_FALSE(data::decodeCriteoRow("1.0\t2.0\t7", schema, row,
-                                       error)); // 3 of 4 fields
-    EXPECT_FALSE(
-        data::decodeCriteoRow("1.0\tbad\t7\t42", schema, row, error));
-    EXPECT_EQ(error.field, 1u);
-    EXPECT_NE(error.message.find("'bad'"), std::string::npos);
-    EXPECT_FALSE(
-        data::decodeCriteoRow("1.0\t2.0\t7,x\t42", schema, row,
-                              error));
-    EXPECT_EQ(error.field, 2u);
 }
 
 TEST(Config, DefaultIsValid)
@@ -226,11 +153,10 @@ TEST(Emitter, IsAPureFunctionOfSeedAndStream)
     IngestConfig config;
     config.duration = 0.002;
     config.profile.eventsPerSec = 50000.0;
-    const auto schema = data::makePresetSchema(config.preset);
 
-    StreamEmitter a(config, schema, 3);
-    StreamEmitter b(config, schema, 3);
-    StreamEmitter other(config, schema, 4);
+    StreamEmitter a(config, 3);
+    StreamEmitter b(config, 3);
+    StreamEmitter other(config, 4);
 
     Event ea, eb, eo;
     std::size_t count = 0;
@@ -238,10 +164,11 @@ TEST(Emitter, IsAPureFunctionOfSeedAndStream)
     bool differs = false;
     while (a.next(ea)) {
         ASSERT_TRUE(b.next(eb));
+        EXPECT_EQ(ea.stream, 3u);
+        EXPECT_EQ(ea.seq, count); // gapless from 0
         EXPECT_EQ(ea.seq, eb.seq);
-        EXPECT_EQ(ea.emitTime, eb.emitTime);
-        EXPECT_EQ(ea.row.dense, eb.row.dense);
-        EXPECT_EQ(ea.row.sparse, eb.row.sparse);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(ea.emitTime),
+                  std::bit_cast<std::uint64_t>(eb.emitTime));
         EXPECT_GT(ea.emitTime, last); // strictly increasing
         EXPECT_LT(ea.emitTime, config.duration);
         last = ea.emitTime;
@@ -263,7 +190,7 @@ TEST(StagerTest, BlockTimelineIsHandComputable)
     const auto config =
         miniConfig(BackpressurePolicy::Block, 10.0, 2, 2);
     std::vector<StagedBatch> batches;
-    Stager stager(config, miniSchema(),
+    Stager stager(config,
                   [&](StagedBatch &&b) { batches.push_back(std::move(b)); });
     stager.push(miniEvent(0, 0, 0.0));
     stager.push(miniEvent(0, 1, 0.0));
@@ -295,7 +222,7 @@ TEST(StagerTest, DropOldestShedsFromTheFront)
     // C evicts B; only C ever stages, at 0.2 + 1.0.
     const auto config =
         miniConfig(BackpressurePolicy::DropOldest, 1.0, 1, 4);
-    Stager stager(config, miniSchema(), {});
+    Stager stager(config, {});
     stager.push(miniEvent(0, 0, 0.0));
     stager.push(miniEvent(0, 1, 0.1));
     stager.push(miniEvent(0, 2, 0.2));
@@ -320,12 +247,12 @@ TEST(StagerTest, SpillDivertsAndReplaysEverything)
     auto config = miniConfig(BackpressurePolicy::Spill, 1.0, 1, 4);
     config.spillPath = "test_ingest_spill.tsv";
     std::vector<StagedBatch> batches;
-    Stager stager(config, miniSchema(),
+    Stager stager(config,
                   [&](StagedBatch &&b) { batches.push_back(std::move(b)); });
     const Event events[] = {
-        miniEvent(0, 0, 0.0, 1.5f, -2.0f),
-        miniEvent(0, 1, 0.1, 0.1f, 7.25f),
-        miniEvent(0, 2, 0.2, -0.3f, 1e-20f),
+        miniEvent(0, 0, 0.0),
+        miniEvent(0, 1, 0.1),
+        miniEvent(0, 2, 0.2),
     };
     for (const auto &event : events)
         stager.push(event);
@@ -343,14 +270,14 @@ TEST(StagerTest, SpillDivertsAndReplaysEverything)
     EXPECT_NEAR(stats.latencies[1], 1.9, 1e-12);
     EXPECT_NEAR(stats.latencies[2], 2.8, 1e-12);
 
-    // The replayed rows land bit-exactly in the final batch: its
+    // The replayed events land bit-exactly in the final batch: its
     // digest equals that of a Block stager fed the same events live,
     // in staging order (A, B, C).
     ASSERT_EQ(batches.size(), 1u);
     ASSERT_EQ(batches[0].rows, 3u);
     std::vector<StagedBatch> live_batches;
     Stager live(miniConfig(BackpressurePolicy::Block, 1.0, 1, 4),
-                miniSchema(), [&](StagedBatch &&b) {
+                [&](StagedBatch &&b) {
                     live_batches.push_back(std::move(b));
                 });
     for (const auto &event : events)
@@ -365,6 +292,39 @@ TEST(StagerTest, SpillDivertsAndReplaysEverything)
     EXPECT_EQ(file, nullptr);
     if (file != nullptr)
         std::fclose(file);
+}
+
+TEST(StagerTest, ChecksumCoversEveryStagedEventKey)
+{
+    // The batch digest folds each staged event's (stream, seq,
+    // emit-time bits) in staging order, so it moves when two events
+    // swap their seqs or when a policy drops an event.
+    const auto checksum = [](BackpressurePolicy policy, std::size_t cap,
+                             const std::vector<Event> &events) {
+        std::vector<StagedBatch> batches;
+        Stager stager(miniConfig(policy, 1.0, cap, 4),
+                      [&](StagedBatch &&b) {
+                          batches.push_back(std::move(b));
+                      });
+        for (const auto &event : events)
+            stager.push(event);
+        stager.finish();
+        EXPECT_EQ(batches.size(), 1u);
+        return batches.empty() ? 0 : batches[0].checksum;
+    };
+    const std::vector<Event> events = {
+        miniEvent(0, 0, 0.0), miniEvent(0, 1, 0.1), miniEvent(0, 2, 0.2)};
+    const auto all = checksum(BackpressurePolicy::Block, 0, events);
+
+    auto swapped = events;
+    std::swap(swapped[0].seq, swapped[1].seq);
+    EXPECT_NE(checksum(BackpressurePolicy::Block, 0, swapped), all);
+
+    // The drop test's overload: only C stages, so the digest is C's
+    // alone.
+    const auto shed = checksum(BackpressurePolicy::DropOldest, 1, events);
+    EXPECT_NE(shed, all);
+    EXPECT_EQ(shed, checksum(BackpressurePolicy::Block, 0, {events[2]}));
 }
 
 /** Bytes one spill line of @p event takes, probed through @p path. */
@@ -400,7 +360,7 @@ TEST(StagerTest, SpillDiskFullDropsAndCountsTheRefusedEvents)
     config.io = &disk;
     obs::MetricRegistry registry;
     const obs::Labels labels{{"run", "enospc"}};
-    Stager stager(config, miniSchema(), {},
+    Stager stager(config, {},
                   IngestMetrics::create(registry, labels));
     for (const auto &event : events)
         stager.push(event);
@@ -429,7 +389,7 @@ TEST(StagerTest, UnopenableSpillLogDropsEveryOverloadEvent)
     ASSERT_FALSE(std::filesystem::exists("test_ingest_no_such_dir"));
     obs::MetricRegistry registry;
     const obs::Labels labels{{"run", "no_log"}};
-    Stager stager(config, miniSchema(), {},
+    Stager stager(config, {},
                   IngestMetrics::create(registry, labels));
     for (std::uint64_t seq = 0; seq < 4; ++seq)
         stager.push(miniEvent(0, seq, 0.1 * static_cast<double>(seq)));
@@ -469,35 +429,46 @@ TEST(SpillLogTest, FailedAppendRollsBackToTheLastLine)
     EXPECT_EQ(log.appended(), 1u);
 
     std::vector<Event> replayed;
-    log.replay(miniSchema(),
-               [&](const Event &event) { replayed.push_back(event); });
+    log.replay([&](const Event &event) { replayed.push_back(event); });
     ASSERT_EQ(replayed.size(), 1u);
     EXPECT_EQ(replayed[0].seq, first.seq);
     EXPECT_EQ(replayed[0].emitTime, first.emitTime);
     log.removeFile();
 }
 
+TEST(SpillLogTest, LineIsStreamSeqAndEmitBits)
+{
+    SpillLog log;
+    ASSERT_TRUE(log.open("test_ingest_spill_line.tsv"));
+    ASSERT_TRUE(log.append(miniEvent(3, 17, 0.125)));
+    std::string bytes;
+    ASSERT_TRUE(io::readFileBytes(nullptr, log.path(), &bytes).ok());
+    // 0.125 = 2^-3: biased exponent 1020 = 0x3fc, zero mantissa.
+    EXPECT_EQ(bytes, "3\t17\t3fc0000000000000\n");
+    log.removeFile();
+}
+
 TEST(SpillLogTest, RoundTripsEventsBitExactly)
 {
-    const auto schema = miniSchema();
     SpillLog log;
     ASSERT_TRUE(log.open("test_ingest_spill_log.tsv"));
-    const auto first = miniEvent(3, 17, 0.125, 0.1f, -1e-30f);
-    const auto second =
-        miniEvent(1, 2, std::nextafter(0.125, 1.0), 6.0f, 0.0f);
+    const auto first = miniEvent(3, 17, 0.1);
+    const auto second = miniEvent(1, 2, std::nextafter(0.1, 1.0));
     EXPECT_TRUE(log.append(first));
     EXPECT_TRUE(log.append(second));
     EXPECT_EQ(log.appended(), 2u);
 
     std::vector<Event> replayed;
-    log.replay(schema, [&](const Event &event) { replayed.push_back(event); });
+    log.replay([&](const Event &event) { replayed.push_back(event); });
     ASSERT_EQ(replayed.size(), 2u);
     EXPECT_EQ(replayed[0].stream, first.stream);
     EXPECT_EQ(replayed[0].seq, first.seq);
-    EXPECT_EQ(replayed[0].emitTime, first.emitTime);
-    EXPECT_EQ(replayed[0].row.dense, first.row.dense);
-    EXPECT_EQ(replayed[1].emitTime, second.emitTime);
-    EXPECT_EQ(replayed[1].row.sparse, second.row.sparse);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(replayed[0].emitTime),
+              std::bit_cast<std::uint64_t>(first.emitTime));
+    EXPECT_EQ(replayed[1].stream, second.stream);
+    EXPECT_EQ(replayed[1].seq, second.seq);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(replayed[1].emitTime),
+              std::bit_cast<std::uint64_t>(second.emitTime));
     log.removeFile();
     log.removeFile(); // idempotent
 }
@@ -635,6 +606,58 @@ TEST(Pipeline, MetricsMatchTheReport)
               report.rowsStaged);
 }
 
+/** bench_ingest --tiny's configuration for one sweep point. */
+IngestConfig
+benchTinyConfig(RateProfileKind profile, BackpressurePolicy policy)
+{
+    IngestConfig config;
+    config.streams = 4;
+    config.profile.kind = profile;
+    config.profile.eventsPerSec = 60000.0;
+    config.stagingEventsPerSec = 300000.0;
+    config.duration = 0.01;
+    config.batchRows = 128;
+    config.stagingQueueCap = 512;
+    config.policy = policy;
+    return config;
+}
+
+TEST(IngestGolden, BenchTinyPointsMatchTheGoldenFile)
+{
+    Json actual = Json::object();
+    for (auto profile : {RateProfileKind::Steady, RateProfileKind::Burst}) {
+        for (auto policy :
+             {BackpressurePolicy::Block, BackpressurePolicy::DropOldest,
+              BackpressurePolicy::Spill}) {
+            actual.set(rateProfileId(profile) + "." +
+                           backpressurePolicyId(policy),
+                       IngestPipeline(benchTinyConfig(profile, policy))
+                           .run()
+                           .toJson());
+        }
+    }
+    const std::string rendered = actual.dump(2);
+    const std::string golden_path =
+        std::string(RAP_TESTS_DIR) + "/golden/ingest_reports.json";
+
+    if (std::getenv("RAP_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(golden_path);
+        ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+        out << rendered;
+        GTEST_SKIP() << "golden file regenerated";
+    }
+
+    std::ifstream in(golden_path);
+    ASSERT_TRUE(in.good())
+        << "missing golden file " << golden_path
+        << " (regenerate with RAP_REGEN_GOLDEN=1)";
+    std::ostringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(rendered, text.str())
+        << "ingest reports drifted from the golden file; if the change "
+           "is intentional, regenerate with RAP_REGEN_GOLDEN=1";
+}
+
 TEST(CoreIntegration, ValidationCoversIngestKnobs)
 {
     core::SystemConfig config;
@@ -722,6 +745,29 @@ TEST(CoreIntegration, RapRunsWithIngest)
     EXPECT_GT(report.throughput, 0.0);
     EXPECT_GT(report.ingestEvents, 0u);
     EXPECT_GE(report.makespan, report.ingestLastReadyAt);
+}
+
+TEST(CoreIntegration, IngestPrePassIsOneSpan)
+{
+    const auto plan = preproc::makePlan(0);
+    const auto spans = [&plan](bool with_ingest) {
+        core::SystemConfig config;
+        config.system = core::System::Ideal;
+        config.gpuCount = 2;
+        config.batchPerGpu = 1024;
+        config.iterations = 4;
+        config.warmup = 1;
+        if (with_ingest)
+            config.ingest = gatingConfig();
+        obs::MetricRegistry registry;
+        core::RunRequest(config).metrics(&registry, "spans").run(plan);
+        std::size_t count = 0;
+        for (const auto &span : registry.spanRecords())
+            count += span.name == "ingest.run" ? 1 : 0;
+        return count;
+    };
+    EXPECT_EQ(spans(true), 1u);
+    EXPECT_EQ(spans(false), 0u);
 }
 
 } // namespace
