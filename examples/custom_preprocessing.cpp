@@ -1,9 +1,10 @@
 /**
  * @file
  * Building a custom preprocessing pipeline against the public API:
- * hand-construct a DAG with cross-feature NGram generation, run it on
- * real data, inspect the MILP fusion plan and the co-running schedule,
- * and emit the generated PyTorch-style frontend (paper §4, step 3).
+ * hand-construct a DAG with cross-feature NGram generation, inspect the
+ * MILP fusion plan and the co-running schedule, emit the generated
+ * PyTorch-style frontend (paper §4, step 3), and train with the plan on
+ * two simulated GPUs through the validated RunRequest API.
  */
 
 #include <iostream>
@@ -44,11 +45,8 @@ makeCustomGraph(const data::Schema &schema)
         OpNode node;
         node.type = type;
         node.inputs = {ColumnRef{kind, column}};
-        node.output = node.inputs.front();
         node.featureId = feature;
         node.deps = std::move(deps);
-        if (kind == data::FeatureKind::Sparse)
-            node.params.hashSize = schema.sparse(column).hashSize;
         return graph.addNode(node);
     };
 
@@ -79,14 +77,10 @@ makeCustomGraph(const data::Schema &schema)
     ngram.type = OpType::Ngram;
     ngram.inputs = {ColumnRef{data::FeatureKind::Sparse, 0},
                     ColumnRef{data::FeatureKind::Sparse, 1}};
-    ngram.output = ngram.inputs.front();
     ngram.featureId = preproc::sparseFeatureId(schema, 0);
     ngram.deps = {tails[0], tails[1]};
     ngram.params.ngramN = 2;
-    ngram.params.hashSize = schema.sparse(0).hashSize;
     graph.addNode(std::move(ngram));
-
-    graph.validate();
     return graph;
 }
 
@@ -105,16 +99,7 @@ main()
               << AsciiTable::num(graph.opsPerFeature(), 2)
               << " ops/feature)\n\n";
 
-    // 1. Execute the pipeline on real generated data.
-    data::CriteoGenerator generator(schema, 11);
-    auto batch = generator.generate(1024);
-    preproc::applyGraph(graph, batch);
-    std::cout << "host run: item_history avg list length after "
-                 "FirstX+Ngram: "
-              << AsciiTable::num(batch.sparse(0).avgListLength(), 2)
-              << "\n\n";
-
-    // 2. Solve the fusion MILP and show the plan.
+    // 1. Solve the fusion MILP and show the plan.
     const auto spec = sim::a100Spec();
     core::HorizontalFusionPlanner planner(spec);
     const auto kernels = planner.plan(graph, 4096);
@@ -132,7 +117,7 @@ main()
               << kernels.size() << " kernels):\n"
               << fusion.render() << "\n";
 
-    // 3. Schedule against a 2-GPU trainer and print the co-run plan.
+    // 2. Schedule against a 2-GPU trainer and print the co-run plan.
     const auto config =
         dlrm::makeDlrmConfig(data::DatasetPreset::CriteoKaggle, schema);
     const auto sharding =
@@ -147,9 +132,36 @@ main()
                                                             profile)
               << "\n";
 
-    // 4. Generated PyTorch-style frontend (paper §4, step 3).
+    // 3. Generated PyTorch-style frontend (paper §4, step 3).
     std::cout << "generated frontend:\n"
               << core::ScheduleCodegen::renderPythonFrontend(
-                     schedule, profile, /*gpu=*/0);
+                     schedule, profile, /*gpu=*/0)
+              << "\n";
+
+    // 4. Train with the hand-built plan on 2 simulated GPUs. run()
+    //    validates the graph against its schema first, so a node that
+    //    reads a missing column or names a missing feature exits with
+    //    the field named instead of running.
+    preproc::PreprocPlan plan;
+    plan.schema = schema;
+    plan.graph = graph;
+    AsciiTable runs({"system", "iter latency", "vs ideal"});
+    Seconds ideal = 0.0;
+    for (const auto system : {core::System::Ideal, core::System::Rap,
+                              core::System::SequentialGpu}) {
+        const auto report = core::RunRequest(system)
+                                .gpus(2)
+                                .batchPerGpu(4096)
+                                .run(plan);
+        if (system == core::System::Ideal)
+            ideal = report.avgIterationLatency;
+        runs.addRow({report.system,
+                     formatSeconds(report.avgIterationLatency),
+                     AsciiTable::num(
+                         ideal / report.avgIterationLatency * 100.0, 1) +
+                         "%"});
+    }
+    std::cout << "training with the custom plan (2 GPUs):\n"
+              << runs.render();
     return 0;
 }

@@ -1,16 +1,14 @@
 /**
  * @file
- * Quickstart: build a preprocessing plan, preprocess a real batch on
- * the host, then run online DLRM training with RAP and compare it
- * against the ideal (no-preprocessing) upper bound.
+ * Quickstart: build a preprocessing plan, then run online DLRM training
+ * with RAP and compare it against the ideal (no-preprocessing) upper
+ * bound and sequential GPU preprocessing.
  */
 
-#include <cstdio>
 #include <iostream>
 
 #include "common/table.hpp"
 #include "core/rap.hpp"
-#include "data/criteo_tsv.hpp"
 
 int
 main()
@@ -20,25 +18,11 @@ main()
     // 1. A preprocessing plan: Plan 1 = Criteo Terabyte defaults
     //    (FillNull + Logit on dense, FillNull + SigridHash + FirstX on
     //    sparse; 104 operations, Table 3).
-    auto plan = preproc::makePlan(1);
+    const auto plan = preproc::makePlan(1);
     std::cout << "plan 1: " << plan.graph.nodeCount() << " ops over "
               << plan.schema.featureCount() << " features\n";
 
-    // 2. Host-side correctness: generate a raw batch, round-trip it
-    //    through the storage format, and run the full preprocessing
-    //    graph on it.
-    data::CriteoGenerator generator(plan.schema, /*seed=*/7);
-    auto raw = generator.generate(512);
-    data::writeCriteoTsvFile("/tmp/rap_quickstart.tsv", raw);
-    auto batch =
-        data::readCriteoTsvFile("/tmp/rap_quickstart.tsv", plan.schema);
-    const auto nulls_before = batch.dense(0).nullCount();
-    preproc::applyGraph(plan.graph, batch);
-    std::cout << "host preprocessing (via TSV storage): dense nulls "
-              << nulls_before << " -> " << batch.dense(0).nullCount()
-              << "\n";
-
-    // 3. End-to-end online training on a simulated 4-GPU node.
+    // 2. End-to-end online training on a simulated 4-GPU node.
     core::SystemConfig config;
     config.gpuCount = 4;
     config.batchPerGpu = 4096;

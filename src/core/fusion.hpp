@@ -18,7 +18,7 @@
 #include "core/latency_predictor.hpp"
 #include "milp/problem.hpp"
 #include "milp/solver.hpp"
-#include "preproc/executor.hpp"
+#include "preproc/cost_model.hpp"
 #include "preproc/graph.hpp"
 
 namespace rap::core {

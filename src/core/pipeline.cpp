@@ -12,7 +12,7 @@
 #include "ingest/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "preproc/executor.hpp"
+#include "preproc/cost_model.hpp"
 #include "sim/trace_export.hpp"
 
 namespace rap::core {
@@ -1335,6 +1335,21 @@ GpuInput::report(RunReport &report) const
     }
 }
 
+/**
+ * Validate @p config and @p plan's graph in one pass, so a bad
+ * hand-built plan exits with its fields named before planning, as a
+ * bad configuration does.
+ */
+SystemConfig
+checkedRun(const SystemConfig &config, const preproc::PreprocPlan &plan)
+{
+    ValidationResult result = config.validate();
+    result.addErrors("graph", plan.graph.validate());
+    if (!result.ok())
+        RAP_FATAL("invalid run configuration:\n", result.render());
+    return config;
+}
+
 } // namespace
 
 std::string
@@ -1359,7 +1374,7 @@ OfflinePlan
 planOffline(const SystemConfig &config, const preproc::PreprocPlan &plan,
             ThreadPool *pool)
 {
-    const SystemConfig checked = RunRequest(config).build();
+    const SystemConfig checked = checkedRun(config, plan);
     const RunSession session(checked, plan);
     return OfflinePlanner(session).plan(pool);
 }
@@ -1367,7 +1382,7 @@ planOffline(const SystemConfig &config, const preproc::PreprocPlan &plan,
 RunReport
 RunRequest::run(const preproc::PreprocPlan &plan) const
 {
-    const SystemConfig config = build();
+    const SystemConfig config = checkedRun(config_, plan);
     const RunSession session(config, plan);
     switch (config.system) {
       case System::Ideal: {

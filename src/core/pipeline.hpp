@@ -335,7 +335,8 @@ struct OfflinePlan
  * reduced in GPU order, so the returned plan is bit-identical for any
  * thread count. Only GPU-preprocessing systems have an offline phase
  * (not Ideal / TorchArrowCpu). Fatal, with the rendered error list,
- * when @p config fails SystemConfig::validate.
+ * when @p config fails SystemConfig::validate or @p plan's graph fails
+ * PreprocGraph::validate.
  */
 OfflinePlan planOffline(const SystemConfig &config,
                         const preproc::PreprocPlan &plan,

@@ -22,7 +22,7 @@
 #include "core/run_request.hpp"
 #include "data/criteo.hpp"
 #include "dlrm/trainer.hpp"
-#include "preproc/executor.hpp"
+#include "preproc/cost_model.hpp"
 #include "preproc/plan.hpp"
 #include "sim/cluster.hpp"
 

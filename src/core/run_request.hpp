@@ -13,9 +13,10 @@
  *
  * Knobs without a setter (faults, gpuSubset, tracePath, …) are set
  * on config(). run() is the only way to run a system
- * (core/pipeline.cpp); it validates once, fault specs included, so a
- * bad configuration exits before planning. planOffline validates the
- * same way.
+ * (core/pipeline.cpp); it validates once, fault specs and the plan's
+ * graph included, so a bad configuration or a hand-built graph whose
+ * columns or feature ids leave its schema exits before planning.
+ * planOffline validates the same way.
  */
 
 #ifndef RAP_CORE_RUN_REQUEST_HPP
@@ -90,7 +91,11 @@ class RunRequest
      */
     SystemConfig build() const;
 
-    /** build() and execute the run over @p plan. */
+    /**
+     * Validate the configuration and @p plan's graph (errors under
+     * "graph."), then execute the run over @p plan; fatal, with every
+     * error rendered, when either is invalid.
+     */
     RunReport run(const preproc::PreprocPlan &plan) const;
 
   private:

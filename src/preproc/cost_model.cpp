@@ -230,4 +230,40 @@ opPerfParam(OpType type, const OpParams &params)
     }
 }
 
+OpShape
+nodeShape(const OpNode &node, const data::Schema &schema,
+          std::int64_t rows)
+{
+    OpShape shape;
+    shape.rows = rows;
+    shape.width = 1;
+    shape.param = opPerfParam(node.type, node.params);
+    shape.avgListLength = 1.0;
+    RAP_ASSERT(!node.inputs.empty(), "node ", node.id, " has no inputs");
+    const auto &primary = node.inputs.front();
+    if (primary.kind == data::FeatureKind::Sparse) {
+        RAP_ASSERT(primary.index < schema.sparseCount(), "node ", node.id,
+                   " reads sparse column ", primary.index, " of ",
+                   schema.sparseCount());
+        shape.avgListLength = schema.sparse(primary.index).avgListLength;
+        // Ngram reads all of its inputs.
+        if (node.type == OpType::Ngram)
+            shape.avgListLength *=
+                static_cast<double>(node.inputs.size());
+    }
+    return shape;
+}
+
+Seconds
+graphExclusiveLatency(const PreprocGraph &graph, std::int64_t rows,
+                      const sim::GpuSpec &spec)
+{
+    Seconds total = 0.0;
+    for (const auto &node : graph.nodes()) {
+        const auto shape = nodeShape(node, graph.schema(), rows);
+        total += makeOpKernel(node.type, shape, spec).exclusiveLatency;
+    }
+    return total;
+}
+
 } // namespace rap::preproc

@@ -19,6 +19,8 @@
 #define RAP_PREPROC_COST_MODEL_HPP
 
 #include "common/units.hpp"
+#include "data/schema.hpp"
+#include "preproc/graph.hpp"
 #include "preproc/op_params.hpp"
 #include "preproc/op_types.hpp"
 #include "sim/kernel.hpp"
@@ -60,6 +62,24 @@ Bytes opOutputBytes(OpType type, const OpShape &shape);
  *         OpShape::param the predictor trains on.
  */
 double opPerfParam(OpType type, const OpParams &params);
+
+/**
+ * Derive the kernel workload shape of a single (unfused) node: width 1,
+ * the batch row count, the primary input feature's mean list length
+ * (from the schema) and the operator's performance parameter. The
+ * node's input columns must lie in @p schema (PreprocGraph::validate).
+ */
+OpShape nodeShape(const OpNode &node, const data::Schema &schema,
+                  std::int64_t rows);
+
+/**
+ * Total standalone GPU latency of @p graph at the given batch size if
+ * each node ran as its own kernel under @p spec (no fusion, no launch
+ * overhead). Useful as a workload-size metric.
+ */
+Seconds graphExclusiveLatency(const PreprocGraph &graph,
+                              std::int64_t rows,
+                              const sim::GpuSpec &spec);
 
 } // namespace rap::preproc
 

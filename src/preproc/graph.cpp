@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 #include <set>
+#include <string>
 
 #include "common/log.hpp"
 
@@ -118,20 +119,41 @@ PreprocGraph::opsPerFeature() const
            static_cast<double>(features.size());
 }
 
-void
+ValidationResult
 PreprocGraph::validate() const
 {
-    (void)topoOrder(); // panics on cycles
+    ValidationResult result;
+    auto field = [](const OpNode &node, const std::string &member) {
+        return "nodes[" + std::to_string(node.id) + "]." + member;
+    };
     for (const auto &node : nodes_) {
-        RAP_ASSERT(!node.inputs.empty(), "node ", node.id,
-                   " has no inputs");
-        RAP_ASSERT(node.featureId >= 0, "node ", node.id,
-                   " has no feature id");
-        if (node.type == OpType::Ngram) {
-            RAP_ASSERT(node.inputs.size() >= 1,
-                       "ngram needs at least one input");
+        if (node.inputs.empty())
+            result.addError(field(node, "inputs"), "node has no inputs");
+        for (std::size_t i = 0; i < node.inputs.size(); ++i) {
+            const auto &input = node.inputs[i];
+            const bool sparse = input.kind == data::FeatureKind::Sparse;
+            const std::size_t count =
+                sparse ? schema_.sparseCount() : schema_.denseCount();
+            if (input.index >= count) {
+                result.addError(
+                    field(node, "inputs[" + std::to_string(i) + "]"),
+                    std::string(sparse ? "sparse" : "dense") +
+                        " column " + std::to_string(input.index) +
+                        " is out of range; the schema has " +
+                        std::to_string(count));
+            }
+        }
+        if (node.featureId < 0 ||
+            static_cast<std::size_t>(node.featureId) >=
+                schema_.featureCount()) {
+            result.addError(field(node, "featureId"),
+                            "feature id " + std::to_string(node.featureId) +
+                                " is out of range [0, " +
+                                std::to_string(schema_.featureCount()) +
+                                ")");
         }
     }
+    return result;
 }
 
 PreprocGraph

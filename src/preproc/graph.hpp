@@ -3,8 +3,8 @@
  * The input-preprocessing DAG.
  *
  * Each input feature needs a chain (in general, a DAG) of preprocessing
- * operations (§2.3). Nodes are operator instances bound to concrete
- * input/output columns; edges are data dependencies. A node's
+ * operations (§2.3). Nodes are operator instances bound to the schema
+ * features they read; edges are data dependencies. A node's
  * featureId names the feature whose embedding table (sparse) or MLP
  * input slot (dense) consumes its final output — the unit at which the
  * mapping search (§7.2) moves work between GPUs.
@@ -17,13 +17,14 @@
 #include <string>
 #include <vector>
 
+#include "common/validation.hpp"
 #include "data/schema.hpp"
 #include "preproc/op_params.hpp"
 #include "preproc/op_types.hpp"
 
 namespace rap::preproc {
 
-/** Reference to one column of a RecordBatch. */
+/** Reference to one schema feature: the index-th dense or sparse one. */
 struct ColumnRef
 {
     data::FeatureKind kind = data::FeatureKind::Dense;
@@ -47,8 +48,6 @@ struct OpNode
     std::vector<int> deps;
     /** Input columns (Ngram reads several). */
     std::vector<ColumnRef> inputs;
-    /** Output column (may alias an input for in-place operators). */
-    ColumnRef output;
     /**
      * Feature whose consumer this node's chain feeds. Convention:
      * dense feature d has featureId = d; sparse feature s has
@@ -97,8 +96,14 @@ class PreprocGraph
     /** @return Mean number of operations per feature (Table 3 metric). */
     double opsPerFeature() const;
 
-    /** Panic if the graph is malformed (cycles, dangling deps). */
-    void validate() const;
+    /**
+     * Check every node against the schema: it has at least one input,
+     * each input names a schema feature of its kind, and its featureId
+     * names a schema feature. Errors name the field, e.g.
+     * "nodes[3].inputs[0]" or "nodes[3].featureId". Dependencies need
+     * no check here: addNode only accepts earlier nodes.
+     */
+    ValidationResult validate() const;
 
     /**
      * Extract the subgraph containing exactly the features in

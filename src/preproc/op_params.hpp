@@ -2,8 +2,8 @@
  * @file
  * Operator parameters and kernel shapes.
  *
- * OpParams carries the semantic parameters of one operator instance
- * (fill value, clamp bounds, hash size, ...). OpShape describes the
+ * OpParams carries the parameters of one operator instance that its
+ * cost depends on (n-gram length, kept prefix, bins, borders). OpShape describes the
  * *workload* of a (possibly horizontally fused) kernel instance: batch
  * rows, the number of features fused into the kernel, the mean id-list
  * length, and the operator's performance-related parameter. The cost
@@ -19,29 +19,17 @@
 
 namespace rap::preproc {
 
-/** Semantic parameters of one operator instance. */
+/** Cost-relevant parameters of one operator instance (opPerfParam). */
 struct OpParams
 {
-    /** FillNull: replacement value (dense) / replacement id (sparse). */
-    double fillValue = 0.0;
-    /** Clamp: inclusive bounds on ids. */
-    std::int64_t clampLo = 0;
-    std::int64_t clampHi = 1'000'000;
     /** FirstX: number of leading ids to keep. */
     int firstX = 8;
-    /** SigridHash / Ngram / MapId: target hash-space size. */
-    std::int64_t hashSize = 1'000'000;
     /** Ngram: window length n. */
     int ngramN = 2;
     /** Onehot: number of bins. */
     int onehotBins = 16;
     /** Bucketize: number of borders. */
     int bucketBorders = 16;
-    /** BoxCox: lambda exponent. */
-    double boxcoxLambda = 0.5;
-    /** MapId: affine map multiplier/offset. */
-    std::int64_t mapMul = 2654435761;
-    std::int64_t mapAdd = 11;
 };
 
 /** Workload shape of one (fused) kernel instance. */

@@ -14,8 +14,7 @@ struct Chain
 {
     int featureId = -1;
     ColumnRef column;
-    std::int64_t hashSize = 0; // sparse only
-    int tail = -1;             // id of the last node appended
+    int tail = -1; // id of the last node appended
 };
 
 OpNode
@@ -25,11 +24,8 @@ makeNode(const Chain &chain, OpType type)
     node.type = type;
     node.featureId = chain.featureId;
     node.inputs = {chain.column};
-    node.output = chain.column;
     if (chain.tail >= 0)
         node.deps = {chain.tail};
-    if (chain.hashSize > 0)
-        node.params.hashSize = chain.hashSize;
     return node;
 }
 
@@ -67,10 +63,18 @@ makeChains(const data::Schema &schema)
         Chain c;
         c.featureId = sparseFeatureId(schema, s);
         c.column = ColumnRef{data::FeatureKind::Sparse, s};
-        c.hashSize = schema.sparse(s).hashSize;
         chains.push_back(c);
     }
     return chains;
+}
+
+/** Fail fast when a builder produced a graph its schema cannot price. */
+void
+checkGraph(const PreprocGraph &graph)
+{
+    const auto result = graph.validate();
+    RAP_ASSERT(result.ok(), "malformed preprocessing graph:\n",
+               result.render());
 }
 
 /** The TorchArrow default pipeline: Plans 0 and 1 (104 ops). */
@@ -190,7 +194,7 @@ makePlan(int plan_id, std::uint64_t seed)
     RAP_ASSERT(plan.graph.nodeCount() == spec.totalOps,
                "plan ", plan_id, " produced ", plan.graph.nodeCount(),
                " ops, expected ", spec.totalOps);
-    plan.graph.validate();
+    checkGraph(plan.graph);
     return plan;
 }
 
@@ -220,16 +224,13 @@ makeSkewedPlan(int plan_id, int heavy_features, int extra_heavy_ops,
             node.featureId = feature_id;
             node.inputs = {ColumnRef{data::FeatureKind::Sparse,
                                      static_cast<std::size_t>(s)}};
-            node.output = node.inputs.front();
-            node.params.hashSize =
-                schema.sparse(static_cast<std::size_t>(s)).hashSize;
             node.params.ngramN = 2;
             if (tail >= 0)
                 node.deps = {tail};
             plan.graph.addNode(std::move(node));
         }
     }
-    plan.graph.validate();
+    checkGraph(plan.graph);
     return plan;
 }
 
@@ -253,14 +254,12 @@ addNgramStress(PreprocPlan &plan, int count)
         node.type = OpType::Ngram;
         node.featureId = sparseFeatureId(schema, s);
         node.inputs = {ColumnRef{data::FeatureKind::Sparse, s}};
-        node.output = node.inputs.front();
-        node.params.hashSize = schema.sparse(s).hashSize;
         node.params.ngramN = 2;
         if (tails[s] >= 0)
             node.deps = {tails[s]};
         plan.graph.addNode(std::move(node));
     }
-    plan.graph.validate();
+    checkGraph(plan.graph);
 }
 
 } // namespace rap::preproc

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "preproc/cost_model.hpp"
+#include "preproc/plan.hpp"
 #include "sim/gpu_spec.hpp"
 
 namespace rap::preproc {
@@ -169,6 +170,65 @@ TEST(OpTypes, PredictorCategoriesMatchTable5)
               PredictorCategory::OneDimensional);
     EXPECT_EQ(predictorCategoryName(PredictorCategory::OneDimensional),
               "1D Ops");
+}
+
+TEST(Executor, NodeShapeReflectsSchema)
+{
+    const auto plan = makePlan(1);
+    const auto sparse_nodes =
+        plan.graph.featureNodes(sparseFeatureId(plan.schema, 4));
+    const auto shape = nodeShape(plan.graph.node(sparse_nodes.front()),
+                                 plan.schema, 4096);
+    EXPECT_EQ(shape.rows, 4096);
+    EXPECT_EQ(shape.width, 1);
+    EXPECT_DOUBLE_EQ(shape.avgListLength,
+                     plan.schema.sparse(4).avgListLength);
+}
+
+TEST(Executor, NgramShapeAccountsForAllInputs)
+{
+    const auto plan = makePlan(1);
+    OpNode ngram;
+    ngram.type = OpType::Ngram;
+    ngram.inputs = {ColumnRef{data::FeatureKind::Sparse, 4},
+                    ColumnRef{data::FeatureKind::Sparse, 5}};
+    ngram.featureId = sparseFeatureId(plan.schema, 4);
+    const auto shape = nodeShape(ngram, plan.schema, 4096);
+    EXPECT_DOUBLE_EQ(shape.avgListLength,
+                     plan.schema.sparse(4).avgListLength * 2.0);
+}
+
+TEST(Executor, GraphExclusiveLatencyScalesWithPlanSize)
+{
+    const auto spec = sim::a100Spec();
+    const Seconds small =
+        graphExclusiveLatency(makePlan(0).graph, 4096, spec);
+    const Seconds large =
+        graphExclusiveLatency(makePlan(3).graph, 4096, spec);
+    EXPECT_GT(small, 0.0);
+    EXPECT_GT(large, 3.0 * small);
+}
+
+TEST(Executor, GraphExclusiveLatencyScalesWithBatch)
+{
+    const auto spec = sim::a100Spec();
+    const auto plan = makePlan(2);
+    EXPECT_GE(graphExclusiveLatency(plan.graph, 65536, spec),
+              graphExclusiveLatency(plan.graph, 1024, spec));
+}
+
+TEST(NodeShapeDeathTest, SparseInputOutsideTheSchemaPanics)
+{
+    // No fallback list length: a column outside the schema is a bug
+    // that PreprocGraph::validate reports before any run prices it.
+    const auto plan = makePlan(1);
+    OpNode node;
+    node.type = OpType::FirstX;
+    node.inputs = {ColumnRef{data::FeatureKind::Sparse,
+                             plan.schema.sparseCount()}};
+    node.featureId = 0;
+    EXPECT_DEATH(nodeShape(node, plan.schema, 4096),
+                 "reads sparse column 26 of 26");
 }
 
 } // namespace

@@ -23,7 +23,6 @@ makeNode(OpType type, int feature, std::vector<int> deps,
     node.featureId = feature;
     node.deps = std::move(deps);
     node.inputs = {ColumnRef{kind, column}};
-    node.output = node.inputs.front();
     return node;
 }
 
@@ -117,7 +116,7 @@ TEST(PreprocGraph, SubgraphExtractsFeatureWithDeps)
     graph.addNode(makeNode(OpType::FillNull, 14, {}, 1));
     const auto sub = graph.subgraphForFeatures({13});
     EXPECT_EQ(sub.nodeCount(), 4u);
-    sub.validate();
+    EXPECT_TRUE(sub.validate().ok());
     const auto sub2 = graph.subgraphForFeatures({14});
     EXPECT_EQ(sub2.nodeCount(), 1u);
 }
@@ -155,7 +154,32 @@ TEST(PreprocGraphDeath, ValidateRejectsInputlessNodes)
     node.type = OpType::FillNull;
     node.featureId = 0;
     graph.addNode(std::move(node));
-    EXPECT_DEATH(graph.validate(), "no inputs");
+    const auto result = graph.validate();
+    ASSERT_EQ(result.errors().size(), 1u);
+    EXPECT_EQ(result.errors()[0].field, "nodes[0].inputs");
+    EXPECT_EQ(result.errors()[0].message, "node has no inputs");
+}
+
+TEST(PreprocGraph, ValidateReportsEveryOutOfRangeField)
+{
+    // One node reads a sparse column past the schema, another names a
+    // feature past it: both are reported at once, by field.
+    data::Schema schema;
+    schema.addDense("d");
+    schema.addSparse("s", 100, 6.0);
+    PreprocGraph graph(schema);
+    graph.addNode(makeNode(OpType::FillNull, 0, {}, 0,
+                           FeatureKind::Dense));
+    graph.addNode(makeNode(OpType::FirstX, 1, {}, 7));
+    graph.addNode(makeNode(OpType::SigridHash, 9, {1}, 0));
+    const auto result = graph.validate();
+    ASSERT_EQ(result.errors().size(), 2u);
+    EXPECT_EQ(result.errors()[0].field, "nodes[1].inputs[0]");
+    EXPECT_EQ(result.errors()[0].message,
+              "sparse column 7 is out of range; the schema has 1");
+    EXPECT_EQ(result.errors()[1].field, "nodes[2].featureId");
+    EXPECT_EQ(result.errors()[1].message,
+              "feature id 9 is out of range [0, 2)");
 }
 
 } // namespace

@@ -102,7 +102,7 @@ TEST(Mapping, BuildGpuGraphReplicatesChains)
     const auto graph = f.mapper.buildGpuGraph(mapping, 0);
     // GPU 0 preprocesses one full batch: the whole plan once.
     EXPECT_EQ(graph.nodeCount(), f.plan.graph.nodeCount());
-    graph.validate();
+    EXPECT_TRUE(graph.validate().ok());
 }
 
 TEST(Mapping, BuildGpuGraphCoversAllNodesAcrossGpus)
@@ -112,7 +112,7 @@ TEST(Mapping, BuildGpuGraphCoversAllNodesAcrossGpus)
     std::size_t total = 0;
     for (int g = 0; g < 4; ++g) {
         const auto graph = f.mapper.buildGpuGraph(mapping, g);
-        graph.validate();
+        EXPECT_TRUE(graph.validate().ok());
         total += graph.nodeCount();
     }
     // Every feature chain appears once per batch (4 batches total).
@@ -272,7 +272,6 @@ TEST(MappingChains, FollowKahnOrderNotIdOrder)
         n.inputs = {preproc::ColumnRef{
             data::FeatureKind::Dense,
             static_cast<std::size_t>(feature)}};
-        n.output = n.inputs.front();
         return n;
     };
     preproc::PreprocGraph graph(plan.schema);

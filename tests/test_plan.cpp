@@ -24,7 +24,7 @@ TEST_P(PlanPresetTest, MatchesTable3)
     EXPECT_EQ(plan.schema.denseCount(), spec.denseCount);
     EXPECT_EQ(plan.schema.sparseCount(), spec.sparseCount);
     EXPECT_EQ(plan.graph.nodeCount(), spec.totalOps);
-    plan.graph.validate();
+    EXPECT_TRUE(plan.graph.validate().ok());
 }
 
 TEST_P(PlanPresetTest, EveryFeatureHasAChain)
@@ -94,10 +94,16 @@ TEST(DefaultPlan, UsesTorchArrowPipeline)
 TEST(DefaultPlan, SparseHashSizesComeFromSchema)
 {
     const auto plan = makePlan(1);
+    // Nodes carry no hash size of their own: a sparse chain reads its
+    // schema column, whose spec holds the one hash size that sharding
+    // and the embedding tables use.
     const auto nodes =
         plan.graph.featureNodes(sparseFeatureId(plan.schema, 0));
-    EXPECT_EQ(plan.graph.node(nodes[1]).params.hashSize,
-              plan.schema.sparse(0).hashSize);
+    const auto &hash = plan.graph.node(nodes[1]);
+    ASSERT_EQ(hash.type, OpType::SigridHash);
+    ASSERT_EQ(hash.inputs.size(), 1u);
+    EXPECT_EQ(hash.inputs.front().kind, data::FeatureKind::Sparse);
+    EXPECT_EQ(hash.inputs.front().index, 0u);
 }
 
 TEST(RandomPlan, ChainsAreSequentialPerFeature)
@@ -134,7 +140,7 @@ TEST(NgramStress, AppendsRoundRobin)
     // All added ops are Ngram.
     const auto histogram = plan.graph.opTypeHistogram();
     EXPECT_EQ(histogram[static_cast<std::size_t>(OpType::Ngram)], 13u);
-    plan.graph.validate();
+    EXPECT_TRUE(plan.graph.validate().ok());
 }
 
 TEST(FeatureIdHelpers, RoundTrip)

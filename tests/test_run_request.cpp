@@ -3,7 +3,8 @@
  * Tests for the validated run API: SystemConfig::validate() (one test
  * per error path, plus multi-error accumulation) and the RunRequest
  * builder (field plumbing, validate() pass-through, and build()'s
- * fatal exit on an invalid configuration), and that a trace path
+ * fatal exit on an invalid configuration), run()'s exit on a
+ * hand-built graph that leaves its schema, and that a trace path
  * changes no report byte.
  */
 
@@ -214,6 +215,57 @@ TEST(RunRequestDeathTest, BadFaultSpecExitsBeforePlanning)
     EXPECT_EXIT(request.run(preproc::makePlan(0)),
                 testing::ExitedWithCode(1),
                 "faults\\.events\\[0\\]\\.device");
+}
+
+/**
+ * A hand-built plan over one dense and one sparse feature (mean list
+ * length 6): a FillNull on the dense feature, and a FirstX that reads
+ * sparse column @p sparse_column and feeds feature @p sparse_feature.
+ */
+preproc::PreprocPlan
+handBuiltPlan(std::size_t sparse_column, int sparse_feature)
+{
+    preproc::PreprocPlan plan;
+    plan.schema.addDense("d");
+    plan.schema.addSparse("s", 1000, 6.0);
+    plan.graph = preproc::PreprocGraph(plan.schema);
+    preproc::OpNode dense;
+    dense.type = preproc::OpType::FillNull;
+    dense.featureId = 0;
+    dense.inputs = {{data::FeatureKind::Dense, 0}};
+    plan.graph.addNode(dense);
+    preproc::OpNode sparse;
+    sparse.type = preproc::OpType::FirstX;
+    sparse.featureId = sparse_feature;
+    sparse.inputs = {{data::FeatureKind::Sparse, sparse_column}};
+    plan.graph.addNode(sparse);
+    return plan;
+}
+
+RunRequest
+twoGpuRap()
+{
+    RunRequest request(System::Rap);
+    request.gpus(2).batchPerGpu(1024).iterations(6, 1);
+    return request;
+}
+
+TEST(RunRequestDeathTest, OutOfRangeInputColumnExitsBeforePlanning)
+{
+    // Priced as a list length of 1.0 before the graph was checked.
+    EXPECT_EXIT(twoGpuRap().run(handBuiltPlan(7, 1)),
+                testing::ExitedWithCode(1),
+                "graph\\.nodes\\[1\\]\\.inputs\\[0\\]: sparse column 7 "
+                "is out of range");
+}
+
+TEST(RunRequestDeathTest, OutOfRangeFeatureIdExitsBeforePlanning)
+{
+    // Panicked in the embedding sharding before the graph was checked.
+    EXPECT_EXIT(twoGpuRap().run(handBuiltPlan(0, 9)),
+                testing::ExitedWithCode(1),
+                "graph\\.nodes\\[1\\]\\.featureId: feature id 9 is out "
+                "of range");
 }
 
 TEST(RunRequest, BuilderPlumbsEveryField)
