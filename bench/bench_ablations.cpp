@@ -198,9 +198,9 @@ ablationRegenerationCost()
         const auto plan = preproc::makePlan(plan_id);
         const auto cluster_spec = sim::dgxA100Spec(8);
         const auto config =
-            dlrm::makeDlrmConfig(plan.spec.dataset, plan.schema);
+            dlrm::makeDlrmConfig(plan.spec.dataset, plan.graph.schema());
         const auto sharding =
-            dlrm::EmbeddingSharding::balanced(plan.schema, 8);
+            dlrm::EmbeddingSharding::balanced(plan.graph.schema(), 8);
 
         const auto t0 = std::chrono::steady_clock::now();
         core::OverlappingCapacityEstimator estimator(cluster_spec,

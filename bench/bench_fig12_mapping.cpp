@@ -47,9 +47,9 @@ main(int argc, char **argv)
     const int gpus = 8;
     const auto cluster_spec = sim::dgxA100Spec(gpus);
     const auto config =
-        dlrm::makeDlrmConfig(plan.spec.dataset, plan.schema);
+        dlrm::makeDlrmConfig(plan.spec.dataset, plan.graph.schema());
     const auto sharding =
-        dlrm::EmbeddingSharding::balanced(plan.schema, gpus);
+        dlrm::EmbeddingSharding::balanced(plan.graph.schema(), gpus);
 
     core::OverlappingCapacityEstimator estimator(cluster_spec, config,
                                                  sharding);

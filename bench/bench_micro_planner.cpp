@@ -65,9 +65,9 @@ timePlanSchedule(const preproc::PreprocPlan &plan, int gpus,
 {
     const auto cluster_spec = sim::dgxA100Spec(gpus);
     const auto config =
-        dlrm::makeDlrmConfig(plan.spec.dataset, plan.schema);
+        dlrm::makeDlrmConfig(plan.spec.dataset, plan.graph.schema());
     const auto sharding =
-        dlrm::EmbeddingSharding::balanced(plan.schema, gpus);
+        dlrm::EmbeddingSharding::balanced(plan.graph.schema(), gpus);
     core::OverlappingCapacityEstimator estimator(cluster_spec, config,
                                                  sharding);
     const auto profiles = estimator.profileAll();

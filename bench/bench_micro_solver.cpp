@@ -68,9 +68,9 @@ BM_CoRunSchedule(benchmark::State &state)
         preproc::makePlan(static_cast<int>(state.range(0)));
     const auto cluster_spec = sim::dgxA100Spec(2);
     const auto config =
-        dlrm::makeDlrmConfig(plan.spec.dataset, plan.schema);
+        dlrm::makeDlrmConfig(plan.spec.dataset, plan.graph.schema());
     const auto sharding =
-        dlrm::EmbeddingSharding::balanced(plan.schema, 2);
+        dlrm::EmbeddingSharding::balanced(plan.graph.schema(), 2);
     core::OverlappingCapacityEstimator estimator(cluster_spec, config,
                                                  sharding);
     const auto profile = estimator.profile(0);

@@ -143,7 +143,6 @@ main()
     //    reads a missing column or names a missing feature exits with
     //    the field named instead of running.
     preproc::PreprocPlan plan;
-    plan.schema = schema;
     plan.graph = graph;
     AsciiTable runs({"system", "iter latency", "vs ideal"});
     Seconds ideal = 0.0;

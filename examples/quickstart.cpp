@@ -20,7 +20,7 @@ main()
     //    sparse; 104 operations, Table 3).
     const auto plan = preproc::makePlan(1);
     std::cout << "plan 1: " << plan.graph.nodeCount() << " ops over "
-              << plan.schema.featureCount() << " features\n";
+              << plan.graph.schema().featureCount() << " features\n";
 
     // 2. End-to-end online training on a simulated 4-GPU node.
     core::SystemConfig config;

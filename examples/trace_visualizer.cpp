@@ -31,9 +31,9 @@ exportCoRunTimeline(const std::string &path, bool fused)
     const int gpus = 4;
     const auto cluster_spec = sim::dgxA100Spec(gpus);
     const auto config =
-        dlrm::makeDlrmConfig(plan.spec.dataset, plan.schema);
+        dlrm::makeDlrmConfig(plan.spec.dataset, plan.graph.schema());
     const auto sharding =
-        dlrm::EmbeddingSharding::balanced(plan.schema, gpus);
+        dlrm::EmbeddingSharding::balanced(plan.graph.schema(), gpus);
 
     core::OverlappingCapacityEstimator estimator(cluster_spec, config,
                                                  sharding);

@@ -102,75 +102,10 @@ Rng::normal(double mean, double stddev)
     return mean + stddev * normal();
 }
 
-double
-Rng::logNormal(double mu, double sigma)
-{
-    return std::exp(normal(mu, sigma));
-}
-
 bool
 Rng::bernoulli(double p)
 {
     return uniform() < p;
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next() ^ 0xd1b54a32d192ed03ULL);
-}
-
-ZipfSampler::ZipfSampler(std::int64_t n, double alpha)
-    : n_(n), alpha_(alpha), logarithmic_(std::abs(alpha - 1.0) < 1e-12)
-{
-    RAP_ASSERT(n >= 1, "zipf support size must be >= 1");
-    RAP_ASSERT(alpha > 0.0, "zipf skew must be > 0");
-    if (n == 1)
-        return;
-    hx0_ = h(0.5) - 1.0;
-    hn_ = h(static_cast<double>(n) + 0.5);
-    bound_.resize(static_cast<std::size_t>(std::min(n, kTabulated)));
-    for (std::size_t i = 0; i < bound_.size(); ++i) {
-        const double k = static_cast<double>(i + 1);
-        bound_[i] = h(k + 0.5) - std::pow(k, -alpha_);
-    }
-}
-
-double
-ZipfSampler::h(double x) const
-{
-    if (logarithmic_)
-        return std::log(x);
-    return (std::pow(x, 1.0 - alpha_) - 1.0) / (1.0 - alpha_);
-}
-
-double
-ZipfSampler::hInv(double x) const
-{
-    if (logarithmic_)
-        return std::exp(x);
-    return std::pow(1.0 + x * (1.0 - alpha_), 1.0 / (1.0 - alpha_));
-}
-
-std::int64_t
-ZipfSampler::operator()(Rng &rng) const
-{
-    if (n_ == 1)
-        return 0;
-    // Rejection-inversion over ranks 1..n.
-    const double nd = static_cast<double>(n_);
-    for (;;) {
-        const double u = hx0_ + rng.uniform() * (hn_ - hx0_);
-        const double x = hInv(u);
-        const double k = std::floor(x + 0.5);
-        const double clamped = std::min(std::max(k, 1.0), nd);
-        const double bound =
-            clamped <= static_cast<double>(bound_.size())
-                ? bound_[static_cast<std::size_t>(clamped) - 1]
-                : h(clamped + 0.5) - std::pow(clamped, -alpha_);
-        if (u >= bound)
-            return static_cast<std::int64_t>(clamped) - 1;
-    }
 }
 
 double

@@ -20,26 +20,17 @@ namespace rap {
 /**
  * A small, fast, deterministic pseudo-random generator (xoshiro256**).
  *
- * Satisfies the essentials of UniformRandomBitGenerator so it can also be
- * plugged into standard distributions if ever needed, but ships its own
- * distribution helpers to guarantee cross-platform determinism.
+ * Ships its own distribution helpers to guarantee cross-platform
+ * determinism.
  */
 class Rng
 {
   public:
-    using result_type = std::uint64_t;
-
     /** Construct from a 64-bit seed; equal seeds yield equal streams. */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-    static constexpr result_type min() { return 0; }
-    static constexpr result_type max() { return ~0ULL; }
-
     /** @return The next raw 64-bit value. */
     std::uint64_t next();
-
-    /** Alias for next() so Rng models UniformRandomBitGenerator. */
-    result_type operator()() { return next(); }
 
     /** @return Uniform double in [0, 1). */
     double uniform();
@@ -56,14 +47,8 @@ class Rng
     /** @return Normal variate with the given mean and stddev. */
     double normal(double mean, double stddev);
 
-    /** @return Log-normal variate with underlying N(mu, sigma). */
-    double logNormal(double mu, double sigma);
-
     /** @return True with probability @p p. */
     bool bernoulli(double p);
-
-    /** Fork an independent child stream (for per-column generators). */
-    Rng fork();
 
     /** In-place Fisher-Yates shuffle. */
     template <typename T>
@@ -81,47 +66,6 @@ class Rng
     std::uint64_t s_[4];
     bool haveSpareNormal_ = false;
     double spareNormal_ = 0.0;
-};
-
-/**
- * Zipf distribution over {0, ..., n-1}, sampled by rejection-inversion
- * (Hörmann, 1996) so a draw stays O(1) even for the hundred-million-row
- * hash spaces of the Criteo Terabyte preset.
- *
- * Everything that depends only on (n, alpha) is computed once: the two
- * ends of the inversion interval, and the acceptance bound
- * h(k + 0.5) - k^-alpha for the ranks k <= kTabulated where most draws
- * land. Each is built from the same expression the rejection loop
- * would evaluate, so a draw, and the generator state it leaves behind,
- * is bit-identical to evaluating every pow() per draw.
- */
-class ZipfSampler
-{
-  public:
-    /** Ranks whose acceptance bound is tabulated. */
-    static constexpr std::int64_t kTabulated = 1024;
-
-    /**
-     * @param n Support size (must be >= 1).
-     * @param alpha Skew parameter (> 0); larger means more skewed.
-     */
-    ZipfSampler(std::int64_t n, double alpha);
-
-    /** @return One rank in [0, n), drawn from @p rng. */
-    std::int64_t operator()(Rng &rng) const;
-
-  private:
-    double h(double x) const;
-    double hInv(double x) const;
-
-    std::int64_t n_;
-    double alpha_;
-    /** alpha == 1 (within 1e-12): h is log, hInv is exp. */
-    bool logarithmic_;
-    double hx0_ = 0.0;
-    double hn_ = 0.0;
-    /** bound_[k - 1] = h(k + 0.5) - k^-alpha, k <= min(n, kTabulated). */
-    std::vector<double> bound_;
 };
 
 /**

@@ -51,7 +51,8 @@ GraphMapper::GraphMapper(const preproc::PreprocPlan &plan,
         if (f >= chains_.size())
             chains_.resize(f + 1);
         auto &chain = chains_[f];
-        const auto shape = preproc::nodeShape(node, plan_.schema, rows_);
+        const auto shape =
+            preproc::nodeShape(node, plan_.graph.schema(), rows_);
         chain.nodes.push_back(id);
         chain.latency +=
             preproc::makeOpKernel(node.type, shape, clusterSpec_.gpu)
@@ -77,7 +78,7 @@ GraphMapper::featureChain(int feature_id) const
 int
 GraphMapper::consumer(const WorkItem &item) const
 {
-    const auto &schema = plan_.schema;
+    const auto &schema = plan_.graph.schema();
     if (preproc::isSparseFeatureId(schema, item.featureId)) {
         return sharding_.owner(
             preproc::sparseIndexOfFeatureId(schema, item.featureId));
@@ -88,7 +89,7 @@ GraphMapper::consumer(const WorkItem &item) const
 std::vector<int>
 GraphMapper::consumers(const WorkItem &item) const
 {
-    const auto &schema = plan_.schema;
+    const auto &schema = plan_.graph.schema();
     if (preproc::isSparseFeatureId(schema, item.featureId)) {
         return sharding_.consumersOf(
             preproc::sparseIndexOfFeatureId(schema, item.featureId));
@@ -105,7 +106,7 @@ GraphMapper::featureOutputBytes(int feature_id) const
 Bytes
 GraphMapper::featureRawBytes(int feature_id) const
 {
-    const auto &schema = plan_.schema;
+    const auto &schema = plan_.graph.schema();
     const double rows = static_cast<double>(rows_);
     if (preproc::isSparseFeatureId(schema, feature_id)) {
         const auto &spec = schema.sparse(
@@ -202,7 +203,7 @@ GraphMapper::buildGpuGraph(const GraphMapping &mapping, int gpu) const
 {
     RAP_ASSERT(gpu >= 0 && gpu < mapping.gpuCount(),
                "gpu ordinal out of range");
-    preproc::PreprocGraph graph(plan_.schema);
+    preproc::PreprocGraph graph(plan_.graph.schema());
     for (const auto &item :
          mapping.itemsPerGpu[static_cast<std::size_t>(gpu)]) {
         std::map<int, int> remap; // source node id -> new node id

@@ -215,8 +215,8 @@ clusterSpecFor(const SystemConfig &config)
 dlrm::DlrmConfig
 modelConfigFor(const SystemConfig &config, const preproc::PreprocPlan &plan)
 {
-    auto model = dlrm::makeDlrmConfig(plan.spec.dataset, plan.schema,
-                                      config.batchPerGpu);
+    auto model = dlrm::makeDlrmConfig(
+        plan.spec.dataset, plan.graph.schema(), config.batchPerGpu);
     model.inferenceOnly = config.inference;
     return model;
 }
@@ -252,9 +252,9 @@ makeSharding(const SystemConfig &config,
 {
     return config.rowWiseThreshold > 0
                ? dlrm::EmbeddingSharding::balancedWithRowWise(
-                     plan.schema, config.gpuCount,
+                     plan.graph.schema(), config.gpuCount,
                      config.rowWiseThreshold)
-               : dlrm::EmbeddingSharding::balanced(plan.schema,
+               : dlrm::EmbeddingSharding::balanced(plan.graph.schema(),
                                                    config.gpuCount);
 }
 
@@ -810,7 +810,7 @@ class TorchArrowInput final : public InputPath
         const auto &graph = session.plan.graph;
         for (const auto &node : graph.nodes()) {
             batchCoreSeconds_ += preproc::opCpuSeconds(
-                node.type, preproc::nodeShape(node, session.plan.schema,
+                node.type, preproc::nodeShape(node, graph.schema(),
                                               config_.batchPerGpu));
         }
         std::map<int, int> tails; // feature id -> last node in topo order
@@ -819,7 +819,7 @@ class TorchArrowInput final : public InputPath
         for (const auto &[feature, tail_id] : tails) {
             const auto &tail = graph.node(tail_id);
             batchOutBytes_ += preproc::opOutputBytes(
-                tail.type, preproc::nodeShape(tail, session.plan.schema,
+                tail.type, preproc::nodeShape(tail, graph.schema(),
                                               config_.batchPerGpu));
         }
     }

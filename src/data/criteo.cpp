@@ -1,5 +1,6 @@
 #include "data/criteo.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/log.hpp"
@@ -10,17 +11,6 @@ namespace {
 
 constexpr std::int64_t kKaggleTotalHash = 33'700'000;
 constexpr std::int64_t kTerabyteTotalHash = 177'900'000;
-
-/** Mix function that turns a small id into a raw-looking 64-bit value. */
-std::int64_t
-scramble(std::int64_t x)
-{
-    auto v = static_cast<std::uint64_t>(x) * 0x9e3779b97f4a7c15ULL;
-    v ^= v >> 29;
-    v *= 0xbf58476d1ce4e5b9ULL;
-    v ^= v >> 32;
-    return static_cast<std::int64_t>(v & 0x7fffffffffffffffULL);
-}
 
 /**
  * Split @p total across @p n tables with zipf-style weights 1/(i+1)^1.2,
@@ -106,63 +96,6 @@ makeScaledSchema(DatasetPreset preset, std::size_t dense_count,
                                    ? kKaggleTotalHash
                                    : kTerabyteTotalHash;
     return buildSchema(total, dense_count, sparse_count);
-}
-
-CriteoGenerator::CriteoGenerator(Schema schema, std::uint64_t seed)
-    : schema_(std::move(schema)), rng_(seed)
-{
-    zipf_.reserve(schema_.sparseCount());
-    for (std::size_t f = 0; f < schema_.sparseCount(); ++f)
-        zipf_.emplace_back(schema_.sparse(f).hashSize, 1.05);
-}
-
-void
-CriteoGenerator::setNullProbability(double p)
-{
-    RAP_ASSERT(p >= 0.0 && p <= 1.0, "null probability out of range");
-    nullProb_ = p;
-}
-
-RecordBatch
-CriteoGenerator::generate(std::size_t rows)
-{
-    RecordBatch batch(schema_, rows);
-
-    for (std::size_t f = 0; f < schema_.denseCount(); ++f) {
-        DenseColumn col(rows);
-        for (std::size_t r = 0; r < rows; ++r) {
-            if (rng_.bernoulli(nullProb_)) {
-                col.setNull(r);
-            } else {
-                col.set(r, static_cast<float>(rng_.logNormal(1.5, 1.0)));
-            }
-        }
-        batch.setDense(f, col);
-    }
-
-    std::vector<std::int64_t> ids;
-    for (std::size_t f = 0; f < schema_.sparseCount(); ++f) {
-        const auto &spec = schema_.sparse(f);
-        SparseColumn col;
-        for (std::size_t r = 0; r < rows; ++r) {
-            // List length: geometric-ish around the spec mean, >= 1, with
-            // a small chance of an empty (missing) list.
-            std::size_t len = 1;
-            if (spec.avgListLength > 1.0) {
-                len = static_cast<std::size_t>(rng_.uniformInt(
-                    1, static_cast<std::int64_t>(
-                           2.0 * spec.avgListLength - 1.0)));
-            }
-            if (rng_.bernoulli(0.02))
-                len = 0;
-            ids.clear();
-            for (std::size_t i = 0; i < len; ++i)
-                ids.push_back(scramble(zipf_[f](rng_)));
-            col.appendRow(ids);
-        }
-        batch.setSparse(f, std::move(col));
-    }
-    return batch;
 }
 
 } // namespace rap::data

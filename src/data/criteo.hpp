@@ -1,24 +1,20 @@
 /**
  * @file
- * Synthetic Criteo-like dataset presets and batch generator.
+ * Criteo dataset presets as schemas.
  *
  * The paper evaluates on Criteo Kaggle (33.7M total hash size) and Criteo
  * Terabyte (177.9M total hash size), both with 13 dense and 26 sparse
- * features (Table 2). Neither dataset ships with this repository, so a
- * seeded generator synthesises batches with the same shape: log-normal
- * dense values with injected nulls, and zipfian multi-hot sparse id lists
- * whose raw ids require hashing (SigridHash) before embedding lookup.
+ * features (Table 2). Neither dataset ships with this repository, and
+ * none is needed: the cost model prices preprocessing from a schema's
+ * feature counts, hash sizes and mean list lengths, never from values.
  */
 
 #ifndef RAP_DATA_CRITEO_HPP
 #define RAP_DATA_CRITEO_HPP
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
-#include <vector>
 
-#include "common/rng.hpp"
-#include "data/batch.hpp"
 #include "data/schema.hpp"
 
 namespace rap::data {
@@ -47,31 +43,6 @@ Schema makePresetSchema(DatasetPreset preset);
  */
 Schema makeScaledSchema(DatasetPreset preset, std::size_t dense_count,
                         std::size_t sparse_count);
-
-/**
- * Deterministic batch generator over a schema.
- */
-class CriteoGenerator
-{
-  public:
-    /** Construct for @p schema; all randomness derives from @p seed. */
-    CriteoGenerator(Schema schema, std::uint64_t seed);
-
-    /** Fraction of dense entries generated as null (default 5%). */
-    void setNullProbability(double p);
-
-    /** @return One fresh batch of @p rows rows. */
-    RecordBatch generate(std::size_t rows);
-
-    const Schema &schema() const { return schema_; }
-
-  private:
-    Schema schema_;
-    Rng rng_;
-    /** One id sampler per sparse feature (its hash size, skew 1.05). */
-    std::vector<ZipfSampler> zipf_;
-    double nullProb_ = 0.05;
-};
 
 } // namespace rap::data
 

@@ -183,13 +183,12 @@ makePlan(int plan_id, std::uint64_t seed)
     const PlanSpec spec = planSpec(plan_id);
     PreprocPlan plan;
     plan.spec = spec;
-    plan.schema = data::makeScaledSchema(spec.dataset, spec.denseCount,
-                                         spec.sparseCount);
+    const auto schema = data::makeScaledSchema(
+        spec.dataset, spec.denseCount, spec.sparseCount);
     if (plan_id <= 1) {
-        plan.graph = buildDefaultGraph(plan.schema);
+        plan.graph = buildDefaultGraph(schema);
     } else {
-        plan.graph =
-            buildRandomGraph(plan.schema, spec.totalOps, seed);
+        plan.graph = buildRandomGraph(schema, spec.totalOps, seed);
     }
     RAP_ASSERT(plan.graph.nodeCount() == spec.totalOps,
                "plan ", plan_id, " produced ", plan.graph.nodeCount(),
@@ -203,7 +202,7 @@ makeSkewedPlan(int plan_id, int heavy_features, int extra_heavy_ops,
                std::uint64_t seed)
 {
     PreprocPlan plan = makePlan(plan_id, seed);
-    const auto &schema = plan.schema;
+    const auto &schema = plan.graph.schema();
 
     // Hash sizes are descending by construction, so the first sparse
     // features are the ones a size-balancing sharder puts on GPU 0.
@@ -237,7 +236,7 @@ makeSkewedPlan(int plan_id, int heavy_features, int extra_heavy_ops,
 void
 addNgramStress(PreprocPlan &plan, int count)
 {
-    const auto &schema = plan.schema;
+    const auto &schema = plan.graph.schema();
     RAP_ASSERT(schema.sparseCount() > 0, "plan has no sparse features");
     std::vector<int> tails(schema.sparseCount());
     for (std::size_t s = 0; s < schema.sparseCount(); ++s) {

@@ -33,11 +33,14 @@ struct PlanSpec
 /** @return The Table-3 spec for plan @p plan_id in [0, 3]. */
 PlanSpec planSpec(int plan_id);
 
-/** A schema plus the preprocessing DAG over it. */
+/**
+ * A preprocessing DAG and the spec it was built from. The graph holds
+ * the plan's one schema, so PreprocGraph::validate checks every schema
+ * a run reads.
+ */
 struct PreprocPlan
 {
     PlanSpec spec;
-    data::Schema schema;
     PreprocGraph graph;
 };
 

@@ -16,8 +16,8 @@ struct Fixture
     explicit Fixture(int gpus = 2)
         : plan(preproc::makePlan(0)),
           clusterSpec(sim::dgxA100Spec(gpus)),
-          config(dlrm::makeDlrmConfig(plan.spec.dataset, plan.schema)),
-          sharding(dlrm::EmbeddingSharding::balanced(plan.schema, gpus))
+          config(dlrm::makeDlrmConfig(plan.spec.dataset, plan.graph.schema())),
+          sharding(dlrm::EmbeddingSharding::balanced(plan.graph.schema(), gpus))
     {
     }
     preproc::PreprocPlan plan;

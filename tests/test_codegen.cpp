@@ -17,8 +17,8 @@ struct Fixture
     Fixture()
         : plan(preproc::makePlan(0)),
           clusterSpec(sim::dgxA100Spec(2)),
-          config(dlrm::makeDlrmConfig(plan.spec.dataset, plan.schema)),
-          sharding(dlrm::EmbeddingSharding::balanced(plan.schema, 2)),
+          config(dlrm::makeDlrmConfig(plan.spec.dataset, plan.graph.schema())),
+          sharding(dlrm::EmbeddingSharding::balanced(plan.graph.schema(), 2)),
           planner(clusterSpec.gpu)
     {
         OverlappingCapacityEstimator estimator(clusterSpec, config,

@@ -176,13 +176,13 @@ TEST(Executor, NodeShapeReflectsSchema)
 {
     const auto plan = makePlan(1);
     const auto sparse_nodes =
-        plan.graph.featureNodes(sparseFeatureId(plan.schema, 4));
+        plan.graph.featureNodes(sparseFeatureId(plan.graph.schema(), 4));
     const auto shape = nodeShape(plan.graph.node(sparse_nodes.front()),
-                                 plan.schema, 4096);
+                                 plan.graph.schema(), 4096);
     EXPECT_EQ(shape.rows, 4096);
     EXPECT_EQ(shape.width, 1);
     EXPECT_DOUBLE_EQ(shape.avgListLength,
-                     plan.schema.sparse(4).avgListLength);
+                     plan.graph.schema().sparse(4).avgListLength);
 }
 
 TEST(Executor, NgramShapeAccountsForAllInputs)
@@ -192,10 +192,10 @@ TEST(Executor, NgramShapeAccountsForAllInputs)
     ngram.type = OpType::Ngram;
     ngram.inputs = {ColumnRef{data::FeatureKind::Sparse, 4},
                     ColumnRef{data::FeatureKind::Sparse, 5}};
-    ngram.featureId = sparseFeatureId(plan.schema, 4);
-    const auto shape = nodeShape(ngram, plan.schema, 4096);
+    ngram.featureId = sparseFeatureId(plan.graph.schema(), 4);
+    const auto shape = nodeShape(ngram, plan.graph.schema(), 4096);
     EXPECT_DOUBLE_EQ(shape.avgListLength,
-                     plan.schema.sparse(4).avgListLength * 2.0);
+                     plan.graph.schema().sparse(4).avgListLength * 2.0);
 }
 
 TEST(Executor, GraphExclusiveLatencyScalesWithPlanSize)
@@ -225,9 +225,9 @@ TEST(NodeShapeDeathTest, SparseInputOutsideTheSchemaPanics)
     OpNode node;
     node.type = OpType::FirstX;
     node.inputs = {ColumnRef{data::FeatureKind::Sparse,
-                             plan.schema.sparseCount()}};
+                             plan.graph.schema().sparseCount()}};
     node.featureId = 0;
-    EXPECT_DEATH(nodeShape(node, plan.schema, 4096),
+    EXPECT_DEATH(nodeShape(node, plan.graph.schema(), 4096),
                  "reads sparse column 26 of 26");
 }
 

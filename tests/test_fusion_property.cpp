@@ -66,9 +66,9 @@ TEST_P(PlanSearchPropertyTest, ScheduleKeepsEveryNode)
     const auto plan = preproc::makePlan(2, GetParam());
     const auto cluster_spec = sim::dgxA100Spec(2);
     const auto config =
-        dlrm::makeDlrmConfig(plan.spec.dataset, plan.schema);
+        dlrm::makeDlrmConfig(plan.spec.dataset, plan.graph.schema());
     const auto sharding =
-        dlrm::EmbeddingSharding::balanced(plan.schema, 2);
+        dlrm::EmbeddingSharding::balanced(plan.graph.schema(), 2);
     OverlappingCapacityEstimator estimator(cluster_spec, config,
                                            sharding);
     const auto profile = estimator.profile(0);

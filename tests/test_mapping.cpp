@@ -15,7 +15,7 @@ struct Fixture
     explicit Fixture(int gpus = 4, int plan_id = 0)
         : plan(preproc::makePlan(plan_id)),
           clusterSpec(sim::dgxA100Spec(gpus)),
-          sharding(dlrm::EmbeddingSharding::balanced(plan.schema,
+          sharding(dlrm::EmbeddingSharding::balanced(plan.graph.schema(),
                                                      gpus)),
           mapper(plan, sharding, clusterSpec, 4096)
     {
@@ -39,7 +39,7 @@ TEST(Mapping, ConsumerRouting)
     // Dense items are consumed by their batch's GPU.
     EXPECT_EQ(f.mapper.consumer(WorkItem{0, 2}), 2);
     // Sparse items are consumed by the table owner, batch-independent.
-    const int fid = preproc::sparseFeatureId(f.plan.schema, 0);
+    const int fid = preproc::sparseFeatureId(f.plan.graph.schema(), 0);
     const int owner = f.sharding.owner(0);
     EXPECT_EQ(f.mapper.consumer(WorkItem{fid, 0}), owner);
     EXPECT_EQ(f.mapper.consumer(WorkItem{fid, 3}), owner);
@@ -50,7 +50,7 @@ TEST(Mapping, DataParallelAssignsBatchesWholesale)
     Fixture f;
     const auto mapping = f.mapper.map(MappingStrategy::DataParallel);
     ASSERT_EQ(mapping.gpuCount(), 4);
-    const std::size_t features = f.plan.schema.featureCount();
+    const std::size_t features = f.plan.graph.schema().featureCount();
     for (int g = 0; g < 4; ++g) {
         EXPECT_EQ(mapping.itemsPerGpu[static_cast<std::size_t>(g)]
                       .size(),
@@ -80,7 +80,7 @@ TEST(Mapping, DataLocalityHasZeroCommunication)
     for (Bytes b : mapping.commOutBytes)
         EXPECT_DOUBLE_EQ(b, 0.0);
     EXPECT_EQ(mapping.totalItems(),
-              f.plan.schema.featureCount() * 4);
+              f.plan.graph.schema().featureCount() * 4);
 }
 
 TEST(Mapping, DataLocalityPlacesItemsOnConsumers)
@@ -123,7 +123,7 @@ TEST(Mapping, FeatureByteHelpers)
 {
     Fixture f;
     const int dense_id = 0;
-    const int sparse_id = preproc::sparseFeatureId(f.plan.schema, 0);
+    const int sparse_id = preproc::sparseFeatureId(f.plan.graph.schema(), 0);
     EXPECT_GT(f.mapper.featureOutputBytes(dense_id), 0.0);
     EXPECT_GT(f.mapper.featureOutputBytes(sparse_id), 0.0);
     EXPECT_GT(f.mapper.featureRawBytes(dense_id), 0.0);
@@ -139,7 +139,7 @@ TEST(Mapping, RapKeepsLocalityWhenBalanced)
     Fixture f;
     OverlappingCapacityEstimator estimator(
         f.clusterSpec,
-        dlrm::makeDlrmConfig(f.plan.spec.dataset, f.plan.schema),
+        dlrm::makeDlrmConfig(f.plan.spec.dataset, f.plan.graph.schema()),
         f.sharding);
     const auto profiles = estimator.profileAll();
     HorizontalFusionPlanner planner(f.clusterSpec.gpu);
@@ -156,12 +156,12 @@ TEST(Mapping, RapRebalancesSkewedPlan)
     const auto plan = preproc::makeSkewedPlan(0, 4, 3000);
     const auto cluster_spec = sim::dgxA100Spec(4);
     const auto sharding =
-        dlrm::EmbeddingSharding::balanced(plan.schema, 4);
+        dlrm::EmbeddingSharding::balanced(plan.graph.schema(), 4);
     GraphMapper mapper(plan, sharding, cluster_spec, 4096);
 
     OverlappingCapacityEstimator estimator(
         cluster_spec,
-        dlrm::makeDlrmConfig(plan.spec.dataset, plan.schema), sharding);
+        dlrm::makeDlrmConfig(plan.spec.dataset, plan.graph.schema()), sharding);
     const auto profiles = estimator.profileAll();
     HorizontalFusionPlanner planner(cluster_spec.gpu);
 
@@ -219,13 +219,13 @@ expectChainsMatchGraph(const GraphMapper &mapper,
         EXPECT_EQ(mapper.featureOutputBytes(f),
                   preproc::opOutputBytes(
                       tail.type,
-                      preproc::nodeShape(tail, plan.schema, rows)));
+                      preproc::nodeShape(tail, plan.graph.schema(), rows)));
         Seconds latency = 0.0;
         for (int id : nodes) {
             const auto &node = plan.graph.node(id);
             latency += preproc::makeOpKernel(
                            node.type,
-                           preproc::nodeShape(node, plan.schema, rows),
+                           preproc::nodeShape(node, plan.graph.schema(), rows),
                            gpu)
                            .exclusiveLatency;
         }
@@ -244,7 +244,7 @@ TEST(MappingChains, TablesMatchFeatureNodesOnEveryPlan)
         SCOPED_TRACE("plan " + std::to_string(i));
         const auto &plan = plans[i];
         const auto sharding =
-            dlrm::EmbeddingSharding::balanced(plan.schema, 4);
+            dlrm::EmbeddingSharding::balanced(plan.graph.schema(), 4);
         const GraphMapper mapper(plan, sharding, cluster_spec, 4096);
         expectChainsMatchGraph(mapper, plan, cluster_spec.gpu, 4096);
         // A feature without nodes has an empty chain.
@@ -274,7 +274,7 @@ TEST(MappingChains, FollowKahnOrderNotIdOrder)
             static_cast<std::size_t>(feature)}};
         return n;
     };
-    preproc::PreprocGraph graph(plan.schema);
+    preproc::PreprocGraph graph(plan.graph.schema());
     graph.addNode(node(preproc::OpType::FillNull, b, {}));
     graph.addNode(node(preproc::OpType::Clamp, b, {0}));
     graph.addNode(node(preproc::OpType::Logit, a, {1}));
@@ -284,7 +284,7 @@ TEST(MappingChains, FollowKahnOrderNotIdOrder)
 
     const auto cluster_spec = sim::dgxA100Spec(2);
     const auto sharding =
-        dlrm::EmbeddingSharding::balanced(plan.schema, 2);
+        dlrm::EmbeddingSharding::balanced(plan.graph.schema(), 2);
     const GraphMapper mapper(plan, sharding, cluster_spec, 4096);
     EXPECT_EQ(mapper.featureChain(a), (std::vector<int>{3, 2}));
     EXPECT_EQ(mapper.featureChain(b), (std::vector<int>{0, 1}));
@@ -295,7 +295,7 @@ TEST(MappingDeath, MismatchedShardingPanics)
 {
     const auto plan = preproc::makePlan(0);
     const auto sharding =
-        dlrm::EmbeddingSharding::balanced(plan.schema, 2);
+        dlrm::EmbeddingSharding::balanced(plan.graph.schema(), 2);
     EXPECT_DEATH(GraphMapper(plan, sharding, sim::dgxA100Spec(4), 4096),
                  "does not match");
 }

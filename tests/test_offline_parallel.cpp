@@ -123,7 +123,7 @@ freshSchedules(const core::SystemConfig &config,
 {
     const auto spec = sim::dgxA100Spec(config.gpuCount);
     const auto sharding =
-        dlrm::EmbeddingSharding::balanced(plan.schema, config.gpuCount);
+        dlrm::EmbeddingSharding::balanced(plan.graph.schema(), config.gpuCount);
     const core::GraphMapper mapper(plan, sharding, spec,
                                    config.batchPerGpu);
     const core::HorizontalFusionPlanner fusion(
@@ -222,7 +222,7 @@ TEST(ReusedSchedules, DegradedReplanMatchesAFreshPass)
     }
     const auto spec = sim::dgxA100Spec(config.gpuCount);
     const auto sharding =
-        dlrm::EmbeddingSharding::balanced(plan.schema, config.gpuCount);
+        dlrm::EmbeddingSharding::balanced(plan.graph.schema(), config.gpuCount);
     const core::GraphMapper mapper(plan, sharding, spec,
                                    config.batchPerGpu);
     const core::HorizontalFusionPlanner fusion(spec.gpu);

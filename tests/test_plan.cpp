@@ -21,8 +21,8 @@ TEST_P(PlanPresetTest, MatchesTable3)
     const auto spec = planSpec(id);
     const auto plan = makePlan(id);
     EXPECT_EQ(plan.spec.id, id);
-    EXPECT_EQ(plan.schema.denseCount(), spec.denseCount);
-    EXPECT_EQ(plan.schema.sparseCount(), spec.sparseCount);
+    EXPECT_EQ(plan.graph.schema().denseCount(), spec.denseCount);
+    EXPECT_EQ(plan.graph.schema().sparseCount(), spec.sparseCount);
     EXPECT_EQ(plan.graph.nodeCount(), spec.totalOps);
     EXPECT_TRUE(plan.graph.validate().ok());
 }
@@ -31,7 +31,7 @@ TEST_P(PlanPresetTest, EveryFeatureHasAChain)
 {
     const auto plan = makePlan(GetParam());
     const auto features = plan.graph.featureIds();
-    EXPECT_EQ(features.size(), plan.schema.featureCount());
+    EXPECT_EQ(features.size(), plan.graph.schema().featureCount());
 }
 
 TEST_P(PlanPresetTest, DeterministicForSeed)
@@ -83,7 +83,7 @@ TEST(DefaultPlan, UsesTorchArrowPipeline)
     EXPECT_EQ(plan.graph.node(dense_nodes[1]).type, OpType::Logit);
     // Sparse chains: FillNull -> SigridHash -> FirstX.
     const auto sparse_nodes =
-        plan.graph.featureNodes(sparseFeatureId(plan.schema, 0));
+        plan.graph.featureNodes(sparseFeatureId(plan.graph.schema(), 0));
     ASSERT_EQ(sparse_nodes.size(), 3u);
     EXPECT_EQ(plan.graph.node(sparse_nodes[0]).type, OpType::FillNull);
     EXPECT_EQ(plan.graph.node(sparse_nodes[1]).type,
@@ -98,7 +98,7 @@ TEST(DefaultPlan, SparseHashSizesComeFromSchema)
     // schema column, whose spec holds the one hash size that sharding
     // and the embedding tables use.
     const auto nodes =
-        plan.graph.featureNodes(sparseFeatureId(plan.schema, 0));
+        plan.graph.featureNodes(sparseFeatureId(plan.graph.schema(), 0));
     const auto &hash = plan.graph.node(nodes[1]);
     ASSERT_EQ(hash.type, OpType::SigridHash);
     ASSERT_EQ(hash.inputs.size(), 1u);
@@ -126,7 +126,7 @@ TEST(SkewedPlan, AddsOpsToHeavyFeatures)
     EXPECT_EQ(skewed.graph.nodeCount(),
               base.graph.nodeCount() + 4u * 10u);
     // Feature with the largest hash size got the extra Ngram ops.
-    const int heavy = sparseFeatureId(skewed.schema, 0);
+    const int heavy = sparseFeatureId(skewed.graph.schema(), 0);
     EXPECT_EQ(skewed.graph.featureNodes(heavy).size(),
               base.graph.featureNodes(heavy).size() + 10u);
 }
@@ -147,10 +147,10 @@ TEST(FeatureIdHelpers, RoundTrip)
 {
     const auto plan = makePlan(0);
     EXPECT_EQ(denseFeatureId(3), 3);
-    const int fid = sparseFeatureId(plan.schema, 5);
-    EXPECT_TRUE(isSparseFeatureId(plan.schema, fid));
-    EXPECT_FALSE(isSparseFeatureId(plan.schema, 3));
-    EXPECT_EQ(sparseIndexOfFeatureId(plan.schema, fid), 5u);
+    const int fid = sparseFeatureId(plan.graph.schema(), 5);
+    EXPECT_TRUE(isSparseFeatureId(plan.graph.schema(), fid));
+    EXPECT_FALSE(isSparseFeatureId(plan.graph.schema(), 3));
+    EXPECT_EQ(sparseIndexOfFeatureId(plan.graph.schema(), fid), 5u);
 }
 
 } // namespace

@@ -7,8 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <tuple>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -102,13 +101,6 @@ TEST(Rng, NormalScaling)
     EXPECT_NEAR(sum / n, 10.0, 0.05);
 }
 
-TEST(Rng, LogNormalPositive)
-{
-    Rng rng(19);
-    for (int i = 0; i < 1000; ++i)
-        EXPECT_GT(rng.logNormal(0.0, 1.0), 0.0);
-}
-
 TEST(Rng, BernoulliProbability)
 {
     Rng rng(23);
@@ -132,129 +124,65 @@ TEST(Rng, ShuffleIsPermutation)
     EXPECT_EQ(shuffled, v);
 }
 
-TEST(Rng, ForkIndependence)
+/** With rate(t) == rate_max no candidate is thinned out. */
+TEST(NextThinnedArrival, PeakRateKeepsEveryCandidate)
 {
-    Rng a(31);
-    Rng child = a.fork();
-    // Child stream should not replay the parent stream.
-    int equal = 0;
-    for (int i = 0; i < 100; ++i)
-        equal += a.next() == child.next();
-    EXPECT_LT(equal, 3);
-}
-
-/** Zipf property sweep over (n, alpha). */
-class ZipfTest
-    : public ::testing::TestWithParam<std::tuple<std::int64_t, double>>
-{
-};
-
-TEST_P(ZipfTest, SupportAndSkew)
-{
-    const auto [n, alpha] = GetParam();
-    const ZipfSampler zipf(n, alpha);
-    Rng rng(37);
-    std::map<std::int64_t, int> histogram;
-    const int draws = 20000;
-    for (int i = 0; i < draws; ++i) {
-        const auto v = zipf(rng);
-        ASSERT_GE(v, 0);
-        ASSERT_LT(v, n);
-        ++histogram[v];
+    const double rate_max = 250.0;
+    const auto peak = [rate_max](double) { return rate_max; };
+    Rng rng(43);
+    Rng reference(43);
+    double clock = 0.0;
+    double expected = 0.0;
+    for (int i = 0; i < 1000; ++i) {
+        ASSERT_TRUE(nextThinnedArrival(rng, rate_max, peak, 1e9, clock));
+        expected += exponentialGap(reference.uniform(), 1.0 / rate_max);
+        (void)reference.uniform(); // the acceptance draw
+        EXPECT_EQ(clock, expected) << "arrival " << i;
     }
-    if (n >= 8) {
-        // Rank 0 must dominate rank 4 under any positive skew.
-        EXPECT_GT(histogram[0], histogram[4]);
+    EXPECT_EQ(rng.next(), reference.next());
+}
+
+TEST(NextThinnedArrival, StopsAtTheHorizon)
+{
+    const double horizon = 2.0;
+    const auto half = [](double) { return 50.0; };
+    Rng rng(47);
+    double clock = 0.0;
+    int arrivals = 0;
+    while (nextThinnedArrival(rng, 100.0, half, horizon, clock)) {
+        EXPECT_LT(clock, horizon);
+        ++arrivals;
     }
+    EXPECT_GE(clock, horizon);
+    // About rate * horizon = 100 arrivals survive the thinning.
+    EXPECT_GT(arrivals, 50);
+    EXPECT_LT(arrivals, 150);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ZipfTest,
-    ::testing::Combine(::testing::Values<std::int64_t>(1, 2, 100, 100000,
-                                                       33'700'000),
-                       ::testing::Values(0.6, 1.0, 1.05, 1.5)));
-
-TEST(Rng, ZipfRank0MostFrequentLargeSupport)
+TEST(NextThinnedArrival, HorizonBeforeFirstArrival)
 {
-    const ZipfSampler zipf(1'000'000, 1.05);
-    Rng rng(41);
-    std::map<std::int64_t, int> histogram;
-    for (int i = 0; i < 50000; ++i)
-        ++histogram[zipf(rng)];
-    const auto best =
-        std::max_element(histogram.begin(), histogram.end(),
-                         [](const auto &a, const auto &b) {
-                             return a.second < b.second;
-                         });
-    EXPECT_EQ(best->first, 0);
+    const auto flat = [](double) { return 1.0; };
+    Rng rng(53);
+    double clock = 0.0;
+    EXPECT_FALSE(nextThinnedArrival(rng, 1.0, flat, 1e-12, clock));
+    EXPECT_GE(clock, 1e-12);
 }
 
-/**
- * The per-draw rejection-inversion loop ZipfSampler replaced, frozen
- * here verbatim: every pow() evaluated on every draw. The sampler must
- * reproduce its draws and leave the generator in the same state.
- */
-std::int64_t
-referenceZipf(Rng &rng, std::int64_t n, double alpha)
+/** A gap below the clock's ulp still moves the clock forward. */
+TEST(NextThinnedArrival, AbsorbedGapStepsOneUlp)
 {
-    if (n == 1)
-        return 0;
-    const double nd = static_cast<double>(n);
-    auto h = [alpha](double x) {
-        if (std::abs(alpha - 1.0) < 1e-12)
-            return std::log(x);
-        return (std::pow(x, 1.0 - alpha) - 1.0) / (1.0 - alpha);
-    };
-    auto hInv = [alpha](double x) {
-        if (std::abs(alpha - 1.0) < 1e-12)
-            return std::exp(x);
-        return std::pow(1.0 + x * (1.0 - alpha), 1.0 / (1.0 - alpha));
-    };
-    const double hx0 = h(0.5) - 1.0;
-    const double hn = h(nd + 0.5);
-    for (;;) {
-        const double u = hx0 + rng.uniform() * (hn - hx0);
-        const double x = hInv(u);
-        const double k = std::floor(x + 0.5);
-        const double clamped = std::min(std::max(k, 1.0), nd);
-        if (u >= h(clamped + 0.5) - std::pow(clamped, -alpha))
-            return static_cast<std::int64_t>(clamped) - 1;
+    const double rate_max = 1e6;
+    const auto peak = [rate_max](double) { return rate_max; };
+    const double inf = std::numeric_limits<double>::infinity();
+    Rng rng(59);
+    double clock = 1e17;
+    for (int i = 0; i < 8; ++i) {
+        const double last = clock;
+        ASSERT_TRUE(nextThinnedArrival(rng, rate_max, peak, inf, clock));
+        EXPECT_EQ(clock, std::nextafter(last, inf));
+        EXPECT_GT(clock, last);
     }
 }
-
-class ZipfBitExactTest
-    : public ::testing::TestWithParam<std::tuple<std::int64_t, double>>
-{
-};
-
-TEST_P(ZipfBitExactTest, MatchesTheReferenceLoop)
-{
-    const auto [n, alpha] = GetParam();
-    const ZipfSampler zipf(n, alpha);
-    Rng sampled(20240408);
-    Rng reference(20240408);
-    for (int i = 0; i < 100000; ++i) {
-        const auto expected = referenceZipf(reference, n, alpha);
-        const auto actual = zipf(sampled);
-        EXPECT_EQ(actual, expected) << "draw " << i;
-        if (actual != expected)
-            break;
-    }
-    EXPECT_EQ(sampled.next(), reference.next());
-}
-
-// Both sides of the table edge (1024), the log branch (alpha = 1),
-// the Kaggle preset's largest table, and a steep skew.
-INSTANTIATE_TEST_SUITE_P(
-    Pairs, ZipfBitExactTest,
-    ::testing::Values(std::make_tuple(std::int64_t{1}, 1.05),
-                      std::make_tuple(std::int64_t{2}, 1.05),
-                      std::make_tuple(std::int64_t{1000}, 1.05),
-                      std::make_tuple(std::int64_t{1024}, 1.05),
-                      std::make_tuple(std::int64_t{1025}, 1.05),
-                      std::make_tuple(std::int64_t{11250134}, 1.05),
-                      std::make_tuple(std::int64_t{5000}, 1.0),
-                      std::make_tuple(std::int64_t{300}, 2.5)));
 
 } // namespace
 } // namespace rap

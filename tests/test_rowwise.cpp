@@ -82,14 +82,14 @@ TEST(RowWiseMapping, DataLocalityDuplicatesTheFeature)
     const auto plan = preproc::makePlan(1);
     const auto cluster_spec = sim::dgxA100Spec(4);
     const auto sharding = dlrm::EmbeddingSharding::balancedWithRowWise(
-        plan.schema, 4, plan.schema.sparse(0).hashSize);
+        plan.graph.schema(), 4, plan.graph.schema().sparse(0).hashSize);
     core::GraphMapper mapper(plan, sharding, cluster_spec, 4096);
 
     const auto dl = mapper.map(core::MappingStrategy::DataLocality);
     // The row-wise feature contributes 4 batches x 4 consumers copies
     // instead of 4: total items = features*4 + 4*(4-1).
     EXPECT_EQ(dl.totalItems(),
-              plan.schema.featureCount() * 4 + 4u * 3u);
+              plan.graph.schema().featureCount() * 4 + 4u * 3u);
     // Duplication keeps everything local: no communication.
     for (Bytes b : dl.commOutBytes)
         EXPECT_DOUBLE_EQ(b, 0.0);
@@ -100,10 +100,10 @@ TEST(RowWiseMapping, DataParallelMustBroadcast)
     const auto plan = preproc::makePlan(1);
     const auto cluster_spec = sim::dgxA100Spec(4);
     const auto plain_sharding =
-        dlrm::EmbeddingSharding::balanced(plan.schema, 4);
+        dlrm::EmbeddingSharding::balanced(plan.graph.schema(), 4);
     const auto rw_sharding =
         dlrm::EmbeddingSharding::balancedWithRowWise(
-            plan.schema, 4, plan.schema.sparse(0).hashSize);
+            plan.graph.schema(), 4, plan.graph.schema().sparse(0).hashSize);
     core::GraphMapper plain(plan, plain_sharding, cluster_spec, 4096);
     core::GraphMapper rw(plan, rw_sharding, cluster_spec, 4096);
 
@@ -124,10 +124,10 @@ TEST(RowWiseMapping, ConsumersRouting)
     const auto plan = preproc::makePlan(1);
     const auto cluster_spec = sim::dgxA100Spec(4);
     const auto sharding = dlrm::EmbeddingSharding::balancedWithRowWise(
-        plan.schema, 4, plan.schema.sparse(0).hashSize);
+        plan.graph.schema(), 4, plan.graph.schema().sparse(0).hashSize);
     core::GraphMapper mapper(plan, sharding, cluster_spec, 4096);
 
-    const int rw_feature = preproc::sparseFeatureId(plan.schema, 0);
+    const int rw_feature = preproc::sparseFeatureId(plan.graph.schema(), 0);
     EXPECT_EQ(mapper.consumers(core::WorkItem{rw_feature, 2}).size(),
               4u);
     EXPECT_EQ(mapper.consumers(core::WorkItem{0, 2}),
@@ -141,7 +141,7 @@ TEST(RowWisePipeline, EndToEndRunsAndStaysNearIdeal)
     config.gpuCount = 4;
     config.iterations = 8;
     config.warmup = 2;
-    config.rowWiseThreshold = plan.schema.sparse(0).hashSize;
+    config.rowWiseThreshold = plan.graph.schema().sparse(0).hashSize;
 
     config.system = core::System::Ideal;
     const auto ideal = core::RunRequest(config).run(plan);

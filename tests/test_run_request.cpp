@@ -225,10 +225,11 @@ TEST(RunRequestDeathTest, BadFaultSpecExitsBeforePlanning)
 preproc::PreprocPlan
 handBuiltPlan(std::size_t sparse_column, int sparse_feature)
 {
+    data::Schema schema;
+    schema.addDense("d");
+    schema.addSparse("s", 1000, 6.0);
     preproc::PreprocPlan plan;
-    plan.schema.addDense("d");
-    plan.schema.addSparse("s", 1000, 6.0);
-    plan.graph = preproc::PreprocGraph(plan.schema);
+    plan.graph = preproc::PreprocGraph(schema);
     preproc::OpNode dense;
     dense.type = preproc::OpType::FillNull;
     dense.featureId = 0;
