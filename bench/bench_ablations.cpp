@@ -212,9 +212,7 @@ ablationRegenerationCost()
         core::GraphMapper mapper(plan, sharding, cluster_spec, 4096);
         // The search's pricings are each GPU's fusion plan and
         // schedule, as in planOffline.
-        std::vector<core::CoRunSchedule> schedules;
-        (void)mapper.mapRap(profiles, planner, /*max_moves=*/64, nullptr,
-                            nullptr, &schedules);
+        (void)mapper.mapRap(profiles, planner);
         const auto t2 = std::chrono::steady_clock::now();
 
         auto ms = [](auto a, auto b) {

@@ -146,7 +146,6 @@ main(int argc, char **argv)
             config.metricsScope = scope + ".stale";
             const auto stale = core::RunRequest(config).run(plan);
             config.replanOnDrift = true;
-            config.replanMapping = true;
             config.metricsScope = scope + ".replanned";
             const auto replanned = core::RunRequest(config).run(plan);
 

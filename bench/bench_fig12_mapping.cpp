@@ -85,7 +85,7 @@ main(int argc, char **argv)
             const auto strategy = strategies[i];
             const auto mapping =
                 strategy == core::MappingStrategy::Rap
-                    ? mapper.mapRap(profiles, planner)
+                    ? mapper.mapRap(profiles, planner).mapping
                     : mapper.map(strategy);
 
             core::CoRunScheduler scheduler(planner);

@@ -2,15 +2,15 @@
  * @file
  * A fixed-size task pool with a deterministic parallel-for/map API.
  *
- * The offline planning phase (capacity profiling, per-GPU fusion
- * planning, the RAP mapping search, co-run scheduling) is
- * embarrassingly parallel across GPUs, but plans and reports must not
- * depend on the thread count: serial and parallel runs of the same
- * configuration must be bit-identical. The pool guarantees this by
- * construction — every task writes into its own submission-indexed
- * slot and reductions happen on the calling thread in submission
- * order, so the interleaving of workers is never observable as long as
- * the tasks themselves are independent.
+ * Its users run independent units side by side: bench sweep points
+ * (`--jobs`), the fleet scheduler's reference simulations and the
+ * ingest producers. Reports must not depend on the thread count:
+ * serial and parallel runs of the same configuration must be
+ * bit-identical. The pool guarantees this by construction — every
+ * task writes into its own submission-indexed slot and reductions
+ * happen on the calling thread in submission order, so the
+ * interleaving of workers is never observable as long as the tasks
+ * themselves are independent.
  *
  * Determinism contract:
  *  - parallelMap returns results in submission (index) order;

@@ -104,9 +104,11 @@ class HorizontalFusionPlanner
 
     /**
      * @return Branch-and-bound nodes explored by every MILP solve this
-     *         planner ran (observability). plan() is const and runs on
-     *         pool workers, so the tally is a relaxed atomic —
-     *         additions commute, keeping the total deterministic.
+     *         planner ran (observability). plan() is const, and
+     *         bench_fig12_mapping --jobs shares one planner across
+     *         concurrent sweep points, so the tally is a relaxed
+     *         atomic — additions commute, keeping the total
+     *         deterministic.
      */
     std::uint64_t
     milpNodesExplored() const

@@ -2,13 +2,19 @@
 
 #include <algorithm>
 #include <map>
-#include <numeric>
 #include <set>
 #include <tuple>
 
 #include "common/log.hpp"
 
 namespace rap::core {
+
+namespace {
+
+/** Upper bound on the item moves one mapRap search accepts. */
+constexpr int kMaxMoves = 64;
+
+} // namespace
 
 std::string
 mappingStrategyName(MappingStrategy strategy)
@@ -226,29 +232,27 @@ GraphMapper::buildGpuGraph(const GraphMapping &mapping, int gpu) const
     return graph;
 }
 
-GraphMapping
+MappingResult
 GraphMapper::mapRap(const std::vector<CapacityProfile> &profiles,
-                    const HorizontalFusionPlanner &planner,
-                    int max_moves, ThreadPool *pool,
-                    MappingSearchStats *stats,
-                    std::vector<CoRunSchedule> *schedules) const
+                    const HorizontalFusionPlanner &planner) const
 {
     const int gpus = clusterSpec_.gpuCount;
     RAP_ASSERT(static_cast<int>(profiles.size()) == gpus,
                "need one capacity profile per GPU");
 
     // Step 1: data-locality-based initial mapping.
-    GraphMapping mapping = map(MappingStrategy::DataLocality);
+    MappingResult result;
+    GraphMapping &mapping = result.mapping;
+    MappingSearchStats &stats = result.stats;
+    mapping = map(MappingStrategy::DataLocality);
     CoRunningCostModel cost_model(clusterSpec_);
     CoRunScheduler scheduler(planner);
 
     // Step 2: evaluate via the intra-GPU co-running schedule
     // (Algorithm 1) and the cost model. The schedule accounts for
     // leftover-envelope slowdowns that the raw latency sum misses.
-    // Pricing reads only const state, so evaluations of different
-    // GPUs are free to run concurrently. Each pricing leaves its
-    // co-run schedule in `schedule`; the last accepted one per GPU is
-    // that GPU's final plan.
+    // Each pricing leaves its co-run schedule in `schedule`; the last
+    // accepted one per GPU is that GPU's final plan.
     auto price = [&](const GraphMapping &m, int g,
                      CoRunSchedule &schedule) {
         const auto graph = buildGpuGraph(m, g);
@@ -264,25 +268,17 @@ GraphMapper::mapRap(const std::vector<CapacityProfile> &profiles,
     };
 
     std::vector<Seconds> delta(static_cast<std::size_t>(gpus));
-    std::vector<CoRunSchedule> priced(static_cast<std::size_t>(gpus));
-    auto priceInto = [&](const GraphMapping &m,
-                         std::vector<int> targets) {
-        if (stats != nullptr)
-            stats->pricings += targets.size();
-        auto evaluate = [&](std::size_t i) {
-            const auto g = static_cast<std::size_t>(targets[i]);
-            delta[g] = price(m, targets[i], priced[g]);
-        };
-        parallelFor(pool, targets.size(), evaluate);
-    };
-
-    std::vector<int> all_gpus(static_cast<std::size_t>(gpus));
-    std::iota(all_gpus.begin(), all_gpus.end(), 0);
-    priceInto(mapping, all_gpus);
+    auto &priced = result.schedules;
+    priced.resize(static_cast<std::size_t>(gpus));
+    for (int g = 0; g < gpus; ++g) {
+        const auto gi = static_cast<std::size_t>(g);
+        delta[gi] = price(mapping, g, priced[gi]);
+    }
+    stats.pricings += static_cast<std::uint64_t>(gpus);
 
     // Steps 3-4: move items from the costliest GPU to the cheapest
     // while the worst-case cost improves.
-    for (int move = 0; move < max_moves; ++move) {
+    for (int move = 0; move < kMaxMoves; ++move) {
         const auto src = static_cast<int>(
             std::max_element(delta.begin(), delta.end()) -
             delta.begin());
@@ -328,29 +324,17 @@ GraphMapper::mapRap(const std::vector<CapacityProfile> &profiles,
             .push_back(item);
         candidate = makeMapping(std::move(candidate.itemsPerGpu));
 
-        Seconds src_new = 0.0;
-        Seconds dst_new = 0.0;
         CoRunSchedule src_schedule;
         CoRunSchedule dst_schedule;
-        {
-            if (stats != nullptr) {
-                ++stats->movesEvaluated;
-                stats->pricings += 2;
-            }
-            auto evaluate = [&](std::size_t i) {
-                if (i == 0)
-                    src_new = price(candidate, src, src_schedule);
-                else
-                    dst_new = price(candidate, dst, dst_schedule);
-            };
-            parallelFor(pool, 2, evaluate);
-        }
+        const Seconds src_new = price(candidate, src, src_schedule);
+        const Seconds dst_new = price(candidate, dst, dst_schedule);
+        ++stats.movesEvaluated;
+        stats.pricings += 2;
         const Seconds old_worst =
             std::max(delta[static_cast<std::size_t>(src)],
                      delta[static_cast<std::size_t>(dst)]);
         if (std::max(src_new, dst_new) + 1e-9 < old_worst) {
-            if (stats != nullptr)
-                ++stats->movesAccepted;
+            ++stats.movesAccepted;
             mapping = std::move(candidate);
             delta[static_cast<std::size_t>(src)] = src_new;
             delta[static_cast<std::size_t>(dst)] = dst_new;
@@ -362,9 +346,7 @@ GraphMapper::mapRap(const std::vector<CapacityProfile> &profiles,
             break; // no improving substitution found
         }
     }
-    if (schedules != nullptr)
-        *schedules = std::move(priced);
-    return mapping;
+    return result;
 }
 
 } // namespace rap::core

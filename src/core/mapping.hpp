@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/capacity.hpp"
 #include "core/corun_scheduler.hpp"
 #include "core/cost_model.hpp"
@@ -51,11 +50,7 @@ struct WorkItem
     int batch = 0;
 };
 
-/**
- * Diagnostics of one mapRap search. Counted on the calling thread only
- * (pricings are tallied before fan-out), so the numbers are identical
- * for any pool size.
- */
+/** Diagnostics of one mapRap search. */
 struct MappingSearchStats
 {
     /** Item moves applied to the final mapping. */
@@ -81,6 +76,17 @@ struct GraphMapping
 
     /** @return Total items mapped (all GPUs). */
     std::size_t totalItems() const;
+};
+
+/**
+ * A mapping with each GPU's co-run schedule for it: what mapRap
+ * returns, and what one offline planning step produces.
+ */
+struct MappingResult
+{
+    GraphMapping mapping;
+    std::vector<CoRunSchedule> schedules;
+    MappingSearchStats stats;
 };
 
 /**
@@ -110,26 +116,17 @@ class GraphMapper
 
     /**
      * The RAP joint search: refine DataLocality using the co-running
-     * cost model over @p profiles.
+     * cost model over @p profiles, accepting at most 64 item moves.
      *
      * @param profiles Per-GPU capacity profiles.
      * @param planner Fusion planner used to price each GPU's graph.
-     * @param max_moves Upper bound on accepted item moves.
-     * @param pool Optional pool for the candidate-evaluation loops;
-     *        per-GPU pricings are independent and reduced in GPU
-     *        order, so the search is deterministic in thread count.
-     * @param stats Optional search diagnostics (observability).
-     * @param schedules Optional out-parameter: each GPU's co-run
-     *        schedule from its last accepted pricing (the initial
-     *        sweep or a committed move), i.e. planner.plan →
-     *        CoRunScheduler::schedule of the returned mapping.
+     * @return The mapping, each GPU's co-run schedule from its last
+     *         accepted pricing (the initial sweep or a committed
+     *         move), i.e. planner.plan → CoRunScheduler::schedule of
+     *         the returned mapping, and the search diagnostics.
      */
-    GraphMapping mapRap(const std::vector<CapacityProfile> &profiles,
-                        const HorizontalFusionPlanner &planner,
-                        int max_moves = 64, ThreadPool *pool = nullptr,
-                        MappingSearchStats *stats = nullptr,
-                        std::vector<CoRunSchedule> *schedules =
-                            nullptr) const;
+    MappingResult mapRap(const std::vector<CapacityProfile> &profiles,
+                         const HorizontalFusionPlanner &planner) const;
 
     /**
      * Materialise the preprocessing graph a GPU executes under a

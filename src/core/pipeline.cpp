@@ -658,7 +658,7 @@ RunSession::run(InputPath &input) const
 /**
  * The offline planner of one configuration: the fusion planner and
  * graph mapper planOffline searches with. The online replanning path
- * reuses the same instances.
+ * reuses the same instances and the same map-and-schedule step.
  */
 class OfflinePlanner
 {
@@ -673,18 +673,17 @@ class OfflinePlanner
     }
 
     /** Profile capacities, search the mapping, schedule every GPU. */
-    OfflinePlan plan(ThreadPool *pool) const;
+    OfflinePlan plan() const;
 
     /**
-     * Fusion-plan and schedule every GPU's share of @p mapping against
-     * @p profiles into @p schedules. GPUs are independent (planner,
-     * mapper and scheduler are const), so each runs as one pool task
-     * writing its own slot.
+     * Map the plan onto the GPUs with the system's strategy and build
+     * each GPU's co-run schedule against @p profiles, recording the
+     * plan.mapping and plan.schedule spans into @p metrics (null = no
+     * spans).
      */
-    void schedule(const GraphMapping &mapping,
-                  const std::vector<CapacityProfile> &profiles,
-                  ThreadPool *pool,
-                  std::vector<CoRunSchedule> &schedules) const;
+    MappingResult mapAndSchedule(
+        const std::vector<CapacityProfile> &profiles,
+        obs::MetricRegistry *metrics) const;
 
     const HorizontalFusionPlanner &fusion() const { return fusion_; }
     const GraphMapper &mapper() const { return mapper_; }
@@ -697,7 +696,7 @@ class OfflinePlanner
 };
 
 OfflinePlan
-OfflinePlanner::plan(ThreadPool *pool) const
+OfflinePlanner::plan() const
 {
     const SystemConfig &config = session_.config;
     obs::MetricRegistry *metrics = config.metrics;
@@ -721,79 +720,70 @@ OfflinePlanner::plan(ThreadPool *pool) const
                            config.envelopes[g].bw);
     }
 
-    const MappingStrategy strategy =
-        config.forcedMapping.value_or(traits_.mapping);
-    // The RAP search already fusion-planned and Algorithm-1-scheduled
-    // every GPU's final share while pricing it; a capacity-scheduling
-    // system keeps those schedules instead of planning them again.
-    const bool priced = strategy == MappingStrategy::Rap &&
-                        traits_.capacityScheduling;
-    MappingSearchStats mapping_stats;
-    {
-        obs::Span span(metrics, "plan.mapping", runLabels(config));
-        offline.mapping =
-            strategy == MappingStrategy::Rap
-                ? mapper_.mapRap(offline.profiles, fusion_,
-                                 /*max_moves=*/64, pool, &mapping_stats,
-                                 priced ? &offline.schedules : nullptr)
-                : mapper_.map(strategy);
-    }
-    {
-        obs::Span span(metrics, "plan.schedule", runLabels(config));
-        if (!priced) {
-            schedule(offline.mapping, offline.profiles, pool,
-                     offline.schedules);
-        }
-    }
+    MappingResult mapped = mapAndSchedule(offline.profiles, metrics);
+    offline.mapping = std::move(mapped.mapping);
+    offline.schedules = std::move(mapped.schedules);
 
     if (metrics != nullptr) {
         metrics->counter("plan.milp.nodes_explored", runLabels(config))
             .inc(fusion_.milpNodesExplored());
         metrics
             ->counter("plan.mapping.moves_accepted", runLabels(config))
-            .inc(static_cast<std::uint64_t>(
-                mapping_stats.movesAccepted));
+            .inc(static_cast<std::uint64_t>(mapped.stats.movesAccepted));
         metrics
             ->counter("plan.mapping.moves_evaluated",
                       runLabels(config))
             .inc(static_cast<std::uint64_t>(
-                mapping_stats.movesEvaluated));
+                mapped.stats.movesEvaluated));
         metrics->counter("plan.mapping.pricings", runLabels(config))
-            .inc(mapping_stats.pricings);
+            .inc(mapped.stats.pricings);
     }
     return offline;
 }
 
-void
-OfflinePlanner::schedule(const GraphMapping &mapping,
-                         const std::vector<CapacityProfile> &profiles,
-                         ThreadPool *pool,
-                         std::vector<CoRunSchedule> &schedules) const
+MappingResult
+OfflinePlanner::mapAndSchedule(
+    const std::vector<CapacityProfile> &profiles,
+    obs::MetricRegistry *metrics) const
 {
+    const SystemConfig &config = session_.config;
+    const MappingStrategy strategy =
+        config.forcedMapping.value_or(traits_.mapping);
+    MappingResult result;
+    {
+        obs::Span span(metrics, "plan.mapping", runLabels(config));
+        if (strategy == MappingStrategy::Rap)
+            result = mapper_.mapRap(profiles, fusion_);
+        else
+            result.mapping = mapper_.map(strategy);
+    }
+    obs::Span span(metrics, "plan.schedule", runLabels(config));
+    // The RAP search already fusion-planned and Algorithm-1-scheduled
+    // every GPU's final share while pricing it; a capacity-scheduling
+    // system keeps those schedules instead of planning them again.
+    if (strategy == MappingStrategy::Rap && traits_.capacityScheduling)
+        return result;
+
     CoRunScheduler scheduler(fusion_);
-    const auto gpu_count =
-        static_cast<std::size_t>(session_.config.gpuCount);
-    schedules.resize(gpu_count);
-    auto planGpu = [&](std::size_t g) {
+    result.schedules.assign(profiles.size(), CoRunSchedule{});
+    for (std::size_t g = 0; g < profiles.size(); ++g) {
         auto kernels = fusion_.plan(
-            mapper_.buildGpuGraph(mapping, static_cast<int>(g)),
-            session_.config.batchPerGpu);
+            mapper_.buildGpuGraph(result.mapping, static_cast<int>(g)),
+            config.batchPerGpu);
+        auto &schedule = result.schedules[g];
         if (traits_.capacityScheduling) {
-            schedules[g] =
-                scheduler.schedule(std::move(kernels), profiles[g]);
-            return;
+            schedule = scheduler.schedule(std::move(kernels), profiles[g]);
+            continue;
         }
         // Baselines launch kernels back-to-back from iteration start
         // without capacity awareness.
-        CoRunSchedule schedule;
         for (auto &k : kernels) {
             schedule.totalPreprocLatency += k.predictedLatency;
             schedule.kernels.push_back(
                 ScheduledKernel{std::move(k), 0, false});
         }
-        schedules[g] = std::move(schedule);
-    };
-    parallelFor(pool, gpu_count, planGpu);
+    }
+    return result;
 }
 
 /**
@@ -953,7 +943,7 @@ class GpuInput final : public InputPath
 
 GpuInput::GpuInput(const RunSession &session)
     : config_(session.config), traits_(traitsFor(config_.system)),
-      planner_(session), offline_(planner_.plan(nullptr)),
+      planner_(session), offline_(planner_.plan()),
       offlineNodes_(planner_.fusion().milpNodesExplored()),
       hybridCores_(std::max(
           1, std::min(kTorchArrowWorkersPerGpu * kCoresPerWorker,
@@ -1271,8 +1261,8 @@ GpuInput::replan(const std::vector<Seconds> &observed)
                           runLabels(config_));
     replan_span.annotateSim(engine.now(), engine.now());
     // Re-derive every GPU's capacity profile from its current
-    // (possibly degraded) resource envelopes and reschedule the
-    // co-run; with replanMapping the joint mapping search reruns too.
+    // (possibly degraded) resource envelopes and rerun the system's
+    // own map-and-schedule step on them.
     const auto &profiles = offline_.profiles;
     std::vector<CapacityProfile> degraded(profiles.size());
     for (std::size_t g = 0; g < profiles.size(); ++g) {
@@ -1289,19 +1279,9 @@ GpuInput::replan(const std::vector<Seconds> &observed)
             profiles[g], std::min(1.0, device.smCapacity() / env.sm),
             std::min(1.0, device.bwCapacity() / env.bw));
     }
-    // As offline: a capacity-scheduling search's priced schedules are
-    // the final ones.
-    const bool priced =
-        config_.replanMapping && traits_.capacityScheduling;
-    if (config_.replanMapping) {
-        offline_.mapping = planner_.mapper().mapRap(
-            degraded, planner_.fusion(), /*max_moves=*/64, nullptr,
-            nullptr, priced ? &offline_.schedules : nullptr);
-    }
-    if (!priced) {
-        planner_.schedule(offline_.mapping, degraded, nullptr,
-                          offline_.schedules);
-    }
+    MappingResult mapped = planner_.mapAndSchedule(degraded, nullptr);
+    offline_.mapping = std::move(mapped.mapping);
+    offline_.schedules = std::move(mapped.schedules);
     refreshMappingCosts();
     // Calibrate the monitor to the new plan so drift re-arms relative
     // to the degraded prediction (or the observation, when the fault
@@ -1371,12 +1351,11 @@ systemName(System system)
 }
 
 OfflinePlan
-planOffline(const SystemConfig &config, const preproc::PreprocPlan &plan,
-            ThreadPool *pool)
+planOffline(const SystemConfig &config, const preproc::PreprocPlan &plan)
 {
     const SystemConfig checked = checkedRun(config, plan);
     const RunSession session(checked, plan);
-    return OfflinePlanner(session).plan(pool);
+    return OfflinePlanner(session).plan();
 }
 
 RunReport

@@ -29,7 +29,6 @@
 #include <string>
 
 #include "common/json.hpp"
-#include "common/thread_pool.hpp"
 #include "common/validation.hpp"
 #include "core/capacity.hpp"
 #include "core/checkpoint.hpp"
@@ -146,15 +145,14 @@ struct SystemConfig
     /**
      * Online replanning: after warmup, compare each iteration's
      * observed latency against the cost model's prediction; past a
-     * 15% relative drift, re-run the co-run scheduler (and, with
-     * replanMapping, the joint mapping search) on the degraded
-     * resource envelopes, splicing the new schedule in at the next
-     * batch boundary. Applies to RAP variants with capacity
-     * scheduling.
+     * 15% relative drift, rerun the system's own offline
+     * map-and-schedule step (RAP's joint mapping search, or the
+     * system's fixed mapping rescheduled) on the degraded resource
+     * envelopes, splicing the new schedules in at the next batch
+     * boundary. Applies to RAP variants with capacity scheduling,
+     * except HybridRap.
      */
     bool replanOnDrift = false;
-    /** Also re-run GraphMapper::mapRap on each replan. */
-    bool replanMapping = false;
     /**
      * Checkpoint/restore policy (core/checkpoint.hpp). FixedInterval
      * and YoungDaly charge checkpoint drains to the simulated
@@ -328,19 +326,15 @@ struct OfflinePlan
 /**
  * Run the offline phase (paper Algorithm 1 plus the §6-§7 searches)
  * for @p config on @p plan: profile capacities, search the mapping,
- * and build each GPU's fused co-run schedule.
+ * and build each GPU's fused co-run schedule, on the calling thread.
  *
- * Per-GPU planning and scheduling are independent given the profiles;
- * when @p pool is non-null they run on its workers. Results are
- * reduced in GPU order, so the returned plan is bit-identical for any
- * thread count. Only GPU-preprocessing systems have an offline phase
- * (not Ideal / TorchArrowCpu). Fatal, with the rendered error list,
- * when @p config fails SystemConfig::validate or @p plan's graph fails
+ * Only GPU-preprocessing systems have an offline phase (not Ideal /
+ * TorchArrowCpu). Fatal, with the rendered error list, when @p config
+ * fails SystemConfig::validate or @p plan's graph fails
  * PreprocGraph::validate.
  */
 OfflinePlan planOffline(const SystemConfig &config,
-                        const preproc::PreprocPlan &plan,
-                        ThreadPool *pool = nullptr);
+                        const preproc::PreprocPlan &plan);
 
 } // namespace rap::core
 

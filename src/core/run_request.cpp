@@ -1,7 +1,5 @@
 #include "core/run_request.hpp"
 
-#include "common/log.hpp"
-
 namespace rap::core {
 
 ValidationResult
@@ -121,15 +119,6 @@ SystemConfig::validate() const
     }
 
     return result;
-}
-
-SystemConfig
-RunRequest::build() const
-{
-    const auto result = config_.validate();
-    if (!result.ok())
-        RAP_FATAL("invalid run configuration:\n", result.render());
-    return config_;
 }
 
 } // namespace rap::core

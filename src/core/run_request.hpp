@@ -1,8 +1,9 @@
 /**
  * @file
  * The validated run API: RunRequest is a fluent builder over
- * SystemConfig that validates at build() time and returns structured
- * errors (common/validation.hpp) instead of asserting mid-run.
+ * SystemConfig whose run() validates before anything runs and exits
+ * with structured errors (common/validation.hpp) instead of asserting
+ * mid-run; validate() returns the same errors without exiting.
  *
  *   auto request = RunRequest(System::Rap)
  *                      .gpus(4)
@@ -84,12 +85,6 @@ class RunRequest
 
     /** @return The validation outcome for the current configuration. */
     ValidationResult validate() const { return config_.validate(); }
-
-    /**
-     * Validate and return the finished configuration; fatal (with the
-     * full rendered error list) when invalid.
-     */
-    SystemConfig build() const;
 
     /**
      * Validate the configuration and @p plan's graph (errors under

@@ -4,7 +4,8 @@
  * arrivals, finishes, and GPU degradations on one simulated node.
  *
  * Each placed job runs through the existing single-job path —
- * core::planOffline plus the cluster simulator — on the GPU subset
+ * core::RunRequest::run, its offline plan plus the cluster
+ * simulator — on the GPU subset
  * its placement granted, with the subset's share of the host CPUs
  * (sim::subsetSpec) and the envelope slice its co-location left it
  * (SystemConfig::envelopes). The job's simulated makespan becomes its
@@ -25,8 +26,8 @@
  * every resident job is preempted, credited with its last *durable*
  * fraction (the most recent sealed checkpoint — a job that never
  * checkpoints restarts from scratch), requeued at the front, and
- * re-placed — replanning against the shrunken envelope (planOffline
- * re-derives its capacity profiles via degradeProfile). Crashed GPUs
+ * re-placed — replanning against the shrunken envelope (the run's
+ * offline plan re-derives its capacity profiles via degradeProfile). Crashed GPUs
  * are permanently excluded from placement.
  *
  * Determinism: the event loop is sequential with total (time, kind,

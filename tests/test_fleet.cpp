@@ -2,10 +2,10 @@
  * @file
  * Fleet scheduler tests: arrival-trace synthesis, placement policies,
  * the admission queue, end-to-end fleet runs, requeue-and-replan on
- * degraded GPUs, report determinism across thread counts (the
- * fleet mirror of test_offline_parallel — all comparisons EXPECT_EQ,
- * bit-identical, not merely close), and a golden-file check of the
- * report, metrics and catalog bytes of the scheduler's event paths.
+ * degraded GPUs, report determinism across thread counts (all
+ * comparisons EXPECT_EQ, bit-identical, not merely close), and a
+ * golden-file check of the report, metrics and catalog bytes of the
+ * scheduler's event paths.
  *
  * Regenerate the golden file after an intentional change with:
  *

@@ -143,7 +143,7 @@ TEST(Mapping, RapKeepsLocalityWhenBalanced)
         f.sharding);
     const auto profiles = estimator.profileAll();
     HorizontalFusionPlanner planner(f.clusterSpec.gpu);
-    const auto mapping = f.mapper.mapRap(profiles, planner);
+    const auto mapping = f.mapper.mapRap(profiles, planner).mapping;
     for (Bytes b : mapping.commOutBytes)
         EXPECT_DOUBLE_EQ(b, 0.0);
 }
@@ -184,7 +184,7 @@ TEST(Mapping, RapRebalancesSkewedPlan)
     };
 
     const auto dl = mapper.map(MappingStrategy::DataLocality);
-    const auto rap = mapper.mapRap(profiles, planner);
+    const auto rap = mapper.mapRap(profiles, planner).mapping;
     EXPECT_EQ(rap.totalItems(), dl.totalItems());
 
     const Seconds dl_worst = worstDelta(dl);

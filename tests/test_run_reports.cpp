@@ -104,7 +104,6 @@ goldenCases()
             -1, 0.0, std::numeric_limits<Seconds>::infinity(), 0.2));
         config.faults = faults;
         config.replanOnDrift = true;
-        config.replanMapping = true;
         cases.push_back({"rap+faults_replan", config, {}});
     }
     {

@@ -277,7 +277,7 @@ TEST(RunRequest, BuilderPlumbsEveryField)
                             .batchPerGpu(2048)
                             .iterations(10, 2)
                             .metrics(&registry, "test.scope")
-                            .build();
+                            .config();
     EXPECT_EQ(config.system, System::Rap);
     EXPECT_EQ(config.gpuCount, 4);
     EXPECT_EQ(config.batchPerGpu, 2048);
@@ -307,11 +307,12 @@ TEST(RunRequest, ValidateReportsWithoutExiting)
     EXPECT_TRUE(hasError(result, "gpuCount"));
 }
 
-TEST(RunRequestDeathTest, BuildExitsOnInvalidConfig)
+TEST(RunRequestDeathTest, RunExitsOnInvalidConfig)
 {
     RunRequest request(System::Rap);
     request.gpus(-1);
-    EXPECT_EXIT(request.build(), testing::ExitedWithCode(1),
+    EXPECT_EXIT(request.run(preproc::makePlan(0)),
+                testing::ExitedWithCode(1),
                 "invalid run configuration");
 }
 
@@ -346,7 +347,6 @@ TEST(RunRequest, TracePathLeavesReportsByteIdentical)
             -1, 0.0, std::numeric_limits<Seconds>::infinity(), 0.2));
         config.faults = faults;
         config.replanOnDrift = true;
-        config.replanMapping = true;
         configs.push_back(config);
     }
     const auto plan = preproc::makePlan(0);
@@ -358,7 +358,7 @@ TEST(RunRequest, TracePathLeavesReportsByteIdentical)
         traced_request.config().tracePath = path;
         const auto traced = traced_request.run(plan);
         EXPECT_GT(plain.avgSmUtil, 0.0);
-        if (config.replanMapping) {
+        if (config.replanOnDrift) {
             EXPECT_GE(plain.replans, 1);
         }
         EXPECT_EQ(plain.toJson().dump(), traced.toJson().dump())
